@@ -11,7 +11,6 @@ from .specfun import (
     EvalPolicy,
     NonConvergenceError,
     gamma_cdf,
-    gen_exp_integral,
     inv_q,
     kummer_u,
     q_function,

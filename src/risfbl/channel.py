@@ -297,64 +297,6 @@ def moments_X(gains: LinkGains, n_elements: int, phase: PhaseModel) -> Moments:
     return Moments(m1=m1, m2=m2)
 
 
-def moments_X_perfect_expanded(gains: LinkGains, n_elements: int) -> Moments:
-    """Fully expanded perfect-phase moment formulas (secondary cross-check)."""
-    v, r, t = gains.direct, gains.ap_ris, gains.ris_ac
-    N = float(n_elements)
-    pi = _PI
-    m1 = (
-        v
-        + N * r * t
-        + pi ** 2 * N * (N - 1) / 16.0 * r * t
-        + pi * N / 4.0 * math.sqrt(pi * v * r * t)
-    )
-    m2 = (
-        2.0 * v ** 2
-        + v * r * t * N * (6.0 + 3.0 * (N - 1) * pi ** 2 / 8.0)
-        + 3.0 * N * pi ** 1.5 / 4.0 * math.sqrt(v ** 3 * r * t)
-        + r ** 2 * t ** 2 * N / 256.0 * (
-            pi ** 4 * (N - 3) * (N - 2) * (N - 1)
-            + 48.0 * pi ** 2 * (2.0 * N - 1) * (N - 1)
-            + 768.0 * N
-            + 256.0
-        )
-        + math.sqrt(v * r ** 3 * t ** 3) * N * pi ** 1.5 / 32.0 * (
-            pi ** 2 * (N - 2) * (N - 1) + 48.0 * N - 12.0
-        )
-    )
-    return Moments(m1=m1, m2=m2)
-
-
-def second_moment_phase_error_expanded(gains: LinkGains, n_elements: int,
-                                      spread: float) -> float:
-    """E[X^2] in its long single-expansion form.
-
-    Kept for cross-checking only: relative to the structural sums it is
-    missing an N(N-1) * (ap_ris * ris_ac)^2 term.
-    """
-    v, r, t = gains.direct, gains.ap_ris, gains.ris_ac
-    N = float(n_elements)
-    pi = _PI
-    s1 = sinc_norm(spread)
-    s2 = sinc_norm(2.0 * spread)
-    return (
-        2.0 * v ** 2
-        + N * v * r * t * (4.0 + 2.0 * s2 + 3.0 * pi ** 2 * (N - 1) / 8.0 * s1 ** 2)
-        + math.sqrt(v ** 3 * r * t) * (3.0 * pi ** 1.5 * N / 4.0) * s1
-        + N * r ** 2 * t ** 2 * (
-            N + 3.0
-            + pi ** 2 / 16.0 * (N - 1) * (2.0 * N + 5.0) * s1 ** 2
-            + (N - 1) * s2 ** 2
-            + pi ** 2 / 8.0 * (N - 1) * (N - 2) * s1 ** 2 * (1.0 + s2)
-            + pi ** 4 / 2 ** 8 * s1 ** 4 * (N - 1) * (N - 2) * (N - 3)
-        )
-        + N * math.sqrt(v * r ** 3 * t ** 3) * s1 * pi ** 1.5 * (
-            (8.0 * N + 1.0) / 8.0
-            + (N - 1) / 2.0 * (s2 + (N - 2) * pi ** 2 / 16.0 * s1 ** 2)
-        )
-    )
-
-
 def gamma_fit(moments: Moments, rho: float) -> GammaFit:
     """Moment-match gamma = rho * X to Gamma(shape, rate)."""
     if rho <= 0:

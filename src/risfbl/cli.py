@@ -112,7 +112,6 @@ def _build_scenario(cfg: dict) -> ScenarioConfig:
                 n_samples=int(merged["n_samples"]), seed=int(merged["seed"]),
                 stream_id=int(merged["stream_id"]), chunk=int(merged["chunk"])),
             policy=EvalPolicy(
-                max_series_terms=int(merged["max_series_terms"]),
                 rel_tol=float(merged["rel_tol"]),
                 quadrature_points=int(merged["quadrature_points"])),
         )

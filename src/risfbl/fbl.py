@@ -4,19 +4,18 @@ Finite-blocklength metrics
 Instantaneous normal-approximation quantities (rate, block error
 probability, blocklength) and their averages over the Gamma-fitted SNR:
 
-  * exact average rate via the Kummer-U series (capacity term C1 and
-    dispersion term C2),
+  * exact average rate from the capacity term C1 = E[log2(1 + gamma)]
+    and the dispersion term C2 = E[sqrt(V(gamma))],
   * the Jensen-type closed-form lower bound,
-  * the second-order Taylor approximation,
   * the linearized-Q closed form for the average BLER with a quadrature
     reference mode and a cancellation guard,
   * the average blocklength as the positive root of the rate equation.
 
-The series are evaluated in octave blocks that share quadrature nodes:
-every term is still the integral representation of the corresponding
-Kummer-U value, but terms with comparable peak locations reuse one
-bracketed Gauss-Legendre grid, which keeps thousand-term series cheap.
-All per-term magnitudes are assembled in the log domain.
+The paper writes C1 and C2 as infinite Kummer-U series; here both are
+integrated directly against the Gamma density in w = ln(rate * gamma)
+with the peak-tracked quadrature of ``specfun``, the same kernel that
+evaluates Kummer U.  Integrands are assembled in the log domain, so
+shape parameters in the thousands do not overflow.
 """
 
 import math
@@ -30,10 +29,7 @@ from .specfun import (
     LOG2E,
     DomainError,
     EvalPolicy,
-    NonConvergenceError,
-    _abs_binom_half,
-    _bracket,
-    _find_peak,
+    _log_integral,
     _panel_grid,
     _softplus,
     inv_q,
@@ -137,148 +133,39 @@ def instantaneous_blocklength(gamma, info_bits: int, target_bler: float):
 
 
 # ---------------------------------------------------------------------------
-# Shared-grid series machinery for C1 / C2
+# Gamma averages C1 / C2
 # ---------------------------------------------------------------------------
 
-def _log_density_exponent(alpha, beta):
-    """Exponent of f_gamma(u) u du in v = ln u, written to avoid overflow."""
+def _log_gamma_expect(fit: GammaFit, log_g, policy: EvalPolicy) -> float:
+    """log E[g(gamma)] for gamma ~ Gamma(shape, rate) and g > 0.
+
+    In w = ln(rate * gamma) the density is exp(shape w - e^w - lnGamma(shape))
+    dw; ``log_g`` maps ln gamma to ln g(gamma).
+    """
+    alpha = fit.shape
+    lnb = math.log(fit.rate)
     lg = sp.gammaln(alpha)
-    lnb = math.log(beta)
 
-    def base(v):
-        w = v + lnb  # ln(beta * u)
-        return alpha * w - np.exp(w) - lg
+    def h(w):
+        return alpha * w - np.exp(w) - lg + log_g(w - lnb)
 
-    return base
-
-
-def _block_range(exponent, k_lo, k_hi, alpha, beta):
-    """Bracket in v covering the term peaks for k in [k_lo, k_hi]."""
-    guesses = [math.log(alpha / beta)]
-    for k in (k_lo, k_hi):
-        guesses.append(0.5 * math.log(max(k, 1.0) / beta))
-        guesses.append(math.log(max(alpha / (2.0 * max(k, 1.0)), 1e-290)))
-    hint = np.unique(np.concatenate(
-        [np.linspace(-80.0, 80.0, 321)]
-        + [np.linspace(g - 4.0, g + 4.0, 33) for g in guesses]))
-    edges = []
-    for k in (k_lo, k_hi):
-        h = lambda v: exponent(v, k)
-        vp = _find_peak(h, hint)
-        hp = h(np.array([vp]))[0]
-        edges.extend(_bracket(h, vp, hp))
-    return min(edges), max(edges)
-
-
-def _series_block(base, kernel, k_lo, k_hi, policy, alpha, beta):
-    """Term values E[exp(k * kernel)] for k = k_lo .. k_hi.
-
-    ``kernel`` is the per-unit-k log factor (ln t for C1, ln (1+u)^-2 for
-    C2).  The whole block shares one bracketed grid; the node count is
-    doubled until consecutive grids agree, so the wide flat tails that
-    appear for sub-unit shape parameters are still resolved.
-    """
-    exponent = lambda v, k: base(v) + k * kernel(v)
-    vl, vr = _block_range(exponent, k_lo, k_hi, alpha, beta)
-    ks = np.arange(k_lo, k_hi + 1, dtype=float)
-
-    def attempt(n):
-        nodes, weights = _panel_grid(vl, vr, n)
-        w_dens = weights * np.exp(base(nodes))
-        kv = kernel(nodes)
-        out = np.empty(ks.size)
-        chunk = 1024
-        for i in range(0, ks.size, chunk):
-            kc = ks[i:i + chunk]
-            out[i:i + chunk] = np.exp(kc[:, None] * kv[None, :]) @ w_dens
-        return out
-
-    # at least ~6 points per unit of v so slow exponential tails resolve
-    n = max(policy.quadrature_points, int(math.ceil(6.0 * (vr - vl))))
-    prev = attempt(n)
-    for _ in range(4):
-        n *= 2
-        cur = attempt(n)
-        scale = np.maximum(np.abs(cur), 1e-300)
-        if float(np.max(np.abs(cur - prev) / scale)) < 10.0 * policy.rel_tol:
-            return cur
-        prev = cur
-    raise NonConvergenceError("series block quadrature failed to settle")
-
-
-def _tail_estimate(terms, k_hi):
-    """Signed tail correction and residual bound from the last two terms.
-
-    Fits |t_k| = A k^-p locally; the integral of the fitted tail is the
-    correction and its O(1/min(K, p)) relative error bounds the residual.
-    The same formula covers the stretched-exponential decay of the
-    capacity series, where the local p grows like sqrt(k).
-    """
-    t_last = float(terms[-1])
-    t_prev = float(terms[-2])
-    if t_last == 0.0:
-        return 0.0, 0.0
-    ratio = abs(t_last) / abs(t_prev)
-    if ratio >= 1.0:
-        return math.copysign(abs(t_last) * k_hi, t_last), abs(t_last) * k_hi
-    p = -math.log(ratio) / math.log(k_hi / (k_hi - 1.0))
-    if p <= 1.1:
-        tail = abs(t_last) * k_hi * 10.0
-        return math.copysign(tail, t_last), tail
-    tail = abs(t_last) * k_hi / (p - 1.0)
-    # discreteness and subleading-term error of the local power fit
-    resid = tail * min(1.0, 4.0 * p / k_hi)
-    return math.copysign(tail, t_last), resid
-
-
-def _run_series(base, kernel, coeffs, policy, alpha, beta, start_total=0.0):
-    """Adaptive octave-blocked summation of sum_k coeffs(k) E[exp(k kernel)].
-
-    Stops once the residual after the tail correction falls below
-    rel_tol of the running sum; raises NonConvergenceError when the term
-    cap is reached while that residual still exceeds 1e-6 of the sum.
-    """
-    total = start_total
-    k_lo = 1
-    tail = resid = math.inf
-    while k_lo <= policy.max_series_terms:
-        k_hi = min(2 * k_lo, policy.max_series_terms)
-        expect = _series_block(base, kernel, k_lo, k_hi, policy, alpha, beta)
-        terms = coeffs(np.arange(k_lo, k_hi + 1)) * expect
-        total += float(np.sum(terms))
-        if terms.size >= 2:
-            tail, resid = _tail_estimate(terms, k_hi)
-            if resid <= max(policy.rel_tol, 1e-14) * abs(total):
-                return total + tail
-        elif abs(float(terms[-1])) <= policy.rel_tol * abs(total):
-            return total
-        k_lo = k_hi + 1
-    if resid > 1e-6 * abs(total):
-        raise NonConvergenceError(
-            f"series cap {policy.max_series_terms} reached with relative "
-            f"residual estimate {resid / abs(total):.3e}")
-    return total + (tail if math.isfinite(tail) else 0.0)
+    # the density peaks at w = ln(shape); g only shifts it moderately
+    return _log_integral(h, policy, math.log(alpha))
 
 
 def c1_avg_capacity(fit: GammaFit, policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """Average Shannon capacity E[log2(1 + gamma)] via the Kummer-U series."""
-    alpha, beta = fit.shape, fit.rate
-    base = _log_density_exponent(alpha, beta)
-    kernel = lambda v: -_softplus(-v)       # ln(u / (1 + u))
-    coeffs = lambda ks: 1.0 / ks
-    nats = _run_series(base, kernel, coeffs, policy, alpha, beta)
-    return nats / _LN2
+    """Average Shannon capacity E[log2(1 + gamma)]."""
+    log_g = lambda v: np.log(_softplus(v))  # ln ln(1 + u)
+    return math.exp(_log_gamma_expect(fit, log_g, policy)) / _LN2
 
 
 def c2_avg_sqrt_dispersion(fit: GammaFit,
                            policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """Average sqrt-dispersion E[sqrt(V(gamma))] via the binomial series."""
-    alpha, beta = fit.shape, fit.rate
-    base = _log_density_exponent(alpha, beta)
-    kernel = lambda v: -2.0 * _softplus(v)  # ln((1 + u)^-2)
-    coeffs = lambda ks: -_abs_binom_half(ks)
-    nats = _run_series(base, kernel, coeffs, policy, alpha, beta, start_total=1.0)
-    return min(max(nats / _LN2, 0.0), LOG2E)
+    """Average sqrt-dispersion E[sqrt(V(gamma))]."""
+    # ln sqrt(1 - (1 + u)^-2)
+    log_g = lambda v: 0.5 * np.log(-np.expm1(-2.0 * _softplus(v)))
+    nats = math.exp(_log_gamma_expect(fit, log_g, policy))
+    return min(nats / _LN2, LOG2E)
 
 
 def avg_rate_exact(fit: GammaFit, blocklength: int, target_bler: float,
@@ -308,13 +195,6 @@ def avg_rate_lower_bound(fit: GammaFit, blocklength: int,
     return c1_lb - inv_q(target_bler) / math.sqrt(blocklength) * c2_ub
 
 
-def avg_rate_taylor(fit: GammaFit) -> float:
-    """Second-order Taylor approximation of the average capacity."""
-    mean = fit.mean
-    var = fit.variance
-    return math.log2(1.0 + mean) - var / (2.0 * (1.0 + mean) ** 2 * _LN2)
-
-
 # ---------------------------------------------------------------------------
 # Average error probability
 # ---------------------------------------------------------------------------
@@ -336,15 +216,6 @@ def linearization_params(blocklength: int, info_bits: int) -> LinearizationParam
     return LinearizationParams(xi0=xi0, xi1=xi1, kappa0=kappa0, kappa1=kappa1)
 
 
-def linearized_q(gamma, params: LinearizationParams):
-    """The piecewise-linear surrogate g(gamma) itself (vectorized)."""
-    g = np.asarray(gamma, dtype=float)
-    ramp = 0.5 + params.xi0 * (g - params.xi1)
-    out = np.where(g < params.kappa0, 1.0,
-                   np.where(g > params.kappa1, 0.0, ramp))
-    return float(out) if out.ndim == 0 else out
-
-
 def _avg_bler_closed(fit: GammaFit, lin: LinearizationParams) -> float:
     a, b = fit.shape, fit.rate
     k0, k1, xi0 = lin.kappa0, lin.kappa1, lin.xi0
@@ -361,25 +232,17 @@ def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     a, b = fit.shape, fit.rate
     lg = sp.gammaln(a)
 
-    def grid(lo, hi, n_panels):
-        edges = np.linspace(lo, hi, n_panels + 1)
-        x, w = np.polynomial.legendre.leggauss(16)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
-                (half[:, None] * w[None, :]).ravel())
-
     # head: int_0^kappa0 dens du with u = kappa0 e^-w, smooth for any a > 0;
     # integrand peaks at w* = ln(b k0 / a) when the density mode lies
     # below kappa0, so the range must reach past that peak
     k0 = lin.kappa0
     w_star = max(0.0, math.log(b * k0 / a))
     wmax = w_star + 12.0 / math.sqrt(a) + (_DROP_HEAD + 40.0) / a
-    wn, ww = grid(0.0, wmax, 80)
+    wn, ww = _panel_grid(0.0, wmax, 80 * 16)
     head_vals = np.exp(a * math.log(b * k0) - a * wn - b * k0 * np.exp(-wn) - lg)
     head = float(np.sum(ww * head_vals))
     # ramp region is singularity-free
-    un, uw = grid(lin.kappa0, lin.kappa1, 40)
+    un, uw = _panel_grid(lin.kappa0, lin.kappa1, 40 * 16)
     dens = np.exp(a * math.log(b) + (a - 1.0) * np.log(un) - b * un - lg)
     ramp = float(np.sum(uw * (0.5 + lin.xi0 * (un - lin.xi1)) * dens))
     return min(max(head + ramp, 0.0), 1.0) + 0.0

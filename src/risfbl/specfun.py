@@ -2,9 +2,8 @@
 Special-function kernel
 =======================
 Numerical backend for every closed-form expression in the library:
-log-gamma, incomplete gammas, the Gaussian Q-function and its inverse,
-the confluent hypergeometric Kummer U function, and the generalized
-exponential integral.
+the Gamma CDF, the Gaussian Q-function and its inverse, and the
+confluent hypergeometric Kummer U function.
 
 Kummer U is evaluated from its integral representation
 
@@ -31,20 +30,21 @@ class DomainError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """A quadrature refinement or series truncation failed to settle."""
+    """A quadrature refinement failed to settle."""
 
 
 @dataclass(frozen=True)
 class EvalPolicy:
-    """Truncation and quadrature knobs shared by all series/quadrature code."""
+    """Knobs of the peak-tracked quadrature behind Kummer U and C1/C2.
 
-    max_series_terms: int = 1000
+    ``quadrature_points`` is the starting node count; it is doubled until
+    the log integral moves by less than ``rel_tol``.
+    """
+
     rel_tol: float = 1e-10
     quadrature_points: int = 256
 
     def __post_init__(self):
-        if self.max_series_terms < 1:
-            raise DomainError("max_series_terms must be >= 1")
         if not 0.0 < self.rel_tol < 1.0:
             raise DomainError("rel_tol must lie in (0, 1)")
         if self.quadrature_points < 16:
@@ -55,25 +55,6 @@ DEFAULT_POLICY = EvalPolicy()
 
 LOG2E = math.log2(math.e)
 _SQRT2 = math.sqrt(2.0)
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if x <= 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return float(sp.gammaln(x))
-
-
-def upper_inc_gamma(a: float, x: float) -> float:
-    """Unregularized upper incomplete gamma Gamma(a, x), a > 0, x >= 0."""
-    if a <= 0:
-        raise DomainError(f"upper_inc_gamma requires a > 0, got a={a}")
-    if x < 0:
-        raise DomainError(f"upper_inc_gamma requires x >= 0, got x={x}")
-    q = float(sp.gammaincc(a, x))
-    if q == 0.0:
-        return 0.0
-    return math.exp(sp.gammaln(a) + math.log(q))
 
 
 def gamma_cdf(shape: float, rate: float, x) -> float:
@@ -122,36 +103,9 @@ def sinc_norm(x):
     return float(out) if out.ndim == 0 else out
 
 
-def binom_half(k: int) -> float:
-    """Generalized binomial coefficient (1/2 choose k)."""
-    if k < 0:
-        raise DomainError(f"binom_half requires k >= 0, got {k}")
-    if k == 0:
-        return 1.0
-    # (1/2 choose k) = (-1)^(k-1) (2k)! / (4^k (k!)^2 (2k-1))
-    log_mag = (
-        sp.gammaln(2 * k + 1)
-        - k * math.log(4.0)
-        - 2.0 * sp.gammaln(k + 1)
-        - math.log(2 * k - 1)
-    )
-    return (-1.0) ** (k - 1) * math.exp(log_mag)
-
-
-def _abs_binom_half(ks: np.ndarray) -> np.ndarray:
-    """|(1/2 choose k)| for an integer array with k >= 1."""
-    ks = ks.astype(float)
-    return np.exp(
-        sp.gammaln(2 * ks + 1)
-        - ks * math.log(4.0)
-        - 2.0 * sp.gammaln(ks + 1)
-        - np.log(2 * ks - 1)
-    )
-
-
 # ---------------------------------------------------------------------------
-# Peak-tracked semi-infinite quadrature (shared by Kummer U and the series
-# evaluators in the rate module).
+# Peak-tracked semi-infinite quadrature (shared by Kummer U and the Gamma
+# averages in the rate module).
 # ---------------------------------------------------------------------------
 
 _DROP = 70.0  # integrand is followed until exp(h - h_peak) < e^-70
@@ -220,14 +174,17 @@ def _panel_grid(vl, vr, n_points):
     return nodes, weights
 
 
-def _log_integral(h, policy, v_hint=None):
+def _log_integral(h, policy, v_guess):
     """log of int exp(h(v)) dv over the real line for a single-bump exponent.
 
-    Returns the log integral; raises NonConvergenceError if doubling the
-    node count still moves the result by more than rel_tol.
+    The peak is searched on [-80, 80] and more finely within +-5 of
+    ``v_guess``.  Returns the log integral; raises NonConvergenceError if
+    doubling the node count still moves the result by more than rel_tol.
     """
-    if v_hint is None:
-        v_hint = np.concatenate([np.linspace(-60, 60, 241)])
+    v_hint = np.unique(np.concatenate([
+        np.linspace(-80.0, 80.0, 321),
+        np.linspace(v_guess - 5.0, v_guess + 5.0, 41),
+    ]))
     v_peak = _find_peak(h, v_hint)
     h_peak = h(np.array([v_peak]))[0]
     if not np.isfinite(h_peak):
@@ -244,12 +201,13 @@ def _log_integral(h, policy, v_hint=None):
     for _ in range(4):
         n *= 2
         cur = attempt(n)
-        if abs(cur - prev) < policy.rel_tol:
+        change = abs(cur - prev)
+        if change < policy.rel_tol:
             return cur
         prev = cur
     raise NonConvergenceError(
         "quadrature failed to converge after refinement "
-        f"(last change {abs(cur - prev):.3e})"
+        f"(last change {change:.3e})"
     )
 
 
@@ -274,12 +232,7 @@ def log_gamma_kummer_u(a: float, b: float, z: float,
         return a * v - (a - b + 1.0) * _softplus(v) - z * np.exp(v)
 
     # Peak is near min(a/z, ...) in u; seed the scan around both regimes.
-    guess = math.log(max(a, 1.0) / z)
-    hint = np.unique(np.concatenate([
-        np.linspace(-80.0, 80.0, 321),
-        np.linspace(guess - 5.0, guess + 5.0, 41),
-    ]))
-    return _log_integral(h, policy, v_hint=hint)
+    return _log_integral(h, policy, math.log(max(a, 1.0) / z))
 
 
 def kummer_u(a: float, b: float, z: float,
@@ -287,16 +240,3 @@ def kummer_u(a: float, b: float, z: float,
     """Confluent hypergeometric Kummer U(a, b, z) via adaptive quadrature."""
     return math.exp(log_gamma_kummer_u(a, b, z, policy) - sp.gammaln(a))
 
-
-def gen_exp_integral(order: float, z: float,
-                     policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """Generalized exponential integral E_nu(z) = int_1^inf e^(-z t) t^(-nu) dt.
-
-    Computed through the identity E_nu(z) = e^(-z) U(1, 2 - nu, z) so the
-    whole library rides on one well-tested quadrature kernel.
-    """
-    if z <= 0:
-        raise DomainError(f"gen_exp_integral requires z > 0, got {z}")
-    if order < 0:
-        raise DomainError(f"gen_exp_integral requires order >= 0, got {order}")
-    return math.exp(-z + log_gamma_kummer_u(1.0, 2.0 - order, z, policy))

@@ -6,11 +6,20 @@ evaluates the defining integrals with mpmath at 40 digits using
 peak-normalized quadrature (values are O(1) relative to the integrand
 peak, so mpmath's relative stopping criterion applies even when the
 result underflows double precision by hundreds of orders).
+
+The last section holds alternative forms (expanded moment formulas,
+the Taylor rate, the linearized-Q surrogate, incomplete-gamma and
+exponential-integral wrappers) that only the tests use as cross-checks.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
+from scipy import special as sp
+
+from risfbl.channel import LinkGains, Moments
+from risfbl.specfun import DomainError, log_gamma_kummer_u, sinc_norm
 
 
 # grid pairs small shapes with small rates: the defining series and the
@@ -119,3 +128,113 @@ def kummer_u_ref(a, b, z, dps=30):
 def log_gamma_u_ref(a, b, z, dps=40):
     with mp.workdps(dps):
         return float(mp.log(mp.gamma(a) * mp.hyperu(a, b, z)))
+
+
+# ---------------------------------------------------------------------------
+# Cross-check forms used only by the tests
+# ---------------------------------------------------------------------------
+
+def ln_gamma(x):
+    """Natural log of the Gamma function for x > 0."""
+    if x <= 0:
+        raise DomainError(f"ln_gamma requires x > 0, got {x}")
+    return float(sp.gammaln(x))
+
+
+def upper_inc_gamma(a, x):
+    """Unregularized upper incomplete gamma Gamma(a, x), a > 0, x >= 0."""
+    if a <= 0:
+        raise DomainError(f"upper_inc_gamma requires a > 0, got a={a}")
+    if x < 0:
+        raise DomainError(f"upper_inc_gamma requires x >= 0, got x={x}")
+    q = float(sp.gammaincc(a, x))
+    if q == 0.0:
+        return 0.0
+    return math.exp(sp.gammaln(a) + math.log(q))
+
+
+def gen_exp_integral(order, z):
+    """Generalized exponential integral E_nu(z) = int_1^inf e^(-z t) t^(-nu) dt.
+
+    Computed through the identity E_nu(z) = e^(-z) U(1, 2 - nu, z), which
+    is how the rate lower bound evaluates its e^beta E_alpha(beta) term.
+    """
+    if z <= 0:
+        raise DomainError(f"gen_exp_integral requires z > 0, got {z}")
+    if order < 0:
+        raise DomainError(f"gen_exp_integral requires order >= 0, got {order}")
+    return math.exp(-z + log_gamma_kummer_u(1.0, 2.0 - order, z))
+
+
+def avg_rate_taylor(fit):
+    """Second-order Taylor approximation of the average capacity."""
+    mean = fit.mean
+    var = fit.variance
+    return math.log2(1.0 + mean) - var / (2.0 * (1.0 + mean) ** 2 * math.log(2.0))
+
+
+def linearized_q(gamma, params):
+    """The piecewise-linear surrogate g(gamma) itself (vectorized)."""
+    g = np.asarray(gamma, dtype=float)
+    ramp = 0.5 + params.xi0 * (g - params.xi1)
+    out = np.where(g < params.kappa0, 1.0,
+                   np.where(g > params.kappa1, 0.0, ramp))
+    return float(out) if out.ndim == 0 else out
+
+
+def moments_X_perfect_expanded(gains: LinkGains, n_elements: int) -> Moments:
+    """Fully expanded perfect-phase moment formulas (secondary cross-check)."""
+    v, r, t = gains.direct, gains.ap_ris, gains.ris_ac
+    N = float(n_elements)
+    pi = math.pi
+    m1 = (
+        v
+        + N * r * t
+        + pi ** 2 * N * (N - 1) / 16.0 * r * t
+        + pi * N / 4.0 * math.sqrt(pi * v * r * t)
+    )
+    m2 = (
+        2.0 * v ** 2
+        + v * r * t * N * (6.0 + 3.0 * (N - 1) * pi ** 2 / 8.0)
+        + 3.0 * N * pi ** 1.5 / 4.0 * math.sqrt(v ** 3 * r * t)
+        + r ** 2 * t ** 2 * N / 256.0 * (
+            pi ** 4 * (N - 3) * (N - 2) * (N - 1)
+            + 48.0 * pi ** 2 * (2.0 * N - 1) * (N - 1)
+            + 768.0 * N
+            + 256.0
+        )
+        + math.sqrt(v * r ** 3 * t ** 3) * N * pi ** 1.5 / 32.0 * (
+            pi ** 2 * (N - 2) * (N - 1) + 48.0 * N - 12.0
+        )
+    )
+    return Moments(m1=m1, m2=m2)
+
+
+def second_moment_phase_error_expanded(gains: LinkGains, n_elements: int,
+                                      spread: float) -> float:
+    """E[X^2] in its long single-expansion form.
+
+    Kept for cross-checking only: relative to the structural sums it is
+    missing an N(N-1) * (ap_ris * ris_ac)^2 term.
+    """
+    v, r, t = gains.direct, gains.ap_ris, gains.ris_ac
+    N = float(n_elements)
+    pi = math.pi
+    s1 = sinc_norm(spread)
+    s2 = sinc_norm(2.0 * spread)
+    return (
+        2.0 * v ** 2
+        + N * v * r * t * (4.0 + 2.0 * s2 + 3.0 * pi ** 2 * (N - 1) / 8.0 * s1 ** 2)
+        + math.sqrt(v ** 3 * r * t) * (3.0 * pi ** 1.5 * N / 4.0) * s1
+        + N * r ** 2 * t ** 2 * (
+            N + 3.0
+            + pi ** 2 / 16.0 * (N - 1) * (2.0 * N + 5.0) * s1 ** 2
+            + (N - 1) * s2 ** 2
+            + pi ** 2 / 8.0 * (N - 1) * (N - 2) * s1 ** 2 * (1.0 + s2)
+            + pi ** 4 / 2 ** 8 * s1 ** 4 * (N - 1) * (N - 2) * (N - 3)
+        )
+        + N * math.sqrt(v * r ** 3 * t ** 3) * s1 * pi ** 1.5 * (
+            (8.0 * N + 1.0) / 8.0
+            + (N - 1) / 2.0 * (s2 + (N - 2) * pi ** 2 / 16.0 * s1 ** 2)
+        )
+    )

@@ -45,7 +45,7 @@ from risfbl.channel import GammaFit
 import oracles
 
 RHO = snr_scale(RadioConfig())
-POLICY = EvalPolicy(max_series_terms=2_000_000, rel_tol=1e-9)
+POLICY = EvalPolicy(rel_tol=1e-9)
 MC10K = McConfig(n_samples=10_000)
 FAST_MC = McConfig(n_samples=500)
 

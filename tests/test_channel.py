@@ -22,13 +22,13 @@ from risfbl.channel import (
     gamma_fit,
     link_gains,
     moments_X,
-    moments_X_perfect_expanded,
     path_loss_gain,
     phase_expectations,
-    second_moment_phase_error_expanded,
     snr_scale,
 )
 from risfbl.specfun import DomainError
+
+import oracles
 
 
 def default_gains():
@@ -144,7 +144,7 @@ class TestMoments:
     def test_structural_equals_expanded_perfect(self, n):
         g = link_gains(Geometry())
         a = moments_X(g, n, Perfect())
-        b = moments_X_perfect_expanded(g, n)
+        b = oracles.moments_X_perfect_expanded(g, n)
         assert a.m1 == pytest.approx(b.m1, rel=1e-12)
         assert a.m2 == pytest.approx(b.m2, rel=1e-12)
 
@@ -153,7 +153,7 @@ class TestMoments:
         # the long expansion drops exactly N(N-1)(ap_ris * ris_ac)^2
         g = link_gains(Geometry())
         full = moments_X(g, n, UniformSpread(spread)).m2
-        expanded = second_moment_phase_error_expanded(g, n, spread)
+        expanded = oracles.second_moment_phase_error_expanded(g, n, spread)
         missing = n * (n - 1) * (g.ap_ris * g.ris_ac) ** 2
         assert full - expanded == pytest.approx(missing, rel=1e-6)
 

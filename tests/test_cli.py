@@ -31,16 +31,18 @@ class TestExitCodes:
         assert "bandwidth" in err
 
     def test_unknown_key_rejected(self, capsys):
-        code, _, err = run(capsys, "validate", "--set", "bandwdith=1e5")
-        assert code == EXIT_CONFIG
-        assert "bandwdith" in err
+        # max_series_terms is a retired key and must not be ignored quietly
+        for item in ("bandwdith=1e5", "max_series_terms=16"):
+            code, _, err = run(capsys, "validate", "--set", item)
+            assert code == EXIT_CONFIG
+            assert item.partition("=")[0] in err
 
     def test_missing_config_file(self, capsys):
         assert run(capsys, "validate", "--config", "/no/such.json")[0] == EXIT_CONFIG
 
     def test_numeric_error(self, capsys):
         code, _, err = run(capsys, "rate", "--N", "2048", "--no-direct",
-                           "--phase", "perfect", "--set", "max_series_terms=16")
+                           "--phase", "perfect", "--set", "rel_tol=1e-300")
         assert code == EXIT_NUMERIC
         assert err.startswith("error: numeric:")
 
