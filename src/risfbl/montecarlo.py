@@ -8,8 +8,14 @@ spread residuals, or snapping to the nearest quantizer level), then the
 received SNR, its empirical statistics, and sample averages of the
 instantaneous finite-blocklength metrics.
 
+The sampler does its algebra in real arithmetic, in the frame rotated by
+the direct link's phase, where the aligned cascades need no complex
+rotation; ``tests/oracles.py`` keeps the complex-rotation form as the
+reference that the tests hold it to.  Its working set is four to five
+chunk x N float64 buffers, reused from chunk to chunk.
+
 The stream is counter-based (Philox keyed by seed and stream id) and
-the reductions use a fixed pairwise order, so every statistic here is
+the reductions use a fixed order, so every statistic here is
 byte-reproducible for a given configuration.
 """
 
@@ -54,58 +60,111 @@ def _rng(cfg: McConfig):
     return np.random.Generator(np.random.Philox(key=[cfg.seed, cfg.stream_id]))
 
 
-def _phase_errors(rng, theta_star, phase: PhaseModel):
-    """Residual phase error actually applied on top of perfect alignment."""
-    if isinstance(phase, Perfect):
-        return np.zeros_like(theta_star)
-    if isinstance(phase, UniformSpread):
-        s = phase.spread
-        return rng.uniform(-s * math.pi, s * math.pi, size=theta_star.shape)
-    if isinstance(phase, QuantizedBits):
-        # controller snaps the ideal shift to the nearest quantizer level
-        step = phase.step
-        snapped = np.round(theta_star / step) * step
-        return snapped - theta_star
-    raise DomainError(f"unknown phase model {phase!r}")
+def _row_dot(x, y):
+    """Row-wise dot products of two (m, N) arrays, with no temporaries."""
+    return np.einsum("ij,ij->i", x, y)
 
 
 def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
                rho: float, cfg: McConfig = McConfig()) -> np.ndarray:
     """Draw received-SNR realizations gamma = rho * X.
 
-    Each realization draws the direct link and all element channels as
-    circular complex Gaussians, computes the ideal conjugate phase for
-    every element, perturbs it per the phase model, and sums coherently.
+    Each realization draws the direct link h_d and, per element, the two
+    hops a_n and b_n as circular complex Gaussians, sets the element's
+    phase shift theta_n per the phase model, and sums coherently:
+    X = |h_d + sum_n c_n e^{j theta_n}|^2 with c_n = a_n b_n.  The ideal
+    shift is arg h_d - arg c_n (0 - arg c_n without a direct link), so in
+    the frame rotated by e^{-j arg h_d}, where h_d is |h_d|:
+
+    - Perfect: every term is aligned, X = (|h_d| + sum_n |a_n||b_n|)^2.
+    - UniformSpread: the residual phi_n is added to the ideal shift,
+      X = (|h_d| + sum_n |c_n| cos phi_n)^2 + (sum_n |c_n| sin phi_n)^2.
+    - QuantizedBits: the controller snaps the ideal shift to the nearest
+      level k_n * step, k_n = rint((arg h_d - arg c_n) / step) mod 2^b, and
+      c_n is rotated by a 2^b-entry cos/sin table indexed by k_n; the
+      modulus X = |h_d + sum_n c_n e^{j k_n step}|^2 needs no rotation.
+
+    The arithmetic is real.  Rows are drawn in chunks of ``cfg.chunk``;
+    per chunk the draws are Re h_d, Im h_d (only with a direct link),
+    then Re a, Im a, Re b, Im b (chunk x N each), then the uniform phase
+    errors (UniformSpread only).  The stream is therefore fixed by seed,
+    stream id and chunk together.  The working set is four chunk x N
+    float64 buffers, allocated once per call and reused by every chunk,
+    plus a fifth for QuantizedBits.
     """
     if n_elements < 0:
         raise DomainError("n_elements must be >= 0")
     if rho <= 0:
         raise DomainError("rho must be > 0")
+    if not isinstance(phase, (Perfect, UniformSpread, QuantizedBits)):
+        raise DomainError(f"unknown phase model {phase!r}")
     rng = _rng(cfg)
     out = np.empty(cfg.n_samples)
+    rows = min(cfg.chunk, cfg.n_samples)
+    n_bufs = 5 if isinstance(phase, QuantizedBits) else 4
+    bufs = [np.empty((rows, n_elements)) for _ in range(n_bufs)]
+    amp = math.sqrt(gains.ap_ris / 2.0) * math.sqrt(gains.ris_ac / 2.0)
     done = 0
     while done < cfg.n_samples:
         m = min(cfg.chunk, cfg.n_samples - done)
         if gains.direct > 0:
-            hd = math.sqrt(gains.direct / 2.0) * (
-                rng.standard_normal((m,)) + 1j * rng.standard_normal((m,)))
+            scale = math.sqrt(gains.direct / 2.0)
+            hd_re = scale * rng.standard_normal(m)
+            hd_im = scale * rng.standard_normal(m)
         else:
-            hd = np.zeros(m, dtype=complex)
-        if n_elements > 0:
-            a = math.sqrt(gains.ap_ris / 2.0) * (
-                rng.standard_normal((m, n_elements))
-                + 1j * rng.standard_normal((m, n_elements)))
-            b = math.sqrt(gains.ris_ac / 2.0) * (
-                rng.standard_normal((m, n_elements))
-                + 1j * rng.standard_normal((m, n_elements)))
-            cascade = a * b
-            ref = np.where(np.abs(hd) > 0, np.angle(hd), 0.0)
-            theta_star = ref[:, None] - np.angle(cascade)
-            phi = _phase_errors(rng, theta_star, phase)
-            total = hd + np.sum(cascade * np.exp(1j * (theta_star + phi)), axis=1)
+            hd_re = hd_im = np.zeros(m)
+        if n_elements == 0:
+            re, im = hd_re, hd_im
         else:
-            total = hd
-        out[done:done + m] = np.abs(total) ** 2
+            ar, ai, br, bi = (buf[:m] for buf in bufs[:4])
+            for buf in (ar, ai, br, bi):
+                rng.standard_normal(out=buf)
+            if isinstance(phase, QuantizedBits):
+                work = bufs[4][:m]
+                # c = a * b in place: Re c -> ar, Im c -> br
+                np.multiply(ar, bi, out=work)
+                ar *= br
+                br *= ai
+                bi *= ai
+                ar -= bi
+                br += work
+                np.arctan2(br, ar, out=work)
+                np.subtract(np.arctan2(hd_im, hd_re)[:, None], work, out=work)
+                work /= phase.step
+                np.rint(work, out=work)
+                k = ai.view(np.int64)
+                np.copyto(k, work, casting="unsafe")
+                levels = np.arange(phase.levels) * phase.step
+                # mode="wrap" reduces k mod 2^b; "raise" would buffer the output
+                np.take(np.cos(levels), k, out=work, mode="wrap")
+                np.take(np.sin(levels), k, out=bi, mode="wrap")
+                re = hd_re + amp * (_row_dot(ar, work) - _row_dot(br, bi))
+                im = hd_im + amp * (_row_dot(ar, bi) + _row_dot(br, work))
+            else:
+                # |c|^2 = (Re a^2 + Im a^2)(Re b^2 + Im b^2), |c| -> ar
+                ar *= ar
+                ai *= ai
+                ar += ai
+                br *= br
+                bi *= bi
+                br += bi
+                ar *= br
+                np.sqrt(ar, out=ar)
+                hd_abs = np.hypot(hd_re, hd_im)
+                if isinstance(phase, Perfect):
+                    re = hd_abs + amp * np.sum(ar, axis=1)
+                    im = 0.0
+                else:
+                    # same values as rng.uniform(-s, s): low + (high - low) * u
+                    spread = phase.spread * math.pi
+                    rng.random(out=ai)
+                    ai *= 2.0 * spread
+                    ai -= spread
+                    np.cos(ai, out=br)
+                    np.sin(ai, out=bi)
+                    re = hd_abs + amp * _row_dot(ar, br)
+                    im = amp * _row_dot(ar, bi)
+        out[done:done + m] = re * re + im * im
         done += m
     return rho * out
 

@@ -7,9 +7,11 @@ peak-normalized quadrature (values are O(1) relative to the integrand
 peak, so mpmath's relative stopping criterion applies even when the
 result underflows double precision by hundreds of orders).
 
-The last section holds alternative forms (expanded moment formulas,
+The last sections hold alternative forms (expanded moment formulas,
 the Taylor rate, the linearized-Q surrogate, incomplete-gamma and
-exponential-integral wrappers) that only the tests use as cross-checks.
+exponential-integral wrappers) that only the tests use as cross-checks,
+and the literal complex-rotation Monte Carlo sampler that the real
+arithmetic of ``risfbl.montecarlo.sample_snr`` is held to.
 """
 
 import math
@@ -18,7 +20,8 @@ import mpmath as mp
 import numpy as np
 from scipy import special as sp
 
-from risfbl.channel import LinkGains, Moments
+from risfbl.channel import LinkGains, Moments, Perfect, PhaseModel, QuantizedBits, UniformSpread
+from risfbl.montecarlo import McConfig
 from risfbl.specfun import DomainError, log_gamma_kummer_u, sinc_norm
 
 
@@ -238,3 +241,65 @@ def second_moment_phase_error_expanded(gains: LinkGains, n_elements: int,
             + (N - 1) / 2.0 * (s2 + (N - 2) * pi ** 2 / 16.0 * s1 ** 2)
         )
     )
+
+
+# ---------------------------------------------------------------------------
+# Literal Monte Carlo sampler
+# ---------------------------------------------------------------------------
+
+def _literal_phase_errors(rng, theta_star, phase: PhaseModel):
+    """Residual phase error actually applied on top of perfect alignment."""
+    if isinstance(phase, Perfect):
+        return np.zeros_like(theta_star)
+    if isinstance(phase, UniformSpread):
+        s = phase.spread
+        return rng.uniform(-s * math.pi, s * math.pi, size=theta_star.shape)
+    if isinstance(phase, QuantizedBits):
+        # controller snaps the ideal shift to the nearest quantizer level
+        step = phase.step
+        snapped = np.round(theta_star / step) * step
+        return snapped - theta_star
+    raise DomainError(f"unknown phase model {phase!r}")
+
+
+def sample_snr_literal(gains: LinkGains, n_elements: int, phase: PhaseModel,
+                       rho: float, cfg: McConfig = McConfig()) -> np.ndarray:
+    """Draw received-SNR realizations gamma = rho * X.
+
+    Each realization draws the direct link and all element channels as
+    circular complex Gaussians, computes the ideal conjugate phase for
+    every element, perturbs it per the phase model, and sums coherently.
+    Consumes the same Philox stream, in the same order, as
+    ``risfbl.montecarlo.sample_snr``.
+    """
+    if n_elements < 0:
+        raise DomainError("n_elements must be >= 0")
+    if rho <= 0:
+        raise DomainError("rho must be > 0")
+    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, cfg.stream_id]))
+    out = np.empty(cfg.n_samples)
+    done = 0
+    while done < cfg.n_samples:
+        m = min(cfg.chunk, cfg.n_samples - done)
+        if gains.direct > 0:
+            hd = math.sqrt(gains.direct / 2.0) * (
+                rng.standard_normal((m,)) + 1j * rng.standard_normal((m,)))
+        else:
+            hd = np.zeros(m, dtype=complex)
+        if n_elements > 0:
+            a = math.sqrt(gains.ap_ris / 2.0) * (
+                rng.standard_normal((m, n_elements))
+                + 1j * rng.standard_normal((m, n_elements)))
+            b = math.sqrt(gains.ris_ac / 2.0) * (
+                rng.standard_normal((m, n_elements))
+                + 1j * rng.standard_normal((m, n_elements)))
+            cascade = a * b
+            ref = np.where(np.abs(hd) > 0, np.angle(hd), 0.0)
+            theta_star = ref[:, None] - np.angle(cascade)
+            phi = _literal_phase_errors(rng, theta_star, phase)
+            total = hd + np.sum(cascade * np.exp(1j * (theta_star + phi)), axis=1)
+        else:
+            total = hd
+        out[done:done + m] = np.abs(total) ** 2
+        done += m
+    return rho * out

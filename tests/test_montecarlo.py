@@ -1,6 +1,7 @@
 """Monte Carlo sampler: distributional checks and reproducibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,11 @@ from risfbl.montecarlo import (
 )
 from risfbl.specfun import DomainError
 
+import oracles
+
 RHO = snr_scale(RadioConfig())
+PHASES = (Perfect(), QuantizedBits(1), QuantizedBits(2), QuantizedBits(3),
+          UniformSpread(0.25), UniformSpread(1.0))
 
 
 def nodirect_gains():
@@ -62,6 +67,39 @@ class TestReproducibility:
         cfg = McConfig(n_samples=3000, seed=5, chunk=512)
         assert np.array_equal(sample_snr(g, 8, Perfect(), RHO, cfg),
                               sample_snr(g, 8, Perfect(), RHO, cfg))
+
+
+class TestLiteralOracle:
+    @pytest.mark.parametrize("direct", [True, False])
+    @pytest.mark.parametrize("phase", PHASES, ids=repr)
+    def test_matches_complex_rotation(self, phase, direct):
+        # same draws in the same order: a reordered stream differs at O(1)
+        g = link_gains(Geometry(), direct_link=direct)
+        cfg = McConfig(n_samples=1234, seed=7, stream_id=2, chunk=500)
+        for n in (0, 1, 17, 300):
+            got = sample_snr(g, n, phase, RHO, cfg)
+            ref = oracles.sample_snr_literal(g, n, phase, RHO, cfg)
+            if n == 0 and not direct:
+                assert np.array_equal(got, ref)
+                assert not np.any(got)
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("phase", PHASES, ids=repr)
+    def test_working_set_bounded(self, phase):
+        chunk, n = 1000, 512
+        g = link_gains(Geometry(), direct_link=True)
+        cfg = McConfig(n_samples=2 * chunk, chunk=chunk)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sample_snr(g, n, phase, RHO, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * chunk * n * 8
 
 
 class TestDistributions:
