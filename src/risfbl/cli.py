@@ -14,25 +14,17 @@ import json
 import math
 import sys
 
-from .specfun import DomainError, EvalPolicy, NonConvergenceError
-from .channel import (
-    DegenerateMomentsError,
-    Geometry,
-    Perfect,
-    QuantizedBits,
-    RadioConfig,
-    UniformSpread,
-    moments_X,
-)
-from .fbl import PacketConfig, ValidityError, avg_bler, avg_metrics
-from .montecarlo import McConfig, empirical_stats, ks_distance, mc_avg_metrics, sample_snr
+from .specfun import DomainError, NonConvergenceError
+from .channel import DegenerateMomentsError, moments_X
+from .fbl import ValidityError, avg_bler, avg_metrics
+from .montecarlo import empirical_stats, ks_distance, mc_avg_metrics, sample_snr
 from .experiments import (
     BracketError,
     FIGURE_IDS,
     ScenarioConfig,
     required_elements,
     run_figure,
-    scenario_to_dict,
+    scenario_from_dict,
 )
 
 EXIT_USAGE = 2
@@ -57,10 +49,6 @@ def _parse_value(text):
         return text
 
 
-def _flat_defaults():
-    return scenario_to_dict(ScenarioConfig())
-
-
 def _resolve_db(cfg):
     for db_key, lin_key in _DB_KEYS.items():
         if db_key in cfg:
@@ -69,53 +57,9 @@ def _resolve_db(cfg):
 
 
 def _build_scenario(cfg: dict) -> ScenarioConfig:
-    cfg = _resolve_db(dict(cfg))
-    known = set(_flat_defaults()) | {"phase_spread", "phase_bits"}
-    unknown = sorted(set(cfg) - known)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    merged = _flat_defaults()
-    merged.update(cfg)
-
-    kind = merged["phase"]
-    if kind == "perfect":
-        phase = Perfect()
-    elif kind == "uniform":
-        phase = UniformSpread(float(merged.get("phase_spread", 0.25)))
-    elif kind == "quantized":
-        phase = QuantizedBits(int(merged.get("phase_bits", 2)))
-    else:
-        raise ConfigError(
-            f"phase must be perfect, uniform, or quantized; got {kind!r}")
-
     try:
-        return ScenarioConfig(
-            geometry=Geometry(
-                ap=tuple(merged["ap"]), ac=tuple(merged["ac"]),
-                ris=tuple(merged["ris"]), ap_height=float(merged["ap_height"]),
-                use_3d=bool(merged["use_3d"])),
-            radio=RadioConfig(
-                tx_power=float(merged["tx_power"]),
-                noise_density=float(merged["noise_density"]),
-                bandwidth=float(merged["bandwidth"]),
-                noise_figure=float(merged["noise_figure"]),
-                carrier_frequency=float(merged["carrier_frequency"])),
-            packet=PacketConfig(
-                info_bits=int(merged["info_bits"]),
-                blocklength=int(merged["blocklength"]),
-                target_bler=float(merged["target_bler"])),
-            n_elements=int(merged["n_elements"]),
-            phase=phase,
-            direct_link=bool(merged["direct_link"]),
-            direct_exponent=float(merged["direct_exponent"]),
-            mc=McConfig(
-                n_samples=int(merged["n_samples"]), seed=int(merged["seed"]),
-                stream_id=int(merged["stream_id"]), chunk=int(merged["chunk"])),
-            policy=EvalPolicy(
-                rel_tol=float(merged["rel_tol"]),
-                quadrature_points=int(merged["quadrature_points"])),
-        )
-    except (DomainError, ValueError, TypeError) as exc:
+        return scenario_from_dict(_resolve_db(dict(cfg)))
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -126,7 +70,7 @@ def _phase_from_flag(text):
         return {"phase": "quantized", "phase_bits": int(text[:-3])}
     if text.startswith("uniform"):
         rest = text[len("uniform"):]
-        spread = float(rest.lstrip(":")) if rest else 0.25
+        spread = rest.lstrip(":") if rest else 0.25
         return {"phase": "uniform", "phase_spread": spread}
     raise ConfigError(
         f"phase must be perfect, <b>bit, or uniform[:spread]; got {text!r}")

@@ -12,6 +12,12 @@ The RIS position used for the element-count sweeps, (91, 5), was
 calibrated once against the 190-element perfect-phase reliability
 anchor and then frozen; see the README for the procedure.  Position
 sweeps place the RIS at (d, 10) per the tabulated scenario.
+
+Each figure is a spec in one table: the scenario fields it pins, its
+cases and, for sweeps, its axis and metric columns.  Two engines run
+the specs, one for SNR CDFs and one for N or d sweeps.  A Monte Carlo
+cell's stream id is its position in the figure's cell order: the case
+index for CDFs, axis-major (axis value, case) for sweeps.
 """
 
 import csv
@@ -21,6 +27,7 @@ import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,9 +65,6 @@ FIGURE_POLICY = EvalPolicy(rel_tol=1e-9)
 
 N_GRID = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
 D_GRID = tuple(range(5, 100, 5))
-
-FIGURE_IDS = ("fig2a", "fig2b", "fig3", "fig4", "fig5",
-              "fig6a", "fig6b", "fig7", "fig8")
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,60 @@ def scenario_to_dict(s: ScenarioConfig) -> dict:
     return d
 
 
+def scenario_from_dict(d: dict) -> ScenarioConfig:
+    """Inverse of ``scenario_to_dict``; keys left out keep their defaults.
+
+    A uniform phase without ``phase_spread`` gets 0.25, a quantized one
+    without ``phase_bits`` gets 2.  Raises DomainError for an unknown
+    key, an unknown phase model, or a value that does not convert or
+    validate.
+    """
+    merged = scenario_to_dict(ScenarioConfig())
+    unknown = sorted(set(d) - set(merged) - {"phase_spread", "phase_bits"})
+    if unknown:
+        raise DomainError(f"unknown config key(s): {', '.join(unknown)}")
+    merged.update(d)
+    try:
+        kind = merged["phase"]
+        if kind == "perfect":
+            phase = Perfect()
+        elif kind == "uniform":
+            phase = UniformSpread(float(merged.get("phase_spread", 0.25)))
+        elif kind == "quantized":
+            phase = QuantizedBits(int(merged.get("phase_bits", 2)))
+        else:
+            raise DomainError(
+                f"phase must be perfect, uniform, or quantized; got {kind!r}")
+        return ScenarioConfig(
+            geometry=Geometry(
+                ap=tuple(merged["ap"]), ac=tuple(merged["ac"]),
+                ris=tuple(merged["ris"]), ap_height=float(merged["ap_height"]),
+                use_3d=bool(merged["use_3d"])),
+            radio=RadioConfig(
+                tx_power=float(merged["tx_power"]),
+                noise_density=float(merged["noise_density"]),
+                bandwidth=float(merged["bandwidth"]),
+                noise_figure=float(merged["noise_figure"]),
+                carrier_frequency=float(merged["carrier_frequency"])),
+            packet=PacketConfig(
+                info_bits=int(merged["info_bits"]),
+                blocklength=int(merged["blocklength"]),
+                target_bler=float(merged["target_bler"])),
+            n_elements=int(merged["n_elements"]),
+            phase=phase,
+            direct_link=bool(merged["direct_link"]),
+            direct_exponent=float(merged["direct_exponent"]),
+            mc=McConfig(
+                n_samples=int(merged["n_samples"]), seed=int(merged["seed"]),
+                stream_id=int(merged["stream_id"]), chunk=int(merged["chunk"])),
+            policy=EvalPolicy(
+                rel_tol=float(merged["rel_tol"]),
+                quadrature_points=int(merged["quadrature_points"])),
+        )
+    except (ValueError, TypeError) as exc:
+        raise DomainError(str(exc)) from exc
+
+
 @dataclass
 class ResultTable:
     """Columnar figure data plus the configuration that produced it."""
@@ -174,15 +232,6 @@ class ResultTable:
             f.write("\n")
 
 
-def _table(figure_id, scenario, columns) -> ResultTable:
-    meta = {
-        "scenario": scenario_to_dict(scenario),
-        "seed": scenario.mc.seed,
-        "n_samples": scenario.mc.n_samples,
-    }
-    return ResultTable(figure_id=figure_id, columns=columns, meta=meta)
-
-
 def _pmap(fn, items, workers):
     if workers <= 1:
         return [fn(x) for x in items]
@@ -195,254 +244,197 @@ def _mc_cfg(scenario, stream_id):
 
 
 # ---------------------------------------------------------------------------
-# Figure builders
+# Figure specs and engines
 # ---------------------------------------------------------------------------
 
-_CDF_PHASES_2A = (("perfect", Perfect()), ("3bit", QuantizedBits(3)),
-                  ("2bit", QuantizedBits(2)), ("1bit", QuantizedBits(1)),
-                  ("uniform", UniformSpread(1.0)))
+class _Figure(NamedTuple):
+    """One figure as data.
+
+    ``pins`` are the scenario fields the figure fixes.  A case is a column
+    tag plus the scenario fields it sets (phase, direct link, direct
+    exponent); the rest are the scenario's.  ``analytic`` and ``mc`` hold
+    (column template, metric of (fit or MC averages, cell scenario)).
+    Metrics call library functions by name inside their bodies, never as
+    stored objects, so a function swapped into this module's globals
+    (bench/tracer.py times them that way) is the one that runs.
+    """
+
+    engine: Callable
+    pins: dict
+    cases: tuple
+    axis: str = ""
+    analytic: tuple = ()
+    mc: tuple = ()
 
 
-def _cdf_columns(figure_id, scenario, cases, workers):
-    """Shared CDF machinery: analytic Gamma CDF and MC ECDF per case."""
-    rho = scenario.rho()
-
-    fits, gains_by_case = {}, {}
-    for label, phase, direct in cases:
-        g = link_gains(scenario.geometry, direct_link=direct,
-                       direct_exponent=scenario.direct_exponent)
-        gains_by_case[label] = g
-        fits[label] = fit_snr(g, scenario.n_elements, phase, rho)
-
-    lo = min(f.mean for f in fits.values()) * 1e-2
-    hi = max(f.mean for f in fits.values()) * 3.0
+def _cdf(spec, scenario, workers):
+    """Analytic Gamma CDF and MC ECDF of the SNR per case, on one grid."""
+    cells = [dataclasses.replace(scenario, **fields)
+             for _, fields in spec.cases]
+    fits = [cell.fit() for cell in cells]
+    lo = min(f.mean for f in fits) * 1e-2
+    hi = max(f.mean for f in fits) * 3.0
     snr = np.geomspace(lo, hi, 200)
-    cols = {"snr_db": list(10.0 * np.log10(snr))}
 
-    def one(item):
-        idx, (label, phase, direct) = item
-        fit = fits[label]
+    def one(idx):
+        cell, fit = cells[idx], fits[idx]
         analytic = gamma_cdf(fit.shape, fit.rate, snr)
-        samples = sample_snr(gains_by_case[label], scenario.n_elements, phase,
-                             rho, _mc_cfg(scenario, idx))
+        samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
+                             cell.rho(), _mc_cfg(cell, idx))
         ecdf = np.searchsorted(np.sort(samples), snr, side="right") / samples.size
-        return label, analytic, ecdf
+        return analytic, ecdf
 
-    for label, analytic, ecdf in _pmap(one, list(enumerate(cases)), workers):
-        cols[f"cdf_{label}"] = list(analytic)
-        cols[f"cdf_{label}_mc"] = list(ecdf)
-    return _table(figure_id, scenario, cols)
-
-
-def _fig2a(scenario, workers):
-    scenario = dataclasses.replace(scenario, direct_link=False, n_elements=1024)
-    cases = [(lbl, ph, False) for lbl, ph in _CDF_PHASES_2A]
-    return _cdf_columns("fig2a", scenario, cases, workers)
+    cols = {"snr_db": list(10.0 * np.log10(snr))}
+    rows = _pmap(one, range(len(cells)), workers)
+    for (tag, _), (analytic, ecdf) in zip(spec.cases, rows):
+        cols[f"cdf_{tag}"] = list(analytic)
+        cols[f"cdf_{tag}_mc"] = list(ecdf)
+    return cols
 
 
-def _fig2b(scenario, workers):
-    scenario = dataclasses.replace(scenario, n_elements=1024)
-    cases = [
-        ("reflector_nodirect", UniformSpread(1.0), False),
-        ("perfect_nodirect", Perfect(), False),
-        ("perfect_direct", Perfect(), True),
-        ("1bit_direct", QuantizedBits(1), True),
-        ("2bit_direct", QuantizedBits(2), True),
-    ]
-    return _cdf_columns("fig2b", scenario, cases, workers)
+def _at_distance(s, d):
+    return dataclasses.replace(
+        s, geometry=dataclasses.replace(s.geometry, ris=(float(d), 10.0)))
 
 
-def _fig3(scenario, workers):
-    scenario = dataclasses.replace(scenario, direct_link=False)
-    gains = scenario.gains()
-    rho = scenario.rho()
-    pkt = scenario.packet
-
-    def one(item):
-        idx, n = item
-        fit = fit_snr(gains, n, scenario.phase, rho)
-        exact = avg_rate_exact(fit, pkt.blocklength, pkt.target_bler,
-                               scenario.policy)
-        lb = avg_rate_lower_bound(fit, pkt.blocklength, pkt.target_bler,
-                                  scenario.policy)
-        shannon = c1_avg_capacity(fit, scenario.policy)
-        samples = sample_snr(gains, n, scenario.phase, rho,
-                             _mc_cfg(scenario, idx))
-        mc = mc_avg_metrics(samples, pkt)
-        return exact, lb, shannon, mc.avg_rate, mc.avg_rate_se
-
-    rows = _pmap(one, list(enumerate(N_GRID)), workers)
-    cols = {"n_elements": [float(n) for n in N_GRID]}
-    for j, name in enumerate(("rate_exact", "rate_lower_bound",
-                              "capacity_shannon", "rate_mc", "rate_mc_se")):
-        cols[name] = [r[j] for r in rows]
-    return _table("fig3", scenario, cols)
-
-
-_BLER_PHASES = (("perfect", Perfect()), ("2bit", QuantizedBits(2)),
-                ("1bit", QuantizedBits(1)))
-
-
-def _fig4(scenario, workers):
-    scenario = dataclasses.replace(scenario, direct_link=False)
-    gains = scenario.gains()
-    rho = scenario.rho()
-    pkt = scenario.packet
-
-    def one(item):
-        idx, (n, (label, phase)) = item
-        fit = fit_snr(gains, n, phase, rho)
-        analytic = avg_bler(fit, pkt.blocklength, pkt.info_bits)
-        samples = sample_snr(gains, n, phase, rho, _mc_cfg(scenario, idx))
-        mc = mc_avg_metrics(samples, pkt)
-        return label, n, analytic, mc.avg_bler
-
-    items = [(n, c) for n in N_GRID for c in _BLER_PHASES]
-    rows = _pmap(one, list(enumerate(items)), workers)
-    cols = {"n_elements": [float(n) for n in N_GRID]}
-    for label, _ in _BLER_PHASES:
-        got = [r for r in rows if r[0] == label]
-        cols[f"bler_{label}"] = [r[2] for r in got]
-        cols[f"bler_{label}_mc"] = [r[3] for r in got]
-    return _table("fig4", scenario, cols)
-
-
-def _fig5(scenario, workers):
-    scenario = dataclasses.replace(scenario, direct_link=False, n_elements=512)
-    rho = scenario.rho()
-    pkt = scenario.packet
-
-    def one(item):
-        idx, (d, (label, phase)) = item
-        geo = dataclasses.replace(scenario.geometry, ris=(float(d), 10.0))
-        gains = link_gains(geo, direct_link=False)
-        fit = fit_snr(gains, scenario.n_elements, phase, rho)
-        analytic = avg_bler(fit, pkt.blocklength, pkt.info_bits)
-        samples = sample_snr(gains, scenario.n_elements, phase, rho,
-                             _mc_cfg(scenario, idx))
-        mc = mc_avg_metrics(samples, pkt)
-        return label, analytic, mc.avg_bler
-
-    items = [(d, c) for d in D_GRID for c in _BLER_PHASES]
-    rows = _pmap(one, list(enumerate(items)), workers)
-    cols = {"ris_distance_m": [float(d) for d in D_GRID]}
-    for label, _ in _BLER_PHASES:
-        got = [r for r in rows if r[0] == label]
-        cols[f"bler_{label}"] = [r[1] for r in got]
-        cols[f"bler_{label}_mc"] = [r[2] for r in got]
-    return _table("fig5", scenario, cols)
-
-
-def _fig6(figure_id, scenario, workers):
-    direct = figure_id == "fig6a"
-    scenario = dataclasses.replace(scenario, direct_link=direct)
-    rho = scenario.rho()
-    pkt = scenario.packet
-    exponents = (scenario.direct_exponent,) if not direct else (3.6, 3.8, 4.0)
-
-    def one(item):
-        idx, (d, exp) = item
-        geo = dataclasses.replace(scenario.geometry, ris=(float(d), 10.0))
-        gains = link_gains(geo, direct_link=direct, direct_exponent=exp)
-        fit = fit_snr(gains, scenario.n_elements, scenario.phase, rho)
-        exact = avg_rate_exact(fit, pkt.blocklength, pkt.target_bler,
-                               scenario.policy)
-        samples = sample_snr(gains, scenario.n_elements, scenario.phase, rho,
-                             _mc_cfg(scenario, idx))
-        mc = mc_avg_metrics(samples, pkt)
-        return exp, exact, mc.avg_rate
-
-    items = [(d, e) for d in D_GRID for e in exponents]
-    rows = _pmap(one, list(enumerate(items)), workers)
-    cols = {"ris_distance_m": [float(d) for d in D_GRID]}
-    for e in exponents:
-        got = [r for r in rows if r[0] == e]
-        tag = f"_ple{e:g}" if direct else ""
-        cols[f"rate{tag}"] = [r[1] for r in got]
-        cols[f"rate{tag}_mc"] = [r[2] for r in got]
-    return _table(figure_id, scenario, cols)
-
-
-_FIG7_PHASES = (("1bit", QuantizedBits(1)), ("2bit", QuantizedBits(2)),
-                ("3bit", QuantizedBits(3)), ("perfect", Perfect()))
-
-
-def _fig7(scenario, workers):
-    scenario = dataclasses.replace(scenario, direct_link=False)
-    gains = scenario.gains()
-    rho = scenario.rho()
-    pkt = scenario.packet
-
-    def one(item):
-        idx, (n, (label, phase)) = item
-        fit = fit_snr(gains, n, phase, rho)
-        c1 = c1_avg_capacity(fit, scenario.policy)
-        c2 = c2_avg_sqrt_dispersion(fit, scenario.policy)
-        analytic = avg_blocklength(c1, c2, pkt.info_bits, pkt.target_bler)
-        samples = sample_snr(gains, n, phase, rho, _mc_cfg(scenario, idx))
-        mc = mc_avg_metrics(samples, pkt)
-        mc_val = avg_blocklength(mc.avg_capacity, mc.avg_sqrt_dispersion,
-                                 pkt.info_bits, pkt.target_bler)
-        return label, analytic, mc_val
-
-    items = [(n, c) for n in N_GRID for c in _FIG7_PHASES]
-    rows = _pmap(one, list(enumerate(items)), workers)
-    cols = {"n_elements": [float(n) for n in N_GRID]}
-    for label, _ in _FIG7_PHASES:
-        got = [r for r in rows if r[0] == label]
-        cols[f"blocklength_{label}"] = [r[1] for r in got]
-        cols[f"blocklength_{label}_mc"] = [r[2] for r in got]
-    return _table("fig7", scenario, cols)
-
-
-def _fig8(scenario, workers):
-    scenario = dataclasses.replace(scenario, direct_link=False)
-    gains = scenario.gains()
-    rho = scenario.rho()
-
-    def one(item):
-        idx, n = item
-        fit = fit_snr(gains, n, scenario.phase, rho)
-        c2 = c2_avg_sqrt_dispersion(fit, scenario.policy)
-        samples = sample_snr(gains, n, scenario.phase, rho,
-                             _mc_cfg(scenario, idx))
-        mc = mc_avg_metrics(samples, scenario.packet)
-        return c2, mc.avg_sqrt_dispersion
-
-    rows = _pmap(one, list(enumerate(N_GRID)), workers)
-    cols = {
-        "n_elements": [float(n) for n in N_GRID],
-        "sqrt_dispersion": [r[0] for r in rows],
-        "sqrt_dispersion_mc": [r[1] for r in rows],
-    }
-    return _table("fig8", scenario, cols)
-
-
-_BUILDERS = {
-    "fig2a": _fig2a,
-    "fig2b": _fig2b,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6a": lambda s, w: _fig6("fig6a", s, w),
-    "fig6b": lambda s, w: _fig6("fig6b", s, w),
-    "fig7": _fig7,
-    "fig8": _fig8,
+_AXES = {
+    "n_elements": (N_GRID, lambda s, n: dataclasses.replace(s, n_elements=n)),
+    "ris_distance_m": (D_GRID, _at_distance),
 }
+
+
+def _sweep(spec, scenario, workers):
+    """Analytic and MC metrics per (axis value, case) cell.
+
+    A cell's stream id is its position in axis-major order.
+    """
+    grid, place = _AXES[spec.axis]
+    cells = [place(dataclasses.replace(scenario, **fields), v)
+             for v in grid for _, fields in spec.cases]
+
+    def one(idx):
+        cell = cells[idx]
+        fit = cell.fit()
+        row = [metric(fit, cell) for _, metric in spec.analytic]
+        samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
+                             cell.rho(), _mc_cfg(cell, idx))
+        mc = mc_avg_metrics(samples, cell.packet)
+        return row + [metric(mc, cell) for _, metric in spec.mc]
+
+    rows = _pmap(one, range(len(cells)), workers)
+    cols = {spec.axis: [float(v) for v in grid]}
+    k = len(spec.cases)
+    for j, (tag, _) in enumerate(spec.cases):
+        for m, (name, _) in enumerate(spec.analytic + spec.mc):
+            cols[name.format(tag)] = [r[m] for r in rows[j::k]]
+    return cols
+
+
+def _rate_exact(fit, s):
+    return avg_rate_exact(fit, s.packet.blocklength, s.packet.target_bler,
+                          s.policy)
+
+
+def _bler(fit, s):
+    return avg_bler(fit, s.packet.blocklength, s.packet.info_bits)
+
+
+def _blocklength(fit, s):
+    c1 = c1_avg_capacity(fit, s.policy)
+    c2 = c2_avg_sqrt_dispersion(fit, s.policy)
+    return avg_blocklength(c1, c2, s.packet.info_bits, s.packet.target_bler)
+
+
+def _blocklength_mc(mc, s):
+    return avg_blocklength(mc.avg_capacity, mc.avg_sqrt_dispersion,
+                           s.packet.info_bits, s.packet.target_bler)
+
+
+_FIGURES = {
+    "fig2a": _Figure(_cdf, {"direct_link": False, "n_elements": 1024}, (
+        ("perfect", {"phase": Perfect()}),
+        ("3bit", {"phase": QuantizedBits(3)}),
+        ("2bit", {"phase": QuantizedBits(2)}),
+        ("1bit", {"phase": QuantizedBits(1)}),
+        ("uniform", {"phase": UniformSpread(1.0)}))),
+    "fig2b": _Figure(_cdf, {"n_elements": 1024}, (
+        ("reflector_nodirect",
+         {"phase": UniformSpread(1.0), "direct_link": False}),
+        ("perfect_nodirect", {"phase": Perfect(), "direct_link": False}),
+        ("perfect_direct", {"phase": Perfect(), "direct_link": True}),
+        ("1bit_direct", {"phase": QuantizedBits(1), "direct_link": True}),
+        ("2bit_direct", {"phase": QuantizedBits(2), "direct_link": True}))),
+    "fig3": _Figure(
+        _sweep, {"direct_link": False}, (("", {}),), "n_elements",
+        (("rate_exact", _rate_exact),
+         ("rate_lower_bound", lambda fit, s: avg_rate_lower_bound(
+             fit, s.packet.blocklength, s.packet.target_bler, s.policy)),
+         ("capacity_shannon", lambda fit, s: c1_avg_capacity(fit, s.policy))),
+        (("rate_mc", lambda mc, s: mc.avg_rate),
+         ("rate_mc_se", lambda mc, s: mc.avg_rate_se))),
+    "fig4": _Figure(
+        _sweep, {"direct_link": False}, (
+            ("perfect", {"phase": Perfect()}),
+            ("2bit", {"phase": QuantizedBits(2)}),
+            ("1bit", {"phase": QuantizedBits(1)})), "n_elements",
+        (("bler_{}", _bler),),
+        (("bler_{}_mc", lambda mc, s: mc.avg_bler),)),
+    "fig5": _Figure(
+        _sweep, {"direct_link": False, "n_elements": 512}, (
+            ("perfect", {"phase": Perfect()}),
+            ("2bit", {"phase": QuantizedBits(2)}),
+            ("1bit", {"phase": QuantizedBits(1)})), "ris_distance_m",
+        (("bler_{}", _bler),),
+        (("bler_{}_mc", lambda mc, s: mc.avg_bler),)),
+    "fig6a": _Figure(
+        _sweep, {"direct_link": True}, (
+            ("_ple3.6", {"direct_exponent": 3.6}),
+            ("_ple3.8", {"direct_exponent": 3.8}),
+            ("_ple4", {"direct_exponent": 4.0})), "ris_distance_m",
+        (("rate{}", _rate_exact),),
+        (("rate{}_mc", lambda mc, s: mc.avg_rate),)),
+    "fig6b": _Figure(
+        _sweep, {"direct_link": False}, (("", {}),), "ris_distance_m",
+        (("rate{}", _rate_exact),),
+        (("rate{}_mc", lambda mc, s: mc.avg_rate),)),
+    "fig7": _Figure(
+        _sweep, {"direct_link": False}, (
+            ("1bit", {"phase": QuantizedBits(1)}),
+            ("2bit", {"phase": QuantizedBits(2)}),
+            ("3bit", {"phase": QuantizedBits(3)}),
+            ("perfect", {"phase": Perfect()})), "n_elements",
+        (("blocklength_{}", _blocklength),),
+        (("blocklength_{}_mc", _blocklength_mc),)),
+    "fig8": _Figure(
+        _sweep, {"direct_link": False}, (("", {}),), "n_elements",
+        (("sqrt_dispersion",
+          lambda fit, s: c2_avg_sqrt_dispersion(fit, s.policy)),),
+        (("sqrt_dispersion_mc", lambda mc, s: mc.avg_sqrt_dispersion),)),
+}
+
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def run_figure(figure_id: str, scenario: ScenarioConfig = ScenarioConfig(),
                workers: int = 1) -> ResultTable:
     """Produce the data table for one figure.
 
-    The scenario provides the non-swept parameters; each builder pins
-    the swept axis and any figure-specific fields (element count for
-    CDFs, direct-link flag, phase-model set).
+    The scenario provides the non-swept parameters; the figure's spec
+    pins its own fields (element count for CDFs, direct-link flag), and
+    the table's sidecar records the pinned scenario.
     """
-    if figure_id not in _BUILDERS:
+    if figure_id not in _FIGURES:
         raise DomainError(
             f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
-    return _BUILDERS[figure_id](scenario, max(int(workers), 1))
+    spec = _FIGURES[figure_id]
+    scenario = dataclasses.replace(scenario, **spec.pins)
+    meta = {
+        "scenario": scenario_to_dict(scenario),
+        "seed": scenario.mc.seed,
+        "n_samples": scenario.mc.n_samples,
+    }
+    columns = spec.engine(spec, scenario, max(int(workers), 1))
+    return ResultTable(figure_id=figure_id, columns=columns, meta=meta)
 
 
 # ---------------------------------------------------------------------------

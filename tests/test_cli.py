@@ -37,6 +37,18 @@ class TestExitCodes:
             assert code == EXIT_CONFIG
             assert item.partition("=")[0] in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--phase", "uniform:abc"),
+        ("--set", "phase=uniform", "--set", "phase_spread=abc"),
+        ("--set", "phase=quantized", "--set", "phase_bits=x"),
+        ("--set", "tx_power_db=abc"),
+        ("--set", "tx_power_db=1e6"),
+    ])
+    def test_bad_value_is_config_error(self, capsys, argv):
+        code, _, err = run(capsys, "validate", *argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: config:")
+
     def test_missing_config_file(self, capsys):
         assert run(capsys, "validate", "--config", "/no/such.json")[0] == EXIT_CONFIG
 

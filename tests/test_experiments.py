@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from risfbl.channel import Perfect, QuantizedBits
+from risfbl.channel import Geometry, Perfect, QuantizedBits, UniformSpread
 from risfbl.experiments import (
     BracketError,
     D_GRID,
@@ -18,12 +18,40 @@ from risfbl.experiments import (
     phase_label,
     required_elements,
     run_figure,
+    scenario_from_dict,
     scenario_to_dict,
 )
 from risfbl.montecarlo import McConfig
 from risfbl.specfun import DomainError
 
 FAST = ScenarioConfig(mc=McConfig(n_samples=500))
+
+
+def _paired(fmt, tags):
+    return [fmt.format(t) + s for t in tags for s in ("", "_mc")]
+
+
+# exact ordered column names and row count of every figure
+COLUMNS = {
+    "fig2a": (["snr_db"] + _paired(
+        "cdf_{}", ("perfect", "3bit", "2bit", "1bit", "uniform")), 200),
+    "fig2b": (["snr_db"] + _paired(
+        "cdf_{}", ("reflector_nodirect", "perfect_nodirect", "perfect_direct",
+                   "1bit_direct", "2bit_direct")), 200),
+    "fig3": (["n_elements", "rate_exact", "rate_lower_bound",
+              "capacity_shannon", "rate_mc", "rate_mc_se"], len(N_GRID)),
+    "fig4": (["n_elements"] + _paired("bler_{}", ("perfect", "2bit", "1bit")),
+             len(N_GRID)),
+    "fig5": (["ris_distance_m"]
+             + _paired("bler_{}", ("perfect", "2bit", "1bit")), len(D_GRID)),
+    "fig6a": (["ris_distance_m"] + _paired("rate_ple{}", ("3.6", "3.8", "4")),
+              len(D_GRID)),
+    "fig6b": (["ris_distance_m", "rate", "rate_mc"], len(D_GRID)),
+    "fig7": (["n_elements"] + _paired(
+        "blocklength_{}", ("1bit", "2bit", "3bit", "perfect")), len(N_GRID)),
+    "fig8": (["n_elements", "sqrt_dispersion", "sqrt_dispersion_mc"],
+             len(N_GRID)),
+}
 
 
 class TestScenario:
@@ -50,6 +78,34 @@ class TestScenario:
         with pytest.raises(DomainError):
             ScenarioConfig(direct_exponent=1.0)
 
+    @pytest.mark.parametrize("scenario", [
+        ScenarioConfig(),
+        ScenarioConfig(phase=QuantizedBits(1)),
+        ScenarioConfig(phase=QuantizedBits(3)),
+        ScenarioConfig(phase=UniformSpread(0.5)),
+        ScenarioConfig(direct_link=True, direct_exponent=3.8),
+        ScenarioConfig(geometry=Geometry(ris=(40.0, 10.0)), n_elements=300),
+        ScenarioConfig(mc=McConfig(n_samples=1234, seed=9, stream_id=5,
+                                   chunk=128)),
+    ], ids=["perfect", "1bit", "3bit", "uniform0.5", "direct", "ris", "mc"])
+    def test_from_dict_inverts_to_dict(self, scenario):
+        d = scenario_to_dict(scenario)
+        assert scenario_from_dict(d) == scenario
+        assert scenario_from_dict(json.loads(json.dumps(d))) == scenario
+
+    def test_from_dict_phase_defaults(self):
+        assert scenario_from_dict({"phase": "uniform"}).phase == UniformSpread(0.25)
+        assert scenario_from_dict({"phase": "quantized"}).phase == QuantizedBits(2)
+
+    @pytest.mark.parametrize("d", [
+        {"bandwdith": 1e5}, {"phase": "sideways"},
+        {"phase": "uniform", "phase_spread": "abc"},
+        {"phase": "quantized", "phase_bits": "x"}, {"ap": 3},
+    ])
+    def test_from_dict_rejects(self, d):
+        with pytest.raises(DomainError):
+            scenario_from_dict(d)
+
 
 class TestResultTable:
     def test_csv_round_trips_full_precision(self):
@@ -71,6 +127,9 @@ class TestResultTable:
         assert side["figure_id"] == "fig8"
         assert side["seed"] == FAST.mc.seed
         assert side["scenario"]["n_samples"] == 500
+        # the sidecar rebuilds the scenario the figure ran, with its pins
+        assert scenario_from_dict(side["scenario"]) == dataclasses.replace(
+            FAST, direct_link=False)
 
 
 class TestFigures:
@@ -78,16 +137,24 @@ class TestFigures:
         with pytest.raises(DomainError):
             run_figure("fig99", FAST)
 
-    def test_fig8_columns(self):
-        t = run_figure("fig8", FAST)
-        assert list(t.columns) == ["n_elements", "sqrt_dispersion",
-                                   "sqrt_dispersion_mc"]
-        assert len(t.columns["n_elements"]) == len(N_GRID)
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_columns(self, figure_id):
+        names, n_rows = COLUMNS[figure_id]
+        t = run_figure(figure_id, FAST)
+        assert list(t.columns) == names
+        assert all(len(c) == n_rows for c in t.columns.values())
         assert t.meta["n_samples"] == 500
 
     def test_fig8_workers_agree(self):
         a = run_figure("fig8", FAST, workers=1)
         b = run_figure("fig8", FAST, workers=3)
+        assert a.to_csv() == b.to_csv()
+
+    def test_fig4_workers_agree(self):
+        # three cases per N: the regrouping by case must not depend on
+        # the order in which threads finish
+        a = run_figure("fig4", FAST, workers=1)
+        b = run_figure("fig4", FAST, workers=2)
         assert a.to_csv() == b.to_csv()
 
     def test_fig4_bler_decreasing(self):
@@ -112,13 +179,9 @@ class TestFigures:
             e = np.array(t.columns[f"cdf_{label}_mc"])
             assert np.max(np.abs(c - e)) < 0.05
 
-    def test_fig6b_columns(self):
-        t = run_figure("fig6b", FAST)
-        assert "rate" in t.columns and "rate_mc" in t.columns
-
     def test_all_ids_registered(self):
-        assert set(FIGURE_IDS) == {"fig2a", "fig2b", "fig3", "fig4", "fig5",
-                                   "fig6a", "fig6b", "fig7", "fig8"}
+        assert FIGURE_IDS == ("fig2a", "fig2b", "fig3", "fig4", "fig5",
+                              "fig6a", "fig6b", "fig7", "fig8")
 
 
 class TestRequiredElements:
