@@ -8,9 +8,7 @@ moment-matching of the received SNR.
 
 The moments are assembled from the structural double/triple/quadruple
 sums over the per-element phase factors with the cosine expectations
-substituted.  Fully expanded single-formula variants are kept in
-``*_expanded`` form purely as numerical cross-checks (one of them is
-known to drop a term, see the tests).
+substituted.
 """
 
 import math
@@ -242,10 +240,6 @@ def phase_expectations(spread: float):
     )
 
 
-def _spread_of(phase: PhaseModel) -> float:
-    return phase.spread
-
-
 def moments_X(gains: LinkGains, n_elements: int, phase: PhaseModel) -> Moments:
     """Exact raw moments of the composite channel power X.
 
@@ -263,7 +257,7 @@ def moments_X(gains: LinkGains, n_elements: int, phase: PhaseModel) -> Moments:
     r = gains.ap_ris
     t = gains.ris_ac
     N = float(n_elements)
-    e1, e2, e3, e4, e5, e6 = phase_expectations(_spread_of(phase))
+    e1, e2, e3, e4, e5, e6 = phase_expectations(phase.spread)
     pi = _PI
 
     m1 = (

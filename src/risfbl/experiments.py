@@ -132,7 +132,6 @@ def scenario_to_dict(s: ScenarioConfig) -> dict:
         "stream_id": s.mc.stream_id,
         "chunk": s.mc.chunk,
         "rel_tol": s.policy.rel_tol,
-        "quadrature_points": s.policy.quadrature_points,
     }
     if isinstance(s.phase, Perfect):
         d["phase"] = "perfect"
@@ -145,19 +144,30 @@ def scenario_to_dict(s: ScenarioConfig) -> dict:
     return d
 
 
+# the only type each flag and count key accepts; nothing is coerced to it
+_KEY_TYPES = {"use_3d": bool, "direct_link": bool, **dict.fromkeys((
+    "info_bits", "blocklength", "n_elements", "n_samples", "seed",
+    "stream_id", "chunk", "phase_bits"), int)}
+
+
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Inverse of ``scenario_to_dict``; keys left out keep their defaults.
 
     A uniform phase without ``phase_spread`` gets 0.25, a quantized one
-    without ``phase_bits`` gets 2.  Raises DomainError for an unknown
-    key, an unknown phase model, or a value that does not convert or
-    validate.
+    without ``phase_bits`` gets 2.  Flags take only booleans and counts
+    only integers, as JSON writes them.  Raises DomainError for an
+    unknown key, an unknown phase model, or a value of the wrong type or
+    one that does not convert or validate.
     """
     merged = scenario_to_dict(ScenarioConfig())
     unknown = sorted(set(d) - set(merged) - {"phase_spread", "phase_bits"})
     if unknown:
         raise DomainError(f"unknown config key(s): {', '.join(unknown)}")
     merged.update(d)
+    for key, kind in _KEY_TYPES.items():
+        value = merged.get(key, 0)  # phase_bits may be absent
+        if type(value) is not kind:
+            raise DomainError(f"{key} must be {kind.__name__}, got {value!r}")
     try:
         kind = merged["phase"]
         if kind == "perfect":
@@ -165,7 +175,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         elif kind == "uniform":
             phase = UniformSpread(float(merged.get("phase_spread", 0.25)))
         elif kind == "quantized":
-            phase = QuantizedBits(int(merged.get("phase_bits", 2)))
+            phase = QuantizedBits(merged.get("phase_bits", 2))
         else:
             raise DomainError(
                 f"phase must be perfect, uniform, or quantized; got {kind!r}")
@@ -173,7 +183,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
             geometry=Geometry(
                 ap=tuple(merged["ap"]), ac=tuple(merged["ac"]),
                 ris=tuple(merged["ris"]), ap_height=float(merged["ap_height"]),
-                use_3d=bool(merged["use_3d"])),
+                use_3d=merged["use_3d"]),
             radio=RadioConfig(
                 tx_power=float(merged["tx_power"]),
                 noise_density=float(merged["noise_density"]),
@@ -181,19 +191,17 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
                 noise_figure=float(merged["noise_figure"]),
                 carrier_frequency=float(merged["carrier_frequency"])),
             packet=PacketConfig(
-                info_bits=int(merged["info_bits"]),
-                blocklength=int(merged["blocklength"]),
+                info_bits=merged["info_bits"],
+                blocklength=merged["blocklength"],
                 target_bler=float(merged["target_bler"])),
-            n_elements=int(merged["n_elements"]),
+            n_elements=merged["n_elements"],
             phase=phase,
-            direct_link=bool(merged["direct_link"]),
+            direct_link=merged["direct_link"],
             direct_exponent=float(merged["direct_exponent"]),
             mc=McConfig(
-                n_samples=int(merged["n_samples"]), seed=int(merged["seed"]),
-                stream_id=int(merged["stream_id"]), chunk=int(merged["chunk"])),
-            policy=EvalPolicy(
-                rel_tol=float(merged["rel_tol"]),
-                quadrature_points=int(merged["quadrature_points"])),
+                n_samples=merged["n_samples"], seed=merged["seed"],
+                stream_id=merged["stream_id"], chunk=merged["chunk"]),
+            policy=EvalPolicy(rel_tol=float(merged["rel_tol"])),
         )
     except (ValueError, TypeError) as exc:
         raise DomainError(str(exc)) from exc

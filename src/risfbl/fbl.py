@@ -27,6 +27,7 @@ from scipy import special as sp
 from .specfun import (
     DEFAULT_POLICY,
     LOG2E,
+    _DROP,
     DomainError,
     EvalPolicy,
     _log_integral,
@@ -39,7 +40,6 @@ from .specfun import (
 from .channel import GammaFit
 
 _LN2 = math.log(2.0)
-_DROP_HEAD = 70.0
 
 
 class ValidityError(ValueError):
@@ -237,7 +237,7 @@ def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     # below kappa0, so the range must reach past that peak
     k0 = lin.kappa0
     w_star = max(0.0, math.log(b * k0 / a))
-    wmax = w_star + 12.0 / math.sqrt(a) + (_DROP_HEAD + 40.0) / a
+    wmax = w_star + 12.0 / math.sqrt(a) + (_DROP + 40.0) / a
     wn, ww = _panel_grid(0.0, wmax, 80 * 16)
     head_vals = np.exp(a * math.log(b * k0) - a * wn - b * k0 * np.exp(-wn) - lg)
     head = float(np.sum(ww * head_vals))

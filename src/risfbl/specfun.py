@@ -11,11 +11,14 @@ Kummer U is evaluated from its integral representation
 
 after the log substitution u = e^v, which maps the semi-infinite range
 onto the real line where the integrand is a single smooth bump.  The
-peak is located numerically, bracketed down to a negligible level, and
-integrated with composite Gauss-Legendre panels with one refinement
-pass as a convergence check.  All accumulation is done in the log
-domain so shape parameters in the thousands (large-N Gamma fits) do
-not overflow.
+same kernel integrates C1 and C2 in the rate module.  It scans the
+exponent on a fixed grid and zooms in on its maximum a few times, takes
+as limits the first outward probes where the integrand has dropped by
+e^-70, and sums composite 12-point Gauss-Legendre panels, doubling the
+node count from 256 until the log integral moves by less than
+``EvalPolicy.rel_tol``.  Every step evaluates the exponent on whole
+arrays.  All accumulation is done in the log domain so shape parameters
+in the thousands (large-N Gamma fits) do not overflow.
 """
 
 import math
@@ -35,20 +38,17 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvalPolicy:
-    """Knobs of the peak-tracked quadrature behind Kummer U and C1/C2.
+    """Tolerance of the peak-tracked quadrature behind Kummer U and C1/C2.
 
-    ``quadrature_points`` is the starting node count; it is doubled until
-    the log integral moves by less than ``rel_tol``.
+    The node count starts at 256 and is doubled until the log integral
+    moves by less than ``rel_tol``.
     """
 
     rel_tol: float = 1e-10
-    quadrature_points: int = 256
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise DomainError("rel_tol must lie in (0, 1)")
-        if self.quadrature_points < 16:
-            raise DomainError("quadrature_points must be >= 16")
 
 
 DEFAULT_POLICY = EvalPolicy()
@@ -109,64 +109,15 @@ def sinc_norm(x):
 # ---------------------------------------------------------------------------
 
 _DROP = 70.0  # integrand is followed until exp(h - h_peak) < e^-70
-
-
-def _find_peak(h, v_candidates):
-    """Coarse-scan + golden-section argmax of a vectorized exponent h(v)."""
-    vals = h(v_candidates)
-    i = int(np.argmax(vals))
-    lo = v_candidates[max(i - 1, 0)]
-    hi = v_candidates[min(i + 1, len(v_candidates) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = h(np.array([c]))[0]
-    fd = h(np.array([d]))[0]
-    for _ in range(80):
-        if b - a < 1e-12 * (1.0 + abs(a)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = h(np.array([c]))[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = h(np.array([d]))[0]
-    return 0.5 * (a + b)
-
-
-def _bracket(h, v_peak, h_peak):
-    """Expand from the peak until h drops _DROP below its maximum."""
-    edges = []
-    for sign in (-1.0, 1.0):
-        step = 1e-3
-        v = v_peak
-        for _ in range(200):
-            v = v_peak + sign * step
-            if h(np.array([v]))[0] < h_peak - _DROP:
-                break
-            step *= 1.8
-        edges.append(v)
-    return edges[0], edges[1]
-
-
-_gl_cache = {}
-
-
-def _gl_nodes(n):
-    if n not in _gl_cache:
-        _gl_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _gl_cache[n]
+_OFFSETS = 1e-3 * 1.8 ** np.arange(200)  # limit probes, outward from the peak
+_GL12 = np.polynomial.legendre.leggauss(12)
 
 
 def _panel_grid(vl, vr, n_points):
     """Composite Gauss-Legendre grid on [vl, vr] (12-point panels)."""
-    order = 12
-    n_panels = max(4, int(math.ceil(n_points / order)))
+    n_panels = max(4, int(math.ceil(n_points / 12)))
     edges = np.linspace(vl, vr, n_panels + 1)
-    x, w = _gl_nodes(order)
+    x, w = _GL12
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -178,28 +129,41 @@ def _log_integral(h, policy, v_guess):
     """log of int exp(h(v)) dv over the real line for a single-bump exponent.
 
     The peak is searched on [-80, 80] and more finely within +-5 of
-    ``v_guess``.  Returns the log integral; raises NonConvergenceError if
-    doubling the node count still moves the result by more than rel_tol.
+    ``v_guess``, then zoomed in on; each limit is the first of
+    ``_OFFSETS`` away from the peak where h is ``_DROP`` below it.
+    Returns the log integral; raises NonConvergenceError if doubling the
+    node count from 256 still moves the result by more than rel_tol.
     """
-    v_hint = np.unique(np.concatenate([
+    v = np.unique(np.concatenate([
         np.linspace(-80.0, 80.0, 321),
         np.linspace(v_guess - 5.0, v_guess + 5.0, 41),
     ]))
-    v_peak = _find_peak(h, v_hint)
-    h_peak = h(np.array([v_peak]))[0]
+    vals = h(v)
+    # a single-peaked h peaks within a cell of the grid maximum; four
+    # 129-point passes shrink that cell from 0.5 to 3e-8, where a peak in
+    # the hundreds is flat to double precision
+    for _ in range(4):
+        i = int(np.argmax(vals))
+        v = np.linspace(v[max(i - 1, 0)], v[min(i + 1, v.size - 1)], 129)
+        vals = h(v)
+    i = int(np.argmax(vals))
+    v_peak, h_peak = v[i], vals[i]
     if not np.isfinite(h_peak):
         raise NonConvergenceError("integrand peak is not finite")
-    vl, vr = _bracket(h, v_peak, h_peak)
+    signs = np.array([-1.0, 1.0])
+    # far probes overflow exp inside h; they need only compare as small
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        below = h(v_peak + signs[:, None] * _OFFSETS) < h_peak - _DROP
+    below[:, -1] = True  # no drop at any probe: stop at the last one
+    vl, vr = v_peak + signs * _OFFSETS[np.argmax(below, axis=1)]
 
     def attempt(n):
         nodes, weights = _panel_grid(vl, vr, n)
         vals = np.exp(h(nodes) - h_peak)
         return math.log(float(np.sum(weights * vals))) + h_peak
 
-    n = policy.quadrature_points
-    prev = attempt(n)
-    for _ in range(4):
-        n *= 2
+    prev = attempt(256)
+    for n in (512, 1024, 2048, 4096):
         cur = attempt(n)
         change = abs(cur - prev)
         if change < policy.rel_tol:

@@ -43,6 +43,10 @@ class TestExitCodes:
         ("--set", "phase=quantized", "--set", "phase_bits=x"),
         ("--set", "tx_power_db=abc"),
         ("--set", "tx_power_db=1e6"),
+        ("--set", "direct_link=False"),
+        ("--set", "use_3d=no"),
+        ("--set", "n_elements=512.9"),
+        ("--set", "seed=true"),
     ])
     def test_bad_value_is_config_error(self, capsys, argv):
         code, _, err = run(capsys, "validate", *argv)

@@ -101,6 +101,8 @@ class TestScenario:
         {"bandwdith": 1e5}, {"phase": "sideways"},
         {"phase": "uniform", "phase_spread": "abc"},
         {"phase": "quantized", "phase_bits": "x"}, {"ap": 3},
+        {"direct_link": "False"}, {"use_3d": "no"}, {"n_elements": 512.9},
+        {"seed": True},
     ])
     def test_from_dict_rejects(self, d):
         with pytest.raises(DomainError):

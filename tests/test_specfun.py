@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+from risfbl import specfun
 from risfbl.specfun import (
     DEFAULT_POLICY,
     DomainError,
@@ -29,12 +30,10 @@ class TestEvalPolicy:
     def test_defaults(self):
         p = EvalPolicy()
         assert p.rel_tol == 1e-10
-        assert p.quadrature_points == 256
 
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0},
         {"rel_tol": 1.5},
-        {"quadrature_points": 8},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(DomainError):
@@ -111,22 +110,26 @@ class TestSeriesCoefficients:
         assert sinc_norm(0.5) == pytest.approx(2.0 / math.pi, rel=1e-14)
 
 
+MPMATH_CASES = [
+    (1.0, 1.0, 1.0),
+    (2.0, 1.0, 3.0),
+    (0.5, 0.2, 0.7),
+    (1.0, -48.0, 3.0),
+    (5.0, -3.5, 0.01),
+    (80.0, 2.0, 0.5),
+]
+IDENTITY_CASES = [(1.5, 0.3), (4.0, 2.0), (30.0, 10.0)]
+
+
 class TestKummerU:
-    @pytest.mark.parametrize("a,b,z", [
-        (1.0, 1.0, 1.0),
-        (2.0, 1.0, 3.0),
-        (0.5, 0.2, 0.7),
-        (1.0, -48.0, 3.0),
-        (5.0, -3.5, 0.01),
-        (80.0, 2.0, 0.5),
-    ])
+    @pytest.mark.parametrize("a,b,z", MPMATH_CASES)
     def test_against_mpmath(self, a, b, z):
         assert kummer_u(a, b, z) == pytest.approx(
             oracles.kummer_u_ref(a, b, z), rel=1e-9)
 
     def test_identity_b_eq_a_plus_one(self):
         # U(a, a+1, z) = z^-a
-        for a, z in ((1.5, 0.3), (4.0, 2.0), (30.0, 10.0)):
+        for a, z in IDENTITY_CASES:
             assert kummer_u(a, a + 1.0, z) == pytest.approx(z ** -a, rel=1e-10)
 
     def test_log_form_large_shape(self):
@@ -138,10 +141,28 @@ class TestKummerU:
     def test_nonconvergence_reports_last_change(self):
         # no refinement can move the log integral by less than 1e-300
         with pytest.raises(NonConvergenceError) as info:
-            log_gamma_kummer_u(1.0, -48.0, 3.0, EvalPolicy(rel_tol=1e-300))
+            log_gamma_kummer_u(2e6, 101.0, 1.0, EvalPolicy(rel_tol=1e-300))
         match = re.search(r"last change ([0-9.e+-]+)\)", str(info.value))
         assert match is not None
         assert float(match.group(1)) > 0.0
+
+    @pytest.mark.parametrize("a,b,z", MPMATH_CASES + [
+        (a, a + 1.0, z) for a, z in IDENTITY_CASES] + [(2000.0, 101.0, 0.01)])
+    def test_integrand_calls_bounded(self, monkeypatch, a, b, z):
+        # peak, limits and refinements take a few array calls of h each
+        sizes = []
+        kernel = specfun._log_integral
+
+        def counting(h, policy, v_guess):
+            def counted(v):
+                sizes.append(np.size(v))
+                return h(v)
+            return kernel(counted, policy, v_guess)
+
+        monkeypatch.setattr(specfun, "_log_integral", counting)
+        log_gamma_kummer_u(a, b, z)
+        assert len(sizes) <= 16
+        assert min(sizes) > 1
 
     def test_domain(self):
         with pytest.raises(DomainError):
