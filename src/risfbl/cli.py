@@ -52,7 +52,10 @@ def _parse_value(text):
 def _resolve_db(cfg):
     for db_key, lin_key in _DB_KEYS.items():
         if db_key in cfg:
-            cfg[lin_key] = 10.0 ** (float(cfg.pop(db_key)) / 10.0)
+            value = cfg.pop(db_key)
+            if type(value) not in (int, float):
+                raise ConfigError(f"{db_key} must be int or float, got {value!r}")
+            cfg[lin_key] = 10.0 ** (value / 10.0)
     return cfg
 
 
@@ -70,7 +73,11 @@ def _phase_from_flag(text):
         return {"phase": "quantized", "phase_bits": int(text[:-3])}
     if text.startswith("uniform"):
         rest = text[len("uniform"):]
-        spread = rest.lstrip(":") if rest else 0.25
+        try:
+            spread = float(rest.lstrip(":")) if rest else 0.25
+        except ValueError:
+            raise ConfigError(
+                f"uniform spread must be a number; got {text!r}") from None
         return {"phase": "uniform", "phase_spread": spread}
     raise ConfigError(
         f"phase must be perfect, <b>bit, or uniform[:spread]; got {text!r}")

@@ -144,30 +144,45 @@ def scenario_to_dict(s: ScenarioConfig) -> dict:
     return d
 
 
-# the only type each flag and count key accepts; nothing is coerced to it
-_KEY_TYPES = {"use_3d": bool, "direct_link": bool, **dict.fromkeys((
+# the only types each key accepts; nothing is coerced to them
+_KEY_TYPES = {"use_3d": (bool,), "direct_link": (bool,), **dict.fromkeys((
     "info_bits", "blocklength", "n_elements", "n_samples", "seed",
-    "stream_id", "chunk", "phase_bits"), int)}
+    "stream_id", "chunk", "phase_bits"), (int,)), **dict.fromkeys((
+    "ap_height", "tx_power", "noise_density", "bandwidth", "noise_figure",
+    "carrier_frequency", "target_bler", "direct_exponent", "rel_tol",
+    "phase_spread"), (int, float))}
+
+
+def _check_type(key, value, kinds):
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise DomainError(f"{key} must be {names}, got {value!r}")
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Inverse of ``scenario_to_dict``; keys left out keep their defaults.
 
     A uniform phase without ``phase_spread`` gets 0.25, a quantized one
-    without ``phase_bits`` gets 2.  Flags take only booleans and counts
-    only integers, as JSON writes them.  Raises DomainError for an
-    unknown key, an unknown phase model, or a value of the wrong type or
-    one that does not convert or validate.
+    without ``phase_bits`` gets 2.  Flags take only booleans, counts only
+    integers, other numbers only integers or floats, and positions only
+    lists of two such numbers, as JSON writes them.  Raises DomainError
+    for an unknown key, an unknown phase model, or a value of the wrong
+    type or one that does not validate.
     """
     merged = scenario_to_dict(ScenarioConfig())
     unknown = sorted(set(d) - set(merged) - {"phase_spread", "phase_bits"})
     if unknown:
         raise DomainError(f"unknown config key(s): {', '.join(unknown)}")
     merged.update(d)
-    for key, kind in _KEY_TYPES.items():
-        value = merged.get(key, 0)  # phase_bits may be absent
-        if type(value) is not kind:
-            raise DomainError(f"{key} must be {kind.__name__}, got {value!r}")
+    for key, kinds in _KEY_TYPES.items():
+        if key in merged:  # phase_spread and phase_bits may be absent
+            _check_type(key, merged[key], kinds)
+    for key in ("ap", "ac", "ris"):
+        pos = merged[key]
+        if type(pos) not in (list, tuple) or len(pos) != 2:
+            raise DomainError(f"{key} must be two numbers, got {pos!r}")
+        for value in pos:
+            _check_type(key, value, (int, float))
     try:
         kind = merged["phase"]
         if kind == "perfect":
@@ -203,7 +218,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
                 stream_id=merged["stream_id"], chunk=merged["chunk"]),
             policy=EvalPolicy(rel_tol=float(merged["rel_tol"])),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise DomainError(str(exc)) from exc
 
 

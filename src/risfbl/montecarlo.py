@@ -1,22 +1,24 @@
 """
 Monte Carlo oracle
 ==================
-Literal sampling of the composite channel: complex Gaussian draws for
-the direct and per-element links, per-element phase control applied
-exactly as the controller would (perfect conjugate alignment, uniformly
-spread residuals, or snapping to the nearest quantizer level), then the
-received SNR, its empirical statistics, and sample averages of the
-instantaneous finite-blocklength metrics.
+Sampling of the composite channel from its law, with per-element phase
+control applied as the controller would (perfect conjugate alignment,
+uniformly spread residuals, or snapping to the nearest quantizer
+level), then the received SNR, its empirical statistics, and sample
+averages of the instantaneous finite-blocklength metrics.
 
-The sampler does its algebra in real arithmetic, in the frame rotated by
-the direct link's phase, where the aligned cascades need no complex
-rotation; ``tests/oracles.py`` keeps the complex-rotation form as the
-reference that the tests hold it to.  Its working set is four to five
-chunk x N float64 buffers, reused from chunk to chunk.
+The sampler draws only unit exponentials: |h_d|^2, |a_n|^2 and |b_n|^2
+are exponential and every phase is uniform, U = exp(-E).  One formula
+in real arithmetic, in the frame rotated by the direct link's phase,
+serves every phase model.  ``tests/oracles.py`` holds it to the literal
+complex controller on the same draws, and to a complex-Gaussian sampler
+in distribution.  Its working set is one chunk x (3N + 2) float64
+buffer, reused from chunk to chunk.
 
-The stream is counter-based (Philox keyed by seed and stream id) and
-the reductions use a fixed order, so every statistic here is
-byte-reproducible for a given configuration.
+The stream is counter-based (Philox keyed by seed and stream id), rows
+are drawn from it in order whatever the chunk size, and the reductions
+use a fixed order, so every statistic here is byte-reproducible for a
+given seed and stream id.
 """
 
 import math
@@ -31,7 +33,12 @@ from . import fbl
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample budget and stream identity of one Monte Carlo run."""
+    """Sample budget and stream identity of one Monte Carlo run.
+
+    ``seed`` and ``stream_id`` key the stream; ``chunk`` is the number of
+    rows drawn per step, which bounds the sampler's one buffer and does
+    not change the samples.
+    """
 
     n_samples: int = 10_000
     seed: int = 20260824
@@ -67,30 +74,22 @@ def _row_dot(x, y):
 
 def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
                rho: float, cfg: McConfig = McConfig()) -> np.ndarray:
-    """Draw received-SNR realizations gamma = rho * X.
+    """Draw received-SNR realizations gamma = rho * X from the channel's law.
 
-    Each realization draws the direct link h_d and, per element, the two
-    hops a_n and b_n as circular complex Gaussians, sets the element's
-    phase shift theta_n per the phase model, and sums coherently:
-    X = |h_d + sum_n c_n e^{j theta_n}|^2 with c_n = a_n b_n.  The ideal
-    shift is arg h_d - arg c_n (0 - arg c_n without a direct link), so in
-    the frame rotated by e^{-j arg h_d}, where h_d is |h_d|:
+    X = |h_d + sum_n c_n e^{j theta_n}|^2 with |h_d|^2 = direct * E_d and
+    |c_n| = amp * r_n, amp = sqrt(ap_ris * ris_ac), r_n = sqrt(E1_n E2_n),
+    for unit exponentials E; phases are uniform, 2 pi U with U = exp(-E).
+    In the frame of h_d, with residual phase phi_n against the ideal shift,
+    X = (|h_d| + amp sum r cos phi)^2 + (amp sum r sin phi)^2.  Perfect:
+    phi = 0, no trig.  UniformSpread s: phi = s pi (2U - 1).  QuantizedBits:
+    the ideal shift theta* = arg h_d - psi_n, with arg h_d = 2 pi U_d (0
+    without a direct link) and arg c_n = psi_n = 2 pi U_n, is snapped, so
+    phi = step * rint(theta* / step) - theta*.
 
-    - Perfect: every term is aligned, X = (|h_d| + sum_n |a_n||b_n|)^2.
-    - UniformSpread: the residual phi_n is added to the ideal shift,
-      X = (|h_d| + sum_n |c_n| cos phi_n)^2 + (sum_n |c_n| sin phi_n)^2.
-    - QuantizedBits: the controller snaps the ideal shift to the nearest
-      level k_n * step, k_n = rint((arg h_d - arg c_n) / step) mod 2^b, and
-      c_n is rotated by a 2^b-entry cos/sin table indexed by k_n; the
-      modulus X = |h_d + sum_n c_n e^{j k_n step}|^2 needs no rotation.
-
-    The arithmetic is real.  Rows are drawn in chunks of ``cfg.chunk``;
-    per chunk the draws are Re h_d, Im h_d (only with a direct link),
-    then Re a, Im a, Re b, Im b (chunk x N each), then the uniform phase
-    errors (UniformSpread only).  The stream is therefore fixed by seed,
-    stream id and chunk together.  The working set is four chunk x N
-    float64 buffers, allocated once per call and reused by every chunk,
-    plus a fifth for QuantizedBits.
+    A row draws [E_d, E_psi_d] (direct link on only), E1[N], E2[N], then
+    E_psi[N] (not for Perfect), and all rows come from one stream in
+    order, so the samples depend on seed and stream id only.  ``cfg.chunk``
+    rows share the one reused float64 buffer; that is all it sets.
     """
     if n_elements < 0:
         raise DomainError("n_elements must be >= 0")
@@ -98,74 +97,41 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
         raise DomainError("rho must be > 0")
     if not isinstance(phase, (Perfect, UniformSpread, QuantizedBits)):
         raise DomainError(f"unknown phase model {phase!r}")
+    n, d = n_elements, 2 if gains.direct > 0 else 0
+    perfect = isinstance(phase, Perfect)
+    buf = np.empty((min(cfg.chunk, cfg.n_samples), d + (2 if perfect else 3) * n))
+    amp = math.sqrt(gains.ap_ris * gains.ris_ac)
     rng = _rng(cfg)
     out = np.empty(cfg.n_samples)
-    rows = min(cfg.chunk, cfg.n_samples)
-    n_bufs = 5 if isinstance(phase, QuantizedBits) else 4
-    bufs = [np.empty((rows, n_elements)) for _ in range(n_bufs)]
-    amp = math.sqrt(gains.ap_ris / 2.0) * math.sqrt(gains.ris_ac / 2.0)
-    done = 0
-    while done < cfg.n_samples:
-        m = min(cfg.chunk, cfg.n_samples - done)
-        if gains.direct > 0:
-            scale = math.sqrt(gains.direct / 2.0)
-            hd_re = scale * rng.standard_normal(m)
-            hd_im = scale * rng.standard_normal(m)
+    for lo in range(0, cfg.n_samples, cfg.chunk):
+        m = min(cfg.chunk, cfg.n_samples - lo)
+        e = rng.standard_exponential(out=buf[:m])
+        r, work, phi = e[:, d:d + n], e[:, d + n:d + 2 * n], e[:, d + 2 * n:]
+        hd = np.sqrt(gains.direct * e[:, 0]) if d else 0.0
+        r *= work
+        np.sqrt(r, out=r)
+        if perfect:
+            re, im = hd + amp * np.sum(r, axis=1), 0.0
         else:
-            hd_re = hd_im = np.zeros(m)
-        if n_elements == 0:
-            re, im = hd_re, hd_im
-        else:
-            ar, ai, br, bi = (buf[:m] for buf in bufs[:4])
-            for buf in (ar, ai, br, bi):
-                rng.standard_normal(out=buf)
-            if isinstance(phase, QuantizedBits):
-                work = bufs[4][:m]
-                # c = a * b in place: Re c -> ar, Im c -> br
-                np.multiply(ar, bi, out=work)
-                ar *= br
-                br *= ai
-                bi *= ai
-                ar -= bi
-                br += work
-                np.arctan2(br, ar, out=work)
-                np.subtract(np.arctan2(hd_im, hd_re)[:, None], work, out=work)
-                work /= phase.step
-                np.rint(work, out=work)
-                k = ai.view(np.int64)
-                np.copyto(k, work, casting="unsafe")
-                levels = np.arange(phase.levels) * phase.step
-                # mode="wrap" reduces k mod 2^b; "raise" would buffer the output
-                np.take(np.cos(levels), k, out=work, mode="wrap")
-                np.take(np.sin(levels), k, out=bi, mode="wrap")
-                re = hd_re + amp * (_row_dot(ar, work) - _row_dot(br, bi))
-                im = hd_im + amp * (_row_dot(ar, bi) + _row_dot(br, work))
+            np.negative(phi, out=phi)
+            np.exp(phi, out=phi)  # U
+            if isinstance(phase, UniformSpread):
+                spread = phase.spread * math.pi
+                phi *= 2.0 * spread
+                phi -= spread
             else:
-                # |c|^2 = (Re a^2 + Im a^2)(Re b^2 + Im b^2), |c| -> ar
-                ar *= ar
-                ai *= ai
-                ar += ai
-                br *= br
-                bi *= bi
-                br += bi
-                ar *= br
-                np.sqrt(ar, out=ar)
-                hd_abs = np.hypot(hd_re, hd_im)
-                if isinstance(phase, Perfect):
-                    re = hd_abs + amp * np.sum(ar, axis=1)
-                    im = 0.0
-                else:
-                    # same values as rng.uniform(-s, s): low + (high - low) * u
-                    spread = phase.spread * math.pi
-                    rng.random(out=ai)
-                    ai *= 2.0 * spread
-                    ai -= spread
-                    np.cos(ai, out=br)
-                    np.sin(ai, out=bi)
-                    re = hd_abs + amp * _row_dot(ar, br)
-                    im = amp * _row_dot(ar, bi)
-        out[done:done + m] = re * re + im * im
-        done += m
+                phi *= -2.0 * math.pi  # theta* = arg h_d - psi
+                if d:
+                    phi += (2.0 * math.pi) * np.exp(-e[:, 1:2])
+                np.divide(phi, phase.step, out=work)
+                np.rint(work, out=work)
+                work *= phase.step
+                np.subtract(work, phi, out=phi)
+            np.cos(phi, out=work)
+            np.sin(phi, out=phi)
+            re = hd + amp * _row_dot(r, work)
+            im = amp * _row_dot(r, phi)
+        out[lo:lo + m] = re * re + im * im
     return rho * out
 
 

@@ -10,8 +10,10 @@ result underflows double precision by hundreds of orders).
 The last sections hold alternative forms (expanded moment formulas,
 the Taylor rate, the linearized-Q surrogate, incomplete-gamma and
 exponential-integral wrappers) that only the tests use as cross-checks,
-and the literal complex-rotation Monte Carlo sampler that the real
-arithmetic of ``risfbl.montecarlo.sample_snr`` is held to.
+and two Monte Carlo references for ``risfbl.montecarlo.sample_snr``:
+the literal controller in complex arithmetic on the sampler's own
+exponential draws, and the complex-Gaussian sampler it must match in
+distribution.
 """
 
 import math
@@ -269,8 +271,8 @@ def sample_snr_literal(gains: LinkGains, n_elements: int, phase: PhaseModel,
     Each realization draws the direct link and all element channels as
     circular complex Gaussians, computes the ideal conjugate phase for
     every element, perturbs it per the phase model, and sums coherently.
-    Consumes the same Philox stream, in the same order, as
-    ``risfbl.montecarlo.sample_snr``.
+    It reads the stream as normals, so ``risfbl.montecarlo.sample_snr``
+    can match it only in distribution.
     """
     if n_elements < 0:
         raise DomainError("n_elements must be >= 0")
@@ -303,3 +305,40 @@ def sample_snr_literal(gains: LinkGains, n_elements: int, phase: PhaseModel,
         out[done:done + m] = np.abs(total) ** 2
         done += m
     return rho * out
+
+
+def sample_snr_same_draws(gains: LinkGains, n_elements: int, phase: PhaseModel,
+                          rho: float, cfg: McConfig = McConfig()) -> np.ndarray:
+    """The literal complex controller on ``sample_snr``'s own draws.
+
+    Redraws the whole (n_samples, width) exponential array in one call,
+    with the column layout ``risfbl.montecarlo.sample_snr`` documents,
+    builds h_d = |h_d| e^{j 2 pi U_d} and c_n = |a_n||b_n| e^{j psi_n}
+    (psi_n = 2 pi U_n, or 0 where no phase column is drawn), and runs the
+    controller in complex arithmetic: ideal shift arg h_d - arg c_n from
+    ``np.angle``, the residual of the phase model on top of it (the
+    psi columns' uniforms for UniformSpread, the ``np.round`` snap for
+    QuantizedBits), a complex sum and its squared modulus.
+    """
+    n = n_elements
+    d = 2 if gains.direct > 0 else 0
+    w = 0 if isinstance(phase, Perfect) else n
+    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, cfg.stream_id]))
+    e = rng.standard_exponential((cfg.n_samples, d + 2 * n + w))
+    if d:
+        hd = np.sqrt(gains.direct * e[:, 0]) * np.exp(2j * math.pi * np.exp(-e[:, 1]))
+    else:
+        hd = np.zeros(cfg.n_samples, dtype=complex)
+    u = np.exp(-e[:, d + 2 * n:])
+    psi = 2.0 * math.pi * u if w else 0.0
+    cascade = (math.sqrt(gains.ap_ris * gains.ris_ac)
+               * np.sqrt(e[:, d:d + n] * e[:, d + n:d + 2 * n]) * np.exp(1j * psi))
+    theta_star = np.angle(hd)[:, None] - np.angle(cascade)
+    if isinstance(phase, Perfect):
+        phi = 0.0
+    elif isinstance(phase, UniformSpread):
+        phi = phase.spread * math.pi * (2.0 * u - 1.0)
+    else:
+        phi = np.round(theta_star / phase.step) * phase.step - theta_star
+    total = hd + np.sum(cascade * np.exp(1j * (theta_star + phi)), axis=1)
+    return rho * np.abs(total) ** 2

@@ -47,6 +47,10 @@ class TestExitCodes:
         ("--set", "use_3d=no"),
         ("--set", "n_elements=512.9"),
         ("--set", "seed=true"),
+        ("--set", "tx_power=true"),
+        ("--set", 'rel_tol="1e-9"'),
+        ("--set", "ris=[true, 5]"),
+        ("--set", "tx_power_db=true"),
     ])
     def test_bad_value_is_config_error(self, capsys, argv):
         code, _, err = run(capsys, "validate", *argv)

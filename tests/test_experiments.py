@@ -102,7 +102,8 @@ class TestScenario:
         {"phase": "uniform", "phase_spread": "abc"},
         {"phase": "quantized", "phase_bits": "x"}, {"ap": 3},
         {"direct_link": "False"}, {"use_3d": "no"}, {"n_elements": 512.9},
-        {"seed": True},
+        {"seed": True}, {"tx_power": True}, {"rel_tol": "1e-9"},
+        {"ris": [True, 5]}, {"ap": [0.0, 0.0, 1.0]}, {"ac": "100,0"},
     ])
     def test_from_dict_rejects(self, d):
         with pytest.raises(DomainError):
