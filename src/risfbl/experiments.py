@@ -16,8 +16,8 @@ sweeps place the RIS at (d, 10) per the tabulated scenario.
 Each figure is a spec in one table: the scenario fields it pins, its
 cases and, for sweeps, its axis and metric columns.  Two engines run
 the specs, one for SNR CDFs and one for N or d sweeps.  A Monte Carlo
-cell's stream id is its position in the figure's cell order: the case
-index for CDFs, axis-major (axis value, case) for sweeps.
+cell's stream id is a hash of its name (figure id, case tag and, for
+sweeps, axis value), so it does not depend on where the cell sits.
 """
 
 import csv
@@ -262,8 +262,14 @@ def _pmap(fn, items, workers):
         return list(ex.map(fn, items))
 
 
-def _mc_cfg(scenario, stream_id):
-    return dataclasses.replace(scenario.mc, stream_id=stream_id)
+def _mc_cfg(scenario, *name):
+    """The scenario's MC config with the stream id of the cell ``name``:
+    the 8-byte BLAKE2b digest of "figure id/case tag[/axis value]" as a
+    big-endian integer, shifted right to 63 bits."""
+    key = "/".join(map(str, name)).encode()
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return dataclasses.replace(
+        scenario.mc, stream_id=int.from_bytes(digest, "big") >> 1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +296,7 @@ class _Figure(NamedTuple):
     mc: tuple = ()
 
 
-def _cdf(spec, scenario, workers):
+def _cdf(figure_id, spec, scenario, workers):
     """Analytic Gamma CDF and MC ECDF of the SNR per case, on one grid."""
     cells = [dataclasses.replace(scenario, **fields)
              for _, fields in spec.cases]
@@ -303,7 +309,8 @@ def _cdf(spec, scenario, workers):
         cell, fit = cells[idx], fits[idx]
         analytic = gamma_cdf(fit.shape, fit.rate, snr)
         samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
-                             cell.rho(), _mc_cfg(cell, idx))
+                             cell.rho(),
+                             _mc_cfg(cell, figure_id, spec.cases[idx][0]))
         ecdf = np.searchsorted(np.sort(samples), snr, side="right") / samples.size
         return analytic, ecdf
 
@@ -326,25 +333,22 @@ _AXES = {
 }
 
 
-def _sweep(spec, scenario, workers):
-    """Analytic and MC metrics per (axis value, case) cell.
-
-    A cell's stream id is its position in axis-major order.
-    """
+def _sweep(figure_id, spec, scenario, workers):
+    """Analytic and MC metrics per (axis value, case) cell, axis-major."""
     grid, place = _AXES[spec.axis]
-    cells = [place(dataclasses.replace(scenario, **fields), v)
-             for v in grid for _, fields in spec.cases]
+    cells = [(place(dataclasses.replace(scenario, **fields), v), tag, v)
+             for v in grid for tag, fields in spec.cases]
 
-    def one(idx):
-        cell = cells[idx]
+    def one(item):
+        cell, tag, v = item
         fit = cell.fit()
         row = [metric(fit, cell) for _, metric in spec.analytic]
         samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
-                             cell.rho(), _mc_cfg(cell, idx))
+                             cell.rho(), _mc_cfg(cell, figure_id, tag, float(v)))
         mc = mc_avg_metrics(samples, cell.packet)
         return row + [metric(mc, cell) for _, metric in spec.mc]
 
-    rows = _pmap(one, range(len(cells)), workers)
+    rows = _pmap(one, cells, workers)
     cols = {spec.axis: [float(v) for v in grid]}
     k = len(spec.cases)
     for j, (tag, _) in enumerate(spec.cases):
@@ -456,7 +460,7 @@ def run_figure(figure_id: str, scenario: ScenarioConfig = ScenarioConfig(),
         "seed": scenario.mc.seed,
         "n_samples": scenario.mc.n_samples,
     }
-    columns = spec.engine(spec, scenario, max(int(workers), 1))
+    columns = spec.engine(figure_id, spec, scenario, max(int(workers), 1))
     return ResultTable(figure_id=figure_id, columns=columns, meta=meta)
 
 

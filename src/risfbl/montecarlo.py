@@ -7,18 +7,19 @@ uniformly spread residuals, or snapping to the nearest quantizer
 level), then the received SNR, its empirical statistics, and sample
 averages of the instantaneous finite-blocklength metrics.
 
-The sampler draws only unit exponentials: |h_d|^2, |a_n|^2 and |b_n|^2
-are exponential and every phase is uniform, U = exp(-E).  One formula
-in real arithmetic, in the frame rotated by the direct link's phase,
-serves every phase model.  ``tests/oracles.py`` holds it to the literal
-complex controller on the same draws, and to a complex-Gaussian sampler
-in distribution.  Its working set is one chunk x (3N + 2) float64
-buffer, reused from chunk to chunk.
+The sampler draws only uniforms: |h_d|^2, |a_n|^2 and |b_n|^2 are unit
+exponentials, taken by inverse CDF as E = -ln(1 - U), and every phase is
+uniform.  One formula in real arithmetic, in the frame rotated by the
+direct link's phase, serves every phase model.  ``tests/oracles.py``
+holds it to the literal complex controller on the same draws, and to a
+complex-Gaussian sampler in distribution.  Rows are processed in blocks
+of at most ``_BLOCK_BYTES`` (1 MiB, so that every pass over a block runs
+in a typical per-core L2 cache), in one reused float64 buffer.
 
-The stream is counter-based (Philox keyed by seed and stream id), rows
-are drawn from it in order whatever the chunk size, and the reductions
-use a fixed order, so every statistic here is byte-reproducible for a
-given seed and stream id.
+The generator is PCG64DXSM seeded by (seed, stream id), rows are drawn
+from it in order whatever the block size, and the reductions use a
+fixed order, so every statistic here is byte-reproducible for a given
+seed and stream id.
 """
 
 import math
@@ -31,13 +32,18 @@ from .channel import GammaFit, LinkGains, Perfect, PhaseModel, QuantizedBits, Un
 from . import fbl
 
 
+# bytes of one sampler block: half of a 2 MiB per-core L2 cache
+_BLOCK_BYTES = 1 << 20
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Sample budget and stream identity of one Monte Carlo run.
 
-    ``seed`` and ``stream_id`` key the stream; ``chunk`` is the number of
-    rows drawn per step, which bounds the sampler's one buffer and does
-    not change the samples.
+    ``seed`` and ``stream_id``, each in [0, 2^64), seed the stream.
+    ``chunk`` caps the rows of one sampler block, as the 1 MiB block size
+    does; both only bound the sampler's one buffer, neither changes the
+    samples.
     """
 
     n_samples: int = 10_000
@@ -50,6 +56,9 @@ class McConfig:
             raise DomainError("n_samples must be >= 2")
         if self.chunk < 1:
             raise DomainError("chunk must be >= 1")
+        for name in ("seed", "stream_id"):
+            if not 0 <= getattr(self, name) < 1 << 64:
+                raise DomainError(f"{name} must lie in [0, 2^64)")
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,8 @@ class SampleStats:
 
 
 def _rng(cfg: McConfig):
-    return np.random.Generator(np.random.Philox(key=[cfg.seed, cfg.stream_id]))
+    return np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence([cfg.seed, cfg.stream_id])))
 
 
 def _row_dot(x, y):
@@ -78,7 +88,7 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
 
     X = |h_d + sum_n c_n e^{j theta_n}|^2 with |h_d|^2 = direct * E_d and
     |c_n| = amp * r_n, amp = sqrt(ap_ris * ris_ac), r_n = sqrt(E1_n E2_n),
-    for unit exponentials E; phases are uniform, 2 pi U with U = exp(-E).
+    for unit exponentials E = -ln(1 - U); phases are uniform, 2 pi U.
     In the frame of h_d, with residual phase phi_n against the ideal shift,
     X = (|h_d| + amp sum r cos phi)^2 + (amp sum r sin phi)^2.  Perfect:
     phi = 0, no trig.  UniformSpread s: phi = s pi (2U - 1).  QuantizedBits:
@@ -86,10 +96,13 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     without a direct link) and arg c_n = psi_n = 2 pi U_n, is snapped, so
     phi = step * rint(theta* / step) - theta*.
 
-    A row draws [E_d, E_psi_d] (direct link on only), E1[N], E2[N], then
-    E_psi[N] (not for Perfect), and all rows come from one stream in
-    order, so the samples depend on seed and stream id only.  ``cfg.chunk``
-    rows share the one reused float64 buffer; that is all it sets.
+    A row is uniforms [E_d (direct link on only), E1[N], E2[N], U_d (direct
+    link on only), U[N] (not for Perfect)], its leading exponential
+    columns mapped to -E = ln(1 - U) in place.  All rows come from one
+    stream in order, so the samples depend on seed and stream id only.
+    A block holds at most ``cfg.chunk`` rows and at most ``_BLOCK_BYTES``
+    of float64 (at least one row), in one reused buffer; that is all
+    either sets.
     """
     if n_elements < 0:
         raise DomainError("n_elements must be >= 0")
@@ -97,24 +110,29 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
         raise DomainError("rho must be > 0")
     if not isinstance(phase, (Perfect, UniformSpread, QuantizedBits)):
         raise DomainError(f"unknown phase model {phase!r}")
-    n, d = n_elements, 2 if gains.direct > 0 else 0
+    n, d = n_elements, 1 if gains.direct > 0 else 0
     perfect = isinstance(phase, Perfect)
-    buf = np.empty((min(cfg.chunk, cfg.n_samples), d + (2 if perfect else 3) * n))
+    ne = d + 2 * n  # exponential columns, then d + (0 or n) uniform ones
+    width = ne + d + (0 if perfect else n)
+    rows = max(1, min(cfg.chunk, cfg.n_samples,
+                      _BLOCK_BYTES // (8 * max(width, 1))))
+    buf = np.empty((rows, width))
     amp = math.sqrt(gains.ap_ris * gains.ris_ac)
     rng = _rng(cfg)
     out = np.empty(cfg.n_samples)
-    for lo in range(0, cfg.n_samples, cfg.chunk):
-        m = min(cfg.chunk, cfg.n_samples - lo)
-        e = rng.standard_exponential(out=buf[:m])
-        r, work, phi = e[:, d:d + n], e[:, d + n:d + 2 * n], e[:, d + 2 * n:]
-        hd = np.sqrt(gains.direct * e[:, 0]) if d else 0.0
+    for lo in range(0, cfg.n_samples, rows):
+        m = min(rows, cfg.n_samples - lo)
+        u = rng.random(out=buf[:m])
+        e = u[:, :ne]
+        np.subtract(1.0, e, out=e)
+        np.log(e, out=e)  # -E; 1 - U >= 2^-53, so E is finite
+        r, work, phi = e[:, d:d + n], e[:, d + n:], u[:, ne + d:]
+        hd = np.sqrt(-gains.direct * e[:, 0]) if d else 0.0
         r *= work
         np.sqrt(r, out=r)
         if perfect:
             re, im = hd + amp * np.sum(r, axis=1), 0.0
         else:
-            np.negative(phi, out=phi)
-            np.exp(phi, out=phi)  # U
             if isinstance(phase, UniformSpread):
                 spread = phase.spread * math.pi
                 phi *= 2.0 * spread
@@ -122,7 +140,7 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
             else:
                 phi *= -2.0 * math.pi  # theta* = arg h_d - psi
                 if d:
-                    phi += (2.0 * math.pi) * np.exp(-e[:, 1:2])
+                    phi += (2.0 * math.pi) * u[:, ne:ne + 1]
                 np.divide(phi, phase.step, out=work)
                 np.rint(work, out=work)
                 work *= phase.step
@@ -132,7 +150,8 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
             re = hd + amp * _row_dot(r, work)
             im = amp * _row_dot(r, phi)
         out[lo:lo + m] = re * re + im * im
-    return rho * out
+    out *= rho
+    return out
 
 
 def empirical_stats(samples: np.ndarray) -> SampleStats:

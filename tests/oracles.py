@@ -311,28 +311,31 @@ def sample_snr_same_draws(gains: LinkGains, n_elements: int, phase: PhaseModel,
                           rho: float, cfg: McConfig = McConfig()) -> np.ndarray:
     """The literal complex controller on ``sample_snr``'s own draws.
 
-    Redraws the whole (n_samples, width) exponential array in one call,
-    with the column layout ``risfbl.montecarlo.sample_snr`` documents,
-    builds h_d = |h_d| e^{j 2 pi U_d} and c_n = |a_n||b_n| e^{j psi_n}
+    Redraws the whole (n_samples, width) uniform array in one call, with
+    the column layout ``risfbl.montecarlo.sample_snr`` documents, takes
+    the exponential columns as E = -log1p(-U), builds
+    h_d = |h_d| e^{j 2 pi U_d} and c_n = |a_n||b_n| e^{j psi_n}
     (psi_n = 2 pi U_n, or 0 where no phase column is drawn), and runs the
     controller in complex arithmetic: ideal shift arg h_d - arg c_n from
     ``np.angle``, the residual of the phase model on top of it (the
-    psi columns' uniforms for UniformSpread, the ``np.round`` snap for
+    phase columns' uniforms for UniformSpread, the ``np.round`` snap for
     QuantizedBits), a complex sum and its squared modulus.
     """
     n = n_elements
-    d = 2 if gains.direct > 0 else 0
+    d = 1 if gains.direct > 0 else 0
     w = 0 if isinstance(phase, Perfect) else n
-    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, cfg.stream_id]))
-    e = rng.standard_exponential((cfg.n_samples, d + 2 * n + w))
+    rng = np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence([cfg.seed, cfg.stream_id])))
+    draws = rng.random((cfg.n_samples, 2 * d + 2 * n + w))
+    e = -np.log1p(-draws[:, :d + 2 * n])
+    u = draws[:, 2 * d + 2 * n:]
     if d:
-        hd = np.sqrt(gains.direct * e[:, 0]) * np.exp(2j * math.pi * np.exp(-e[:, 1]))
+        hd = np.sqrt(gains.direct * e[:, 0]) * np.exp(2j * math.pi * draws[:, d + 2 * n])
     else:
         hd = np.zeros(cfg.n_samples, dtype=complex)
-    u = np.exp(-e[:, d + 2 * n:])
     psi = 2.0 * math.pi * u if w else 0.0
     cascade = (math.sqrt(gains.ap_ris * gains.ris_ac)
-               * np.sqrt(e[:, d:d + n] * e[:, d + n:d + 2 * n]) * np.exp(1j * psi))
+               * np.sqrt(e[:, d:d + n] * e[:, d + n:]) * np.exp(1j * psi))
     theta_star = np.angle(hd)[:, None] - np.angle(cascade)
     if isinstance(phase, Perfect):
         phi = 0.0

@@ -51,6 +51,10 @@ class TestExitCodes:
         ("--set", 'rel_tol="1e-9"'),
         ("--set", "ris=[true, 5]"),
         ("--set", "tx_power_db=true"),
+        ("--set", "seed=-1"),
+        ("--set", "seed=18446744073709551616"),
+        ("--set", "stream_id=-1"),
+        ("--set", "stream_id=18446744073709551616"),
     ])
     def test_bad_value_is_config_error(self, capsys, argv):
         code, _, err = run(capsys, "validate", *argv)

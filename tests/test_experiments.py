@@ -21,7 +21,7 @@ from risfbl.experiments import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from risfbl.montecarlo import McConfig
+from risfbl.montecarlo import McConfig, sample_snr
 from risfbl.specfun import DomainError
 
 FAST = ScenarioConfig(mc=McConfig(n_samples=500))
@@ -104,6 +104,8 @@ class TestScenario:
         {"direct_link": "False"}, {"use_3d": "no"}, {"n_elements": 512.9},
         {"seed": True}, {"tx_power": True}, {"rel_tol": "1e-9"},
         {"ris": [True, 5]}, {"ap": [0.0, 0.0, 1.0]}, {"ac": "100,0"},
+        {"seed": -1}, {"seed": 2 ** 64}, {"stream_id": -1},
+        {"stream_id": 2 ** 64},
     ])
     def test_from_dict_rejects(self, d):
         with pytest.raises(DomainError):
@@ -181,6 +183,22 @@ class TestFigures:
             assert c[0] < 0.02 and c[-1] > 0.99
             e = np.array(t.columns[f"cdf_{label}_mc"])
             assert np.max(np.abs(c - e)) < 0.05
+
+    def test_mc_stream_id_is_hashed_cell_name(self):
+        # the 2-bit column of fig2a is sample_snr on the stream id hashed
+        # from "fig2a/2bit", whatever the case's place in the figure
+        scenario = dataclasses.replace(FAST, mc=McConfig(n_samples=2000))
+        t = run_figure("fig2a", scenario)
+        digest = hashlib.blake2b(b"fig2a/2bit", digest_size=8).digest()
+        cfg = dataclasses.replace(
+            scenario.mc, stream_id=int.from_bytes(digest, "big") >> 1)
+        cell = dataclasses.replace(scenario, direct_link=False,
+                                   n_elements=1024, phase=QuantizedBits(2))
+        samples = np.sort(sample_snr(cell.gains(), 1024, cell.phase,
+                                     cell.rho(), cfg))
+        snr = 10.0 ** (np.array(t.columns["snr_db"]) / 10.0)
+        ecdf = np.searchsorted(samples, snr, side="right") / samples.size
+        assert np.array_equal(ecdf, t.columns["cdf_2bit_mc"])
 
     def test_all_ids_registered(self):
         assert FIGURE_IDS == ("fig2a", "fig2b", "fig3", "fig4", "fig5",

@@ -20,6 +20,7 @@ from risfbl.channel import (
     moments_X,
     snr_scale,
 )
+from risfbl import montecarlo
 from risfbl.fbl import PacketConfig, instantaneous_rate
 from risfbl.montecarlo import (
     McConfig,
@@ -59,15 +60,23 @@ class TestReproducibility:
         assert not np.array_equal(base, other_seed)
         assert not np.array_equal(base, other_stream)
 
-    def test_chunking_invariant(self):
-        # rows come from one stream in order, so chunk only sets memory
-        n_samples = 1234
+    def test_chunking_invariant(self, monkeypatch):
+        # rows come from one stream in order, so chunk and the block size
+        # only set memory; the patched block sizes make the byte cap bind
+        n, n_samples = 9, 1234
         for direct in (True, False):
             g = link_gains(Geometry(), direct_link=direct)
             for phase in PHASES:
-                runs = [sample_snr(g, 9, phase, RHO, McConfig(
+                width = (2 if direct else 0) + (
+                    2 if isinstance(phase, Perfect) else 3) * n
+                runs = [sample_snr(g, n, phase, RHO, McConfig(
                             n_samples=n_samples, seed=5, chunk=chunk))
                         for chunk in (1, 7, 500, n_samples, n_samples + 1)]
+                for block in (1, 8 * width * 3):
+                    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block)
+                    runs.append(sample_snr(g, n, phase, RHO, McConfig(
+                        n_samples=n_samples, seed=5)))
+                monkeypatch.undo()
                 for other in runs[1:]:
                     assert np.array_equal(runs[0], other), (phase, direct)
 
@@ -124,6 +133,19 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * chunk * n * 8
+
+    def test_block_bounded_at_large_n(self):
+        # at N=2048 a default chunk of rows is ~98 MB; a block is <= 1 MiB
+        g = link_gains(Geometry(), direct_link=True)
+        cfg = McConfig()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sample_snr(g, 2048, QuantizedBits(2), RHO, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * montecarlo._BLOCK_BYTES + cfg.n_samples * 8
 
 
 class TestDistributions:
