@@ -34,12 +34,10 @@ from .channel import (
     snr_scale,
 )
 from .fbl import (
-    AvgMetrics,
     PacketConfig,
     ValidityError,
     avg_bler,
     avg_blocklength,
-    avg_metrics,
     avg_rate_exact,
     avg_rate_lower_bound,
     c1_avg_capacity,

@@ -86,10 +86,6 @@ class QuantizedBits:
     def step(self) -> float:
         return _PI / 2.0 ** (self.bits - 1)
 
-    @property
-    def levels(self) -> int:
-        return 2 ** self.bits
-
 
 PhaseModel = Perfect | UniformSpread | QuantizedBits
 

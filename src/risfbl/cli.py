@@ -1,9 +1,13 @@
 """
 Command-line front end
 ======================
-Thin wrapper over the library: loads a flat JSON scenario config,
-applies key=value overrides, dispatches to the analytics, Monte Carlo,
-or figure harness, and writes CSV or JSON with full float precision.
+Thin wrapper over the library: loads a flat JSON scenario config (the
+keys of ``experiments.scenario_to_dict``), applies key=value overrides
+and the shorthand flags, and dispatches.  The one-row commands are a
+table of record functions of the scenario; each record is written with
+the scenario's element count and seed as one CSV row or JSON object.
+``figure`` writes a whole table and ``required-n`` the result of the
+element search.  Floats keep full precision.
 
 Exit codes: 0 success, 2 usage error, 3 config validation error,
 4 numerical non-convergence.
@@ -16,7 +20,15 @@ import sys
 
 from .specfun import DomainError, NonConvergenceError
 from .channel import DegenerateMomentsError, moments_X
-from .fbl import ValidityError, avg_bler, avg_metrics
+from .fbl import (
+    ValidityError,
+    avg_bler,
+    avg_blocklength,
+    avg_rate_exact,
+    avg_rate_lower_bound,
+    c1_avg_capacity,
+    c2_avg_sqrt_dispersion,
+)
 from .montecarlo import empirical_stats, ks_distance, mc_avg_metrics, sample_snr
 from .experiments import (
     BracketError,
@@ -38,10 +50,6 @@ _DB_KEYS = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _parse_value(text):
     try:
         return json.loads(text)
@@ -54,16 +62,12 @@ def _resolve_db(cfg):
         if db_key in cfg:
             value = cfg.pop(db_key)
             if type(value) not in (int, float):
-                raise ConfigError(f"{db_key} must be int or float, got {value!r}")
-            cfg[lin_key] = 10.0 ** (value / 10.0)
+                raise DomainError(f"{db_key} must be int or float, got {value!r}")
+            try:
+                cfg[lin_key] = 10.0 ** (value / 10.0)
+            except OverflowError as exc:
+                raise DomainError(f"{db_key}: {exc}") from None
     return cfg
-
-
-def _build_scenario(cfg: dict) -> ScenarioConfig:
-    try:
-        return scenario_from_dict(_resolve_db(dict(cfg)))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _phase_from_flag(text):
@@ -76,10 +80,10 @@ def _phase_from_flag(text):
         try:
             spread = float(rest.lstrip(":")) if rest else 0.25
         except ValueError:
-            raise ConfigError(
+            raise DomainError(
                 f"uniform spread must be a number; got {text!r}") from None
         return {"phase": "uniform", "phase_spread": spread}
-    raise ConfigError(
+    raise DomainError(
         f"phase must be perfect, <b>bit, or uniform[:spread]; got {text!r}")
 
 
@@ -89,26 +93,24 @@ def _scenario_from_args(args) -> ScenarioConfig:
         with open(args.config) as f:
             loaded = json.load(f)
         if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise DomainError("config file must hold a JSON object")
         cfg.update(loaded)
     for item in args.set or []:
         if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
+            raise DomainError(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
         cfg[key.strip()] = _parse_value(value)
-    if getattr(args, "n_elements", None) is not None:
+    if args.n_elements is not None:
         cfg["n_elements"] = args.n_elements
-    if getattr(args, "no_direct", False):
-        cfg["direct_link"] = False
-    if getattr(args, "direct", False):
-        cfg["direct_link"] = True
-    if getattr(args, "phase", None) is not None:
+    if args.no_direct or args.direct:
+        cfg["direct_link"] = args.direct
+    if args.phase is not None:
         cfg.pop("phase_bits", None)
         cfg.pop("phase_spread", None)
         cfg.update(_phase_from_flag(args.phase))
     if args.seed is not None:
         cfg["seed"] = args.seed
-    return _build_scenario(cfg)
+    return scenario_from_dict(_resolve_db(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +123,14 @@ def _fmt(x):
     return str(x)
 
 
+def _write(text, args):
+    if args.output:
+        with open(args.output, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_record(record: dict, args):
     """One-row result: CSV header+row or a JSON object."""
     if args.format == "json":
@@ -130,126 +140,92 @@ def _emit_record(record: dict, args):
         keys = list(record)
         text = (",".join(keys) + "\n"
                 + ",".join(_fmt(record[k]) for k in keys) + "\n")
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_fit(args):
-    s = _scenario_from_args(args)
+def _fit(s):
     m = moments_X(s.gains(), s.n_elements, s.phase)
     fit = s.fit()
-    _emit_record({
-        "n_elements": s.n_elements,
-        "m1": m.m1, "m2": m.m2,
-        "shape": fit.shape, "rate": fit.rate,
-        "snr_mean": fit.mean, "snr_mean_db": 10.0 * math.log10(fit.mean),
-        "seed": s.mc.seed,
-    }, args)
-    return 0
+    return {"m1": m.m1, "m2": m.m2, "shape": fit.shape, "rate": fit.rate,
+            "snr_mean": fit.mean, "snr_mean_db": 10.0 * math.log10(fit.mean)}
 
 
-def _cmd_rate(args):
-    s = _scenario_from_args(args)
-    fit = s.fit()
-    m = avg_metrics(fit, s.packet, s.policy)
-    _emit_record({
-        "n_elements": s.n_elements,
-        "avg_rate": m.avg_rate,
-        "avg_rate_lower_bound": m.avg_rate_lb,
-        "avg_sqrt_dispersion": m.avg_sqrt_dispersion,
-        "seed": s.mc.seed,
-    }, args)
-    return 0
+def _rate(s):
+    fit, pkt = s.fit(), s.packet
+    return {
+        "avg_rate": avg_rate_exact(fit, pkt.blocklength, pkt.target_bler,
+                                   s.policy),
+        "avg_rate_lower_bound": avg_rate_lower_bound(
+            fit, pkt.blocklength, pkt.target_bler, s.policy),
+        "avg_sqrt_dispersion": c2_avg_sqrt_dispersion(fit, s.policy),
+    }
 
 
-def _cmd_bler(args):
-    s = _scenario_from_args(args)
-    val = avg_bler(s.fit(), s.packet.blocklength, s.packet.info_bits)
-    _emit_record({"n_elements": s.n_elements, "avg_bler": val,
-                  "seed": s.mc.seed}, args)
-    return 0
+def _bler(s):
+    return {"avg_bler": avg_bler(s.fit(), s.packet.blocklength,
+                                 s.packet.info_bits)}
 
 
-def _cmd_blocklength(args):
-    s = _scenario_from_args(args)
-    m = avg_metrics(s.fit(), s.packet, s.policy)
-    _emit_record({"n_elements": s.n_elements,
-                  "avg_blocklength": m.avg_blocklength,
-                  "seed": s.mc.seed}, args)
-    return 0
+def _blocklength(s):
+    fit, pkt = s.fit(), s.packet
+    c1 = c1_avg_capacity(fit, s.policy)
+    c2 = c2_avg_sqrt_dispersion(fit, s.policy)
+    return {"avg_blocklength": avg_blocklength(c1, c2, pkt.info_bits,
+                                               pkt.target_bler)}
 
 
-def _cmd_mc(args):
-    s = _scenario_from_args(args)
+def _mc(s):
     samples = sample_snr(s.gains(), s.n_elements, s.phase, s.rho(), s.mc)
     stats = empirical_stats(samples / s.rho())
-    fit = s.fit()
     avgs = mc_avg_metrics(samples, s.packet)
-    _emit_record({
-        "n_elements": s.n_elements, "n_samples": stats.n,
+    return {
+        "n_samples": stats.n,
         "m1_mc": stats.m1, "m1_se": stats.m1_se,
         "m2_mc": stats.m2, "m2_se": stats.m2_se,
-        "ks_distance": ks_distance(samples, fit),
+        "ks_distance": ks_distance(samples, s.fit()),
         "avg_rate_mc": avgs.avg_rate, "avg_bler_mc": avgs.avg_bler,
         "avg_blocklength_mc": avgs.avg_blocklength,
-        "seed": s.mc.seed,
-    }, args)
-    return 0
+    }
 
 
-def _cmd_figure(args):
-    s = _scenario_from_args(args)
-    table = run_figure(args.figure_id, s, workers=args.workers)
-    if args.format == "json":
-        payload = dict(table.meta)
-        payload["figure_id"] = table.figure_id
-        payload["columns"] = {k: list(v) for k, v in table.columns.items()}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.output:
-            with open(args.output, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
-    elif args.output:
-        table.write(args.output)
-    else:
-        sys.stdout.write(table.to_csv())
-    return 0
-
-
-def _cmd_required_n(args):
-    s = _scenario_from_args(args)
-    target = args.target if args.target is not None else s.packet.target_bler
-    n_star = required_elements(target, s)
-    _emit_record({"target_bler": target, "required_elements": n_star,
-                  "seed": s.mc.seed}, args)
-    return 0
-
-
-def _cmd_validate(args):
-    s = _scenario_from_args(args)
-    _emit_record({"valid": True, "n_elements": s.n_elements,
-                  "seed": s.mc.seed}, args)
-    return 0
-
-
-_COMMANDS = {
-    "fit": _cmd_fit,
-    "rate": _cmd_rate,
-    "bler": _cmd_bler,
-    "blocklength": _cmd_blocklength,
-    "mc": _cmd_mc,
-    "figure": _cmd_figure,
-    "required-n": _cmd_required_n,
-    "validate": _cmd_validate,
+# one-row commands: name -> record of the scenario, written between its
+# n_elements and seed
+_RECORDS = {
+    "fit": _fit,
+    "rate": _rate,
+    "bler": _bler,
+    "blocklength": _blocklength,
+    "mc": _mc,
+    "validate": lambda s: {"valid": True},
 }
+
+
+def _run(args):
+    s = _scenario_from_args(args)
+    if args.command == "figure":
+        table = run_figure(args.figure_id, s, workers=args.workers)
+        if args.format == "json":
+            payload = dict(table.meta)
+            payload["figure_id"] = table.figure_id
+            payload["columns"] = {k: list(v) for k, v in table.columns.items()}
+            _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
+        elif args.output:
+            table.write(args.output)
+        else:
+            _write(table.to_csv(), args)
+    elif args.command == "required-n":
+        target = args.target if args.target is not None else s.packet.target_bler
+        _emit_record({"target_bler": target,
+                      "required_elements": required_elements(target, s),
+                      "seed": s.mc.seed}, args)
+    else:
+        _emit_record({"n_elements": s.n_elements, **_RECORDS[args.command](s),
+                      "seed": s.mc.seed}, args)
+    return 0
 
 
 def build_parser():
@@ -276,7 +252,7 @@ def build_parser():
         g.add_argument("--direct", action="store_true",
                        help="enable the direct AP-AC link")
 
-    for name in ("fit", "rate", "bler", "blocklength", "mc", "validate"):
+    for name in _RECORDS:
         common(sub.add_parser(name))
 
     fp = sub.add_parser("figure")
@@ -298,9 +274,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, DomainError, DegenerateMomentsError,
-            ValidityError, FileNotFoundError, json.JSONDecodeError) as exc:
+        return _run(args)
+    except (DomainError, DegenerateMomentsError, ValidityError,
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonConvergenceError, BracketError) as exc:

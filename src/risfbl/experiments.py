@@ -108,31 +108,29 @@ def phase_label(phase: PhaseModel) -> str:
     return f"{phase.bits}bit"
 
 
+# A flat key is the name of a field of ScenarioConfig or of one of its
+# sections, and the type of the field's default is the only JSON type the
+# key takes: bool a flag, int a count, float an int or a float (stored as
+# float), and a tuple a position of exactly two ints or floats (kept as
+# given).  Only the phase model is written as several keys.
+_SECTIONS = ("geometry", "radio", "packet", "mc", "policy")
+
+
+def _flat_fields(s: ScenarioConfig):
+    """(section or None, key, value) for every flat key but the phase's."""
+    for f in dataclasses.fields(s):
+        if f.name in _SECTIONS:
+            section = getattr(s, f.name)
+            for g in dataclasses.fields(section):
+                yield f.name, g.name, getattr(section, g.name)
+        elif f.name != "phase":
+            yield None, f.name, getattr(s, f.name)
+
+
 def scenario_to_dict(s: ScenarioConfig) -> dict:
     """Flat JSON-ready view of a scenario (linear units throughout)."""
-    d = {
-        "ap": list(s.geometry.ap),
-        "ac": list(s.geometry.ac),
-        "ris": list(s.geometry.ris),
-        "ap_height": s.geometry.ap_height,
-        "use_3d": s.geometry.use_3d,
-        "tx_power": s.radio.tx_power,
-        "noise_density": s.radio.noise_density,
-        "bandwidth": s.radio.bandwidth,
-        "noise_figure": s.radio.noise_figure,
-        "carrier_frequency": s.radio.carrier_frequency,
-        "info_bits": s.packet.info_bits,
-        "blocklength": s.packet.blocklength,
-        "target_bler": s.packet.target_bler,
-        "n_elements": s.n_elements,
-        "direct_link": s.direct_link,
-        "direct_exponent": s.direct_exponent,
-        "n_samples": s.mc.n_samples,
-        "seed": s.mc.seed,
-        "stream_id": s.mc.stream_id,
-        "chunk": s.mc.chunk,
-        "rel_tol": s.policy.rel_tol,
-    }
+    d = {key: list(value) if isinstance(value, tuple) else value
+         for _, key, value in _flat_fields(s)}
     if isinstance(s.phase, Perfect):
         d["phase"] = "perfect"
     elif isinstance(s.phase, UniformSpread):
@@ -144,80 +142,59 @@ def scenario_to_dict(s: ScenarioConfig) -> dict:
     return d
 
 
-# the only types each key accepts; nothing is coerced to them
-_KEY_TYPES = {"use_3d": (bool,), "direct_link": (bool,), **dict.fromkeys((
-    "info_bits", "blocklength", "n_elements", "n_samples", "seed",
-    "stream_id", "chunk", "phase_bits"), (int,)), **dict.fromkeys((
-    "ap_height", "tx_power", "noise_density", "bandwidth", "noise_figure",
-    "carrier_frequency", "target_bler", "direct_exponent", "rel_tol",
-    "phase_spread"), (int, float))}
-
-
-def _check_type(key, value, kinds):
+def _typed(key, value, default):
+    """``value`` as the flat key with this default takes it, or DomainError."""
+    if type(default) is tuple:
+        if type(value) not in (list, tuple) or len(value) != 2:
+            raise DomainError(f"{key} must be two numbers, got {value!r}")
+        for v in value:
+            _typed(key, v, 0.0)
+        return tuple(value)
+    kinds = (int, float) if type(default) is float else (type(default),)
     if type(value) not in kinds:
         names = " or ".join(k.__name__ for k in kinds)
         raise DomainError(f"{key} must be {names}, got {value!r}")
+    return float(value) if type(default) is float else value
+
+
+def _phase_from_dict(d):
+    spread = _typed("phase_spread", d.get("phase_spread", 0.25), 0.0)
+    bits = _typed("phase_bits", d.get("phase_bits", 2), 0)
+    kind = d.get("phase", "perfect")
+    if kind == "perfect":
+        return Perfect()
+    if kind == "uniform":
+        return UniformSpread(spread)
+    if kind == "quantized":
+        return QuantizedBits(bits)
+    raise DomainError(
+        f"phase must be perfect, uniform, or quantized; got {kind!r}")
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Inverse of ``scenario_to_dict``; keys left out keep their defaults.
 
     A uniform phase without ``phase_spread`` gets 0.25, a quantized one
-    without ``phase_bits`` gets 2.  Flags take only booleans, counts only
-    integers, other numbers only integers or floats, and positions only
-    lists of two such numbers, as JSON writes them.  Raises DomainError
-    for an unknown key, an unknown phase model, or a value of the wrong
-    type or one that does not validate.
+    without ``phase_bits`` gets 2.  A key takes only the JSON type of its
+    field's default (see ``_SECTIONS``).  Raises DomainError for an unknown
+    key, an unknown phase model, or a value of the wrong type or one
+    that does not validate.
     """
-    merged = scenario_to_dict(ScenarioConfig())
-    unknown = sorted(set(d) - set(merged) - {"phase_spread", "phase_bits"})
+    default = ScenarioConfig()
+    unknown = sorted(set(d) - set(scenario_to_dict(default))
+                     - {"phase_spread", "phase_bits"})
     if unknown:
         raise DomainError(f"unknown config key(s): {', '.join(unknown)}")
-    merged.update(d)
-    for key, kinds in _KEY_TYPES.items():
-        if key in merged:  # phase_spread and phase_bits may be absent
-            _check_type(key, merged[key], kinds)
-    for key in ("ap", "ac", "ris"):
-        pos = merged[key]
-        if type(pos) not in (list, tuple) or len(pos) != 2:
-            raise DomainError(f"{key} must be two numbers, got {pos!r}")
-        for value in pos:
-            _check_type(key, value, (int, float))
     try:
-        kind = merged["phase"]
-        if kind == "perfect":
-            phase = Perfect()
-        elif kind == "uniform":
-            phase = UniformSpread(float(merged.get("phase_spread", 0.25)))
-        elif kind == "quantized":
-            phase = QuantizedBits(merged.get("phase_bits", 2))
-        else:
-            raise DomainError(
-                f"phase must be perfect, uniform, or quantized; got {kind!r}")
-        return ScenarioConfig(
-            geometry=Geometry(
-                ap=tuple(merged["ap"]), ac=tuple(merged["ac"]),
-                ris=tuple(merged["ris"]), ap_height=float(merged["ap_height"]),
-                use_3d=merged["use_3d"]),
-            radio=RadioConfig(
-                tx_power=float(merged["tx_power"]),
-                noise_density=float(merged["noise_density"]),
-                bandwidth=float(merged["bandwidth"]),
-                noise_figure=float(merged["noise_figure"]),
-                carrier_frequency=float(merged["carrier_frequency"])),
-            packet=PacketConfig(
-                info_bits=merged["info_bits"],
-                blocklength=merged["blocklength"],
-                target_bler=float(merged["target_bler"])),
-            n_elements=merged["n_elements"],
-            phase=phase,
-            direct_link=merged["direct_link"],
-            direct_exponent=float(merged["direct_exponent"]),
-            mc=McConfig(
-                n_samples=merged["n_samples"], seed=merged["seed"],
-                stream_id=merged["stream_id"], chunk=merged["chunk"]),
-            policy=EvalPolicy(rel_tol=float(merged["rel_tol"])),
-        )
+        changes = {name: {} for name in (None,) + _SECTIONS}
+        for section, key, value in _flat_fields(default):
+            if key in d:
+                changes[section][key] = _typed(key, d[key], value)
+        sections = {name: dataclasses.replace(getattr(default, name),
+                                              **changes[name])
+                    for name in _SECTIONS}
+        return dataclasses.replace(default, **changes[None], **sections,
+                                   phase=_phase_from_dict(d))
     except (ValueError, TypeError, OverflowError) as exc:
         raise DomainError(str(exc)) from exc
 
@@ -239,9 +216,6 @@ class ResultTable:
         for i in range(n_rows):
             w.writerow(format(self.columns[c][i], ".17g") for c in names)
         return buf.getvalue()
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_csv().encode()).hexdigest()
 
     def write(self, csv_path) -> None:
         text = self.to_csv()
@@ -265,11 +239,13 @@ def _pmap(fn, items, workers):
 def _mc_cfg(scenario, *name):
     """The scenario's MC config with the stream id of the cell ``name``:
     the 8-byte BLAKE2b digest of "figure id/case tag[/axis value]" as a
-    big-endian integer, shifted right to 63 bits."""
+    big-endian integer, shifted right to 63 bits, XOR the scenario's
+    ``stream_id`` (so the default 0 leaves the hash as it is)."""
     key = "/".join(map(str, name)).encode()
     digest = hashlib.blake2b(key, digest_size=8).digest()
+    cell_id = int.from_bytes(digest, "big") >> 1
     return dataclasses.replace(
-        scenario.mc, stream_id=int.from_bytes(digest, "big") >> 1)
+        scenario.mc, stream_id=cell_id ^ scenario.mc.stream_id)
 
 
 # ---------------------------------------------------------------------------

@@ -77,17 +77,6 @@ class LinearizationParams:
     kappa1: float
 
 
-@dataclass(frozen=True)
-class AvgMetrics:
-    """Bundle of averaged FBL metrics for one scenario point."""
-
-    avg_rate: float
-    avg_rate_lb: float
-    avg_bler: float
-    avg_blocklength: float
-    avg_sqrt_dispersion: float
-
-
 # ---------------------------------------------------------------------------
 # Instantaneous quantities (vectorized over gamma)
 # ---------------------------------------------------------------------------
@@ -297,19 +286,3 @@ def avg_blocklength(c1: float, c2: float, info_bits: int,
     sqrt_r = (qc + math.sqrt(qc * qc + 4.0 * c1 * info_bits)) / (2.0 * c1)
     return sqrt_r ** 2
 
-
-def avg_metrics(fit: GammaFit, packet: PacketConfig,
-                policy: EvalPolicy = DEFAULT_POLICY) -> AvgMetrics:
-    """All averaged metrics for one Gamma fit and packet configuration."""
-    c1 = c1_avg_capacity(fit, policy)
-    c2 = c2_avg_sqrt_dispersion(fit, policy)
-    qi = inv_q(packet.target_bler)
-    return AvgMetrics(
-        avg_rate=c1 - qi / math.sqrt(packet.blocklength) * c2,
-        avg_rate_lb=avg_rate_lower_bound(fit, packet.blocklength,
-                                         packet.target_bler, policy),
-        avg_bler=avg_bler(fit, packet.blocklength, packet.info_bits),
-        avg_blocklength=avg_blocklength(c1, c2, packet.info_bits,
-                                        packet.target_bler),
-        avg_sqrt_dispersion=c2,
-    )

@@ -79,7 +79,6 @@ class TestPhaseModels:
         assert QuantizedBits(1).spread == 0.5
         assert QuantizedBits(2).spread == 0.25
         assert QuantizedBits(3).step == pytest.approx(math.pi / 4.0)
-        assert QuantizedBits(2).levels == 4
 
     def test_invalid_models(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Command-line front end: dispatch, config handling, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -72,6 +73,19 @@ class TestExitCodes:
 
 
 class TestThinWrappers:
+    def test_rate_and_blocklength_skip_bler_linearization(self, capsys):
+        # one info bit puts kappa0 <= 0: the BLER form is invalid there,
+        # the rate and the blocklength are not
+        argv = ("--N", "256", "--no-direct", "--set", "info_bits=1")
+        for command, key in (("rate", "avg_rate"),
+                             ("blocklength", "avg_blocklength")):
+            code, out, _ = run(capsys, command, *argv)
+            assert code == 0
+            assert math.isfinite(float(csv_record(out)[key]))
+        code, _, err = run(capsys, "bler", *argv)
+        assert code == EXIT_CONFIG
+        assert "linearized-Q" in err
+
     def test_rate_matches_library(self, capsys):
         code, out, _ = run(capsys, "rate", "--N", "512", "--no-direct",
                            "--phase", "perfect")

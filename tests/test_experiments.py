@@ -93,6 +93,15 @@ class TestScenario:
         assert scenario_from_dict(d) == scenario
         assert scenario_from_dict(json.loads(json.dumps(d))) == scenario
 
+    def test_key_set(self):
+        # every config field is a key; a new field must be added here
+        assert set(scenario_to_dict(ScenarioConfig())) == {
+            "ap", "ac", "ris", "ap_height", "use_3d", "tx_power",
+            "noise_density", "bandwidth", "noise_figure",
+            "carrier_frequency", "info_bits", "blocklength", "target_bler",
+            "n_elements", "direct_link", "direct_exponent", "n_samples",
+            "seed", "stream_id", "chunk", "rel_tol", "phase"}
+
     def test_from_dict_phase_defaults(self):
         assert scenario_from_dict({"phase": "uniform"}).phase == UniformSpread(0.25)
         assert scenario_from_dict({"phase": "quantized"}).phase == QuantizedBits(2)
@@ -106,6 +115,8 @@ class TestScenario:
         {"ris": [True, 5]}, {"ap": [0.0, 0.0, 1.0]}, {"ac": "100,0"},
         {"seed": -1}, {"seed": 2 ** 64}, {"stream_id": -1},
         {"stream_id": 2 ** 64},
+        {"phase": "perfect", "phase_spread": "abc"},
+        {"phase": "perfect", "phase_bits": 1.5},
     ])
     def test_from_dict_rejects(self, d):
         with pytest.raises(DomainError):
@@ -199,6 +210,16 @@ class TestFigures:
         snr = 10.0 ** (np.array(t.columns["snr_db"]) / 10.0)
         ecdf = np.searchsorted(samples, snr, side="right") / samples.size
         assert np.array_equal(ecdf, t.columns["cdf_2bit_mc"])
+
+    def test_configured_stream_id_changes_figure(self):
+        # the scenario's stream_id is XORed into every cell's hashed id
+        def fig8(stream_id):
+            return run_figure("fig8", dataclasses.replace(
+                FAST, mc=McConfig(n_samples=200, stream_id=stream_id))).to_csv()
+
+        a, b = fig8(0), fig8(5)
+        assert a != b
+        assert a == fig8(0) and b == fig8(5)
 
     def test_all_ids_registered(self):
         assert FIGURE_IDS == ("fig2a", "fig2b", "fig3", "fig4", "fig5",

@@ -12,7 +12,6 @@ from risfbl.fbl import (
     avg_bler,
     avg_bler_detail,
     avg_blocklength,
-    avg_metrics,
     avg_rate_exact,
     avg_rate_lower_bound,
     c1_avg_capacity,
@@ -212,17 +211,6 @@ class TestAvgBlocklength:
 
 
 class TestBundle:
-    def test_avg_metrics_fields_agree(self):
-        fit = GammaFit(80.0, 2.0)
-        pkt = PacketConfig()
-        m = avg_metrics(fit, pkt, WIDE_POLICY)
-        assert m.avg_rate == pytest.approx(
-            avg_rate_exact(fit, pkt.blocklength, pkt.target_bler, WIDE_POLICY),
-            rel=1e-12)
-        assert m.avg_bler == avg_bler(fit, pkt.blocklength, pkt.info_bits)
-        assert m.avg_rate_lb <= m.avg_rate
-        assert 0.0 <= m.avg_sqrt_dispersion <= LOG2E
-
     def test_packet_validation(self):
         with pytest.raises(DomainError):
             PacketConfig(info_bits=0)
