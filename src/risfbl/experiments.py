@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -110,9 +111,9 @@ def phase_label(phase: PhaseModel) -> str:
 
 # A flat key is the name of a field of ScenarioConfig or of one of its
 # sections, and the type of the field's default is the only JSON type the
-# key takes: bool a flag, int a count, float an int or a float (stored as
-# float), and a tuple a position of exactly two ints or floats (kept as
-# given).  Only the phase model is written as several keys.
+# key takes: bool a flag, int a count, float a finite int or float (stored
+# as float), and a tuple a position of exactly two finite ints or floats
+# (kept as given).  Only the phase model is written as several keys.
 _SECTIONS = ("geometry", "radio", "packet", "mc", "policy")
 
 
@@ -154,7 +155,11 @@ def _typed(key, value, default):
     if type(value) not in kinds:
         names = " or ".join(k.__name__ for k in kinds)
         raise DomainError(f"{key} must be {names}, got {value!r}")
-    return float(value) if type(default) is float else value
+    if type(default) is not float:
+        return value
+    if not math.isfinite(value):
+        raise DomainError(f"{key} must be finite, got {value!r}")
+    return float(value)
 
 
 def _phase_from_dict(d):

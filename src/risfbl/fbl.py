@@ -11,13 +11,16 @@ probability, blocklength) and their averages over the Gamma-fitted SNR:
     reference mode and a cancellation guard,
   * the average blocklength as the positive root of the rate equation.
 
-The paper writes C1 and C2 as infinite Kummer-U series; here both are
-integrated directly against the Gamma density in w = ln(rate * gamma)
-with the peak-tracked quadrature of ``specfun``, the same kernel that
-evaluates Kummer U.  Integrands are assembled in the log domain, so
-shape parameters in the thousands do not overflow.
+The paper writes C1 and C2 as infinite Kummer-U series and the lower
+bound through e^beta E_alpha(beta).  Here all three Gamma averages behind
+them are integrated directly against the Gamma density in
+w = ln(rate * gamma), in one call of the peak-tracked quadrature of
+``specfun`` (the kernel that also evaluates Kummer U), and cached per
+fit.  Integrands are assembled in the log domain, so shape parameters in
+the thousands do not overflow.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,9 +37,9 @@ from .specfun import (
     _panel_grid,
     _softplus,
     inv_q,
-    log_gamma_kummer_u,
     q_function,
 )
+from .specfun import log_gamma_kummer_u  # noqa: F401  traced by name (ROADMAP item 4)
 from .channel import GammaFit
 
 _LN2 = math.log(2.0)
@@ -125,36 +128,49 @@ def instantaneous_blocklength(gamma, info_bits: int, target_bler: float):
 # Gamma averages C1 / C2
 # ---------------------------------------------------------------------------
 
-def _log_gamma_expect(fit: GammaFit, log_g, policy: EvalPolicy) -> float:
-    """log E[g(gamma)] for gamma ~ Gamma(shape, rate) and g > 0.
+@functools.lru_cache(maxsize=32)
+def _gamma_averages(fit: GammaFit, policy: EvalPolicy):
+    """(E[ln(1 + gamma)], E[sqrt(1 - (1+gamma)^-2)], E[1 - (1+gamma)^-2]).
 
-    In w = ln(rate * gamma) the density is exp(shape w - e^w - lnGamma(shape))
-    dw; ``log_g`` maps ln gamma to ln g(gamma).
+    gamma ~ Gamma(shape, rate).  In w = ln(rate * gamma) the density is
+    exp(shape w - e^w - lnGamma(shape)) dw, and the three log-integrands
+    are integrated against it in one kernel call.  The last few fits are
+    cached, so C1, C2 and the lower bound of one fit cost one quadrature.
+    The third average is taken as 1 - (1+gamma)^-2 rather than
+    (1+gamma)^-2, whose integrand keeps the density's left tail: at
+    shape 0.05 that tail spans thousands in w and 4096 nodes do not
+    settle it.
     """
     alpha = fit.shape
     lnb = math.log(fit.rate)
     lg = sp.gammaln(alpha)
 
     def h(w):
-        return alpha * w - np.exp(w) - lg + log_g(w - lnb)
+        return alpha * w - np.exp(w) - lg
 
-    # the density peaks at w = ln(shape); g only shifts it moderately
-    return _log_integral(h, policy, math.log(alpha))
+    def ln_1p_gamma(w):
+        return _softplus(w - lnb)
+
+    def ln_disp(w):  # ln(1 - (1+gamma)^-2)
+        return np.log(-np.expm1(-2.0 * ln_1p_gamma(w)))
+
+    # the density peaks at w = ln(shape)
+    logs = _log_integral(h, policy, math.log(alpha),
+                         lambda w: np.log(ln_1p_gamma(w)),
+                         lambda w: 0.5 * ln_disp(w),
+                         ln_disp)
+    return tuple(math.exp(x) for x in logs)
 
 
 def c1_avg_capacity(fit: GammaFit, policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Average Shannon capacity E[log2(1 + gamma)]."""
-    log_g = lambda v: np.log(_softplus(v))  # ln ln(1 + u)
-    return math.exp(_log_gamma_expect(fit, log_g, policy)) / _LN2
+    return _gamma_averages(fit, policy)[0] / _LN2
 
 
 def c2_avg_sqrt_dispersion(fit: GammaFit,
                            policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Average sqrt-dispersion E[sqrt(V(gamma))]."""
-    # ln sqrt(1 - (1 + u)^-2)
-    log_g = lambda v: 0.5 * np.log(-np.expm1(-2.0 * _softplus(v)))
-    nats = math.exp(_log_gamma_expect(fit, log_g, policy))
-    return min(nats / _LN2, LOG2E)
+    return min(_gamma_averages(fit, policy)[1] / _LN2, LOG2E)
 
 
 def avg_rate_exact(fit: GammaFit, blocklength: int, target_bler: float,
@@ -173,14 +189,14 @@ def avg_rate_lower_bound(fit: GammaFit, blocklength: int,
     """Closed-form lower bound on the average rate.
 
     Capacity term by Jensen's inequality, dispersion term by the one-term
-    binomial approximation; e^beta E_alpha(beta) is evaluated as
-    U(1, 2 - alpha, beta) so nothing overflows.
+    binomial approximation sqrt(1 - x) <= 1 - x/2 with x = (1+gamma)^-2.
+    E[(1+gamma)^-2], which the paper writes through e^beta E_alpha(beta),
+    is read from the fit's shared Gamma averages as 1 - E[1 - (1+gamma)^-2],
+    so the dispersion factor is (1 + E[1 - (1+gamma)^-2]) / (2 ln 2).
     """
     a, b = fit.shape, fit.rate
     c1_lb = math.log2(1.0 + a * a / (b * (a + 1.0)))
-    # e^b * E_a(b) = U(1, 2 - a, b)
-    u = math.exp(log_gamma_kummer_u(1.0, 2.0 - a, b, policy))
-    c2_ub = (2.0 - b + b * (a + b - 1.0) * u) / (2.0 * _LN2)
+    c2_ub = (1.0 + _gamma_averages(fit, policy)[2]) / (2.0 * _LN2)
     return c1_lb - inv_q(target_bler) / math.sqrt(blocklength) * c2_ub
 
 

@@ -11,13 +11,16 @@ Kummer U is evaluated from its integral representation
 
 after the log substitution u = e^v, which maps the semi-infinite range
 onto the real line where the integrand is a single smooth bump.  The
-same kernel integrates C1 and C2 in the rate module.  It scans the
-exponent on a fixed grid and zooms in on its maximum a few times, takes
-as limits the first outward probes where the integrand has dropped by
-e^-70, and sums composite 12-point Gauss-Legendre panels, doubling the
-node count from 256 until the log integral moves by less than
-``EvalPolicy.rel_tol``.  Every step evaluates the exponent on whole
-arrays.  All accumulation is done in the log domain so shape parameters
+same kernel integrates the Gamma averages of the rate module.  It scans
+the exponent on a fixed grid and zooms in on its maximum a few times,
+takes as limits the first outward probes where the integrand has dropped
+by e^-70, and sums composite 12-point Gauss-Legendre panels, doubling
+the node count from 256 until the log integral moves by less than
+``EvalPolicy.rel_tol``.  One call can integrate several integrands that
+share an exponent (a density times several functions): the scan, zoom
+and probes run once on the shared exponent, and each integrand takes its
+own limits from the probes and its own panels.  Every step evaluates the
+exponent on whole arrays.  All accumulation is done in the log domain so shape parameters
 in the thousands (large-N Gamma fits) do not overflow.
 """
 
@@ -113,6 +116,10 @@ _OFFSETS = 1e-3 * 1.8 ** np.arange(200)  # limit probes, outward from the peak
 _GL12 = np.polynomial.legendre.leggauss(12)
 
 
+def _log_one(v):  # log g for g = 1: the integrand exp(h) alone
+    return 0.0
+
+
 def _panel_grid(vl, vr, n_points):
     """Composite Gauss-Legendre grid on [vl, vr] (12-point panels)."""
     n_panels = max(4, int(math.ceil(n_points / 12)))
@@ -125,14 +132,22 @@ def _panel_grid(vl, vr, n_points):
     return nodes, weights
 
 
-def _log_integral(h, policy, v_guess):
+def _log_integral(h, policy, v_guess, *log_gs):
     """log of int exp(h(v)) dv over the real line for a single-bump exponent.
 
-    The peak is searched on [-80, 80] and more finely within +-5 of
+    The peak of h is searched on [-80, 80] and more finely within +-5 of
     ``v_guess``, then zoomed in on; each limit is the first of
     ``_OFFSETS`` away from the peak where h is ``_DROP`` below it.
     Returns the log integral; raises NonConvergenceError if doubling the
     node count from 256 still moves the result by more than rel_tol.
+
+    With ``log_gs``, returns instead the tuple of log int exp(h + log_g)
+    dv, one per ``log_g``.  The search and the probes run once, on h
+    alone.  Each integrand takes as its peak the largest of its values at
+    the peak of h and at the probes, as limits the first probes where it
+    is ``_DROP`` below that, and its own grid; so a log_g may move the
+    bump, but not by ``_DROP`` in height at the peak of h.  An integral
+    stops refining once it has settled, and the call ends when all have.
     """
     v = np.unique(np.concatenate([
         np.linspace(-80.0, 80.0, 321),
@@ -151,27 +166,41 @@ def _log_integral(h, policy, v_guess):
     if not np.isfinite(h_peak):
         raise NonConvergenceError("integrand peak is not finite")
     signs = np.array([-1.0, 1.0])
+    probes = v_peak + signs[:, None] * _OFFSETS
     # far probes overflow exp inside h; they need only compare as small
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        below = h(v_peak + signs[:, None] * _OFFSETS) < h_peak - _DROP
-    below[:, -1] = True  # no drop at any probe: stop at the last one
-    vl, vr = v_peak + signs * _OFFSETS[np.argmax(below, axis=1)]
+        h_probes = h(probes)
+        terms = []  # (log g, peak estimate, limits) per integrand
+        for log_g in log_gs or (_log_one,):
+            f = h_probes + log_g(probes)
+            top = max(h_peak + log_g(v_peak), f.max())
+            below = f < top - _DROP
+            below[:, -1] = True  # no drop at any probe: stop at the last one
+            terms.append((log_g, top,
+                          v_peak + signs * _OFFSETS[np.argmax(below, axis=1)]))
 
-    def attempt(n):
-        nodes, weights = _panel_grid(vl, vr, n)
-        vals = np.exp(h(nodes) - h_peak)
-        return math.log(float(np.sum(weights * vals))) + h_peak
+    def attempt(log_g, top, limits, n):
+        nodes, weights = _panel_grid(*limits, n)
+        vals = np.exp(h(nodes) + log_g(nodes) - top)
+        return math.log(float(np.sum(weights * vals))) + top
 
-    prev = attempt(256)
+    prev = [attempt(*term, 256) for term in terms]
+    done = [None] * len(terms)
     for n in (512, 1024, 2048, 4096):
-        cur = attempt(n)
-        change = abs(cur - prev)
-        if change < policy.rel_tol:
-            return cur
-        prev = cur
+        changes = []
+        for k, term in enumerate(terms):
+            if done[k] is None:
+                cur = attempt(*term, n)
+                if abs(cur - prev[k]) < policy.rel_tol:
+                    done[k] = cur
+                else:
+                    changes.append(abs(cur - prev[k]))
+                prev[k] = cur
+        if not changes:
+            return tuple(done) if log_gs else done[0]
     raise NonConvergenceError(
         "quadrature failed to converge after refinement "
-        f"(last change {change:.3e})"
+        f"(last change {max(changes):.3e})"
     )
 
 

@@ -62,6 +62,18 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err.startswith("error: config:")
 
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--direct", "--set", "direct_exponent=NaN"),
+        ("validate", "--set", "tx_power=NaN"),
+        ("validate", "--set", "tx_power=-Infinity"),
+        ("validate", "--set", "ris=[NaN, 5]"),
+    ])
+    def test_non_finite_is_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert "finite" in err
+        assert out == ""
+
     def test_missing_config_file(self, capsys):
         assert run(capsys, "validate", "--config", "/no/such.json")[0] == EXIT_CONFIG
 

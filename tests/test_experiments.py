@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from risfbl import fbl
 from risfbl.channel import Geometry, Perfect, QuantizedBits, UniformSpread
 from risfbl.experiments import (
     BracketError,
@@ -117,6 +118,8 @@ class TestScenario:
         {"stream_id": 2 ** 64},
         {"phase": "perfect", "phase_spread": "abc"},
         {"phase": "perfect", "phase_bits": 1.5},
+        {"tx_power": float("nan")}, {"direct_exponent": float("inf")},
+        {"ris": [float("nan"), 5]},
     ])
     def test_from_dict_rejects(self, d):
         with pytest.raises(DomainError):
@@ -171,6 +174,14 @@ class TestFigures:
         # the order in which threads finish
         a = run_figure("fig4", FAST, workers=1)
         b = run_figure("fig4", FAST, workers=2)
+        assert a.to_csv() == b.to_csv()
+
+    def test_fig3_workers_agree(self):
+        # fig3's threads share the cached Gamma averages of each cell's fit
+        fbl._gamma_averages.cache_clear()
+        a = run_figure("fig3", FAST, workers=3)
+        fbl._gamma_averages.cache_clear()
+        b = run_figure("fig3", FAST, workers=1)
         assert a.to_csv() == b.to_csv()
 
     def test_fig4_bler_decreasing(self):

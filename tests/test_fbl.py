@@ -1,10 +1,13 @@
 """Finite-blocklength metrics: instantaneous forms and Gamma averages."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from risfbl import fbl, specfun
 from risfbl.channel import GammaFit
 from risfbl.fbl import (
     PacketConfig,
@@ -28,6 +31,10 @@ from risfbl.specfun import DEFAULT_POLICY, LOG2E, DomainError, EvalPolicy, NonCo
 import oracles
 
 WIDE_POLICY = EvalPolicy(rel_tol=1e-9)
+
+SERIES_CASES = [
+    (0.5, 0.05), (2.0, 1.0), (10.0, 10.0), (50.0, 0.05), (200.0, 10.0),
+    (0.2, 10.0), (0.1, 1e-3), (5000.0, 1.0)]
 
 
 class TestInstantaneous:
@@ -75,9 +82,7 @@ class TestInstantaneous:
 
 
 class TestSeriesAverages:
-    @pytest.mark.parametrize("shape,rate", [
-        (0.5, 0.05), (2.0, 1.0), (10.0, 10.0), (50.0, 0.05), (200.0, 10.0),
-        (0.2, 10.0), (0.1, 1e-3), (5000.0, 1.0)])
+    @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_c1_matches_oracle(self, shape, rate):
         import mpmath as mp
         ref = float(oracles.gamma_expect(shape, rate,
@@ -85,9 +90,7 @@ class TestSeriesAverages:
         got = c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
         assert got == pytest.approx(ref, rel=1e-7)
 
-    @pytest.mark.parametrize("shape,rate", [
-        (0.5, 0.05), (2.0, 1.0), (10.0, 10.0), (50.0, 0.05), (200.0, 10.0),
-        (0.2, 10.0), (0.1, 1e-3), (5000.0, 1.0)])
+    @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_c2_matches_oracle(self, shape, rate):
         import mpmath as mp
         ref = float(oracles.gamma_expect(
@@ -138,10 +141,99 @@ class TestRateBounds:
         recovered = (c1_lb - lb) * math.sqrt(300.0) / inv_q(1e-9)
         assert recovered == pytest.approx(bound, rel=1e-9)
 
+    @pytest.mark.parametrize("shape,rate", SERIES_CASES)
+    def test_dispersion_factor_matches_hyperu(self, shape, rate):
+        # E[(1+g)^-2] = rate^shape U(shape, shape - 1, rate) in closed form
+        import mpmath as mp
+        with mp.workdps(30):
+            ref = float(mp.power(rate, shape) * mp.hyperu(shape, shape - 1, rate))
+        bound = (1.0 - ref / 2.0) / math.log(2.0)
+        lb = avg_rate_lower_bound(GammaFit(shape, rate), 300, 1e-9, WIDE_POLICY)
+        c1_lb = math.log2(1.0 + shape ** 2 / (rate * (shape + 1.0)))
+        recovered = (c1_lb - lb) * math.sqrt(300.0) / inv_q(1e-9)
+        assert recovered == pytest.approx(bound, rel=1e-9)
+
     def test_taylor_close_at_high_shape(self):
         fit = GammaFit(500.0, 5.0)
         assert oracles.avg_rate_taylor(fit) == pytest.approx(
             c1_avg_capacity(fit, WIDE_POLICY), rel=1e-3)
+
+
+class TestSharedAverages:
+    """C1, C2 and the lower bound of one fit share one cached quadrature."""
+
+    @staticmethod
+    def _metrics(fit, order):
+        calls = {
+            "exact": lambda: avg_rate_exact(fit, 300, 1e-9),
+            "bound": lambda: avg_rate_lower_bound(fit, 300, 1e-9),
+            "c1": lambda: c1_avg_capacity(fit),
+            "c2": lambda: c2_avg_sqrt_dispersion(fit),
+        }
+        return {name: calls[name]() for name in order}
+
+    def test_one_kernel_call_per_fit(self, monkeypatch):
+        kernel = fbl._log_integral
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        # Kummer U reaches the kernel through specfun's global
+        monkeypatch.setattr(fbl, "_log_integral", counting)
+        monkeypatch.setattr(specfun, "_log_integral", counting)
+        fbl._gamma_averages.cache_clear()
+        self._metrics(GammaFit(30.0, 0.2), ("exact", "bound", "c1", "c2"))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape,rate", SERIES_CASES)
+    def test_integrand_calls_bounded(self, monkeypatch, shape, rate):
+        # one search on the density, then two to five grids per integrand
+        sizes = []
+        kernel = fbl._log_integral
+
+        def counting(h, policy, v_guess, *log_gs):
+            def counted(v):
+                sizes.append(np.size(v))
+                return h(v)
+            return kernel(counted, policy, v_guess, *log_gs)
+
+        monkeypatch.setattr(fbl, "_log_integral", counting)
+        fbl._gamma_averages.cache_clear()
+        c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
+        assert len(sizes) <= 21
+        assert min(sizes) > 1
+
+    def test_values_independent_of_cache_and_order(self):
+        fit = GammaFit(7.5, 0.03)
+        order = ("exact", "bound", "c1", "c2")
+        fbl._gamma_averages.cache_clear()
+        cold = self._metrics(fit, order)
+        warm = self._metrics(fit, order)
+        fbl._gamma_averages.cache_clear()
+        reverse = self._metrics(fit, order[::-1])
+        for name in order:
+            assert cold[name] == warm[name] == reverse[name]
+
+    def test_threads_share_the_cache(self):
+        # more threads than cores and more fits than cache entries, so
+        # lookups, fills and evictions interleave
+        fits = [GammaFit(2.0 + k, 0.1) for k in range(40)]
+        order = ("exact", "bound", "c1", "c2")
+        fbl._gamma_averages.cache_clear()
+        serial = [self._metrics(fit, order) for fit in fits]
+        fbl._gamma_averages.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                futures = [ex.submit(self._metrics, fit, order)
+                           for fit in fits * 2]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 2
 
 
 class TestAvgBler:
