@@ -44,9 +44,9 @@ class LinkGains:
     ris_ac: float
 
     def __post_init__(self):
-        if self.direct < 0:
+        if not self.direct >= 0:
             raise DomainError("direct gain must be >= 0")
-        if self.ap_ris <= 0 or self.ris_ac <= 0:
+        if not (self.ap_ris > 0 and self.ris_ac > 0):
             raise DomainError("reflected-path gains must be > 0")
 
 
@@ -116,7 +116,7 @@ class GammaFit:
     rate: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
+        if not (self.shape > 0 and self.rate > 0):
             raise DomainError("shape and rate must be > 0")
 
     @property
@@ -130,52 +130,51 @@ class GammaFit:
 
 @dataclass(frozen=True)
 class RadioConfig:
-    """Transmit power, noise budget and carrier (carrier is informational)."""
+    """Transmit power and noise budget."""
 
     tx_power: float = 0.2                  # W
     noise_density: float = 10 ** (-20.4)   # W/Hz  (-174 dBm/Hz)
     bandwidth: float = 200e3               # Hz
     noise_figure: float = 10 ** 0.3        # linear (3 dB)
-    carrier_frequency: float = 1.9e9       # Hz
 
     def __post_init__(self):
-        for name in ("tx_power", "noise_density", "bandwidth", "carrier_frequency"):
-            if getattr(self, name) <= 0:
+        for name in ("tx_power", "noise_density", "bandwidth"):
+            if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0")
-        if self.noise_figure < 1:
+        if not self.noise_figure >= 1:
             raise DomainError("noise_figure must be >= 1 (linear)")
+
+
+def _dist(p, q, dz=0.0):
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 @dataclass(frozen=True)
 class Geometry:
-    """2D positions in meters.  ap_height is recorded; distances are planar
-    unless use_3d is set, in which case the AP sits at ap_height above the
-    plane while RIS and AC stay in it."""
+    """2D positions in meters.  The AP sits ap_height above the plane that
+    holds the RIS and the AC; the default 0 keeps every distance planar."""
 
     ap: tuple[float, float] = (0.0, 0.0)
     ac: tuple[float, float] = (100.0, 0.0)
     ris: tuple[float, float] = (91.0, 5.0)
-    ap_height: float = 12.5
-    use_3d: bool = False
-
-    def _dist(self, p, q, lift_first=False):
-        dx = p[0] - q[0]
-        dy = p[1] - q[1]
-        dz = self.ap_height if (self.use_3d and lift_first) else 0.0
-        return math.sqrt(dx * dx + dy * dy + dz * dz)
+    ap_height: float = 0.0
 
     def d_ap_ac(self) -> float:
-        return self._dist(self.ap, self.ac, lift_first=True)
+        return _dist(self.ap, self.ac, self.ap_height)
 
     def d_ap_ris(self) -> float:
-        return self._dist(self.ap, self.ris, lift_first=True)
+        return _dist(self.ap, self.ris, self.ap_height)
 
     def d_ris_ac(self) -> float:
-        return self._dist(self.ris, self.ac)
+        return _dist(self.ris, self.ac)
 
     def __post_init__(self):
+        if not self.ap_height >= 0:
+            raise DomainError("ap_height must be >= 0")
         for d in (self.d_ap_ac(), self.d_ap_ris(), self.d_ris_ac()):
-            if d <= 1.0:
+            if not d > 1.0:
                 raise DomainError("pairwise distances must exceed 1 m")
 
 

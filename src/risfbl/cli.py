@@ -70,23 +70,6 @@ def _resolve_db(cfg):
     return cfg
 
 
-def _phase_from_flag(text):
-    if text == "perfect":
-        return {"phase": "perfect"}
-    if text.endswith("bit") and text[:-3].isdigit():
-        return {"phase": "quantized", "phase_bits": int(text[:-3])}
-    if text.startswith("uniform"):
-        rest = text[len("uniform"):]
-        try:
-            spread = float(rest.lstrip(":")) if rest else 0.25
-        except ValueError:
-            raise DomainError(
-                f"uniform spread must be a number; got {text!r}") from None
-        return {"phase": "uniform", "phase_spread": spread}
-    raise DomainError(
-        f"phase must be perfect, <b>bit, or uniform[:spread]; got {text!r}")
-
-
 def _scenario_from_args(args) -> ScenarioConfig:
     cfg = {}
     if args.config:
@@ -105,9 +88,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
     if args.no_direct or args.direct:
         cfg["direct_link"] = args.direct
     if args.phase is not None:
-        cfg.pop("phase_bits", None)
-        cfg.pop("phase_spread", None)
-        cfg.update(_phase_from_flag(args.phase))
+        cfg["phase"] = args.phase
     if args.seed is not None:
         cfg["seed"] = args.seed
     return scenario_from_dict(_resolve_db(cfg))
@@ -245,7 +226,9 @@ def build_parser():
         sp.add_argument("--N", dest="n_elements", type=int,
                         help="RIS element count")
         sp.add_argument("--phase",
-                        help="perfect, <b>bit (e.g. 2bit), or uniform[:spread]")
+                        help="phase model, as the config key phase: perfect, "
+                             "<b>bit (e.g. 2bit), or uniform[:spread] with "
+                             "the spread a fraction of pi (default 0.25)")
         g = sp.add_mutually_exclusive_group()
         g.add_argument("--no-direct", action="store_true",
                        help="disable the direct AP-AC link")

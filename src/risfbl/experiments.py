@@ -85,7 +85,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_elements < 0:
             raise DomainError("n_elements must be >= 0")
-        if self.direct_exponent < 2.0:
+        if not self.direct_exponent >= 2.0:
             raise DomainError("direct_exponent must be >= 2")
 
     def gains(self) -> LinkGains:
@@ -95,52 +95,65 @@ class ScenarioConfig:
     def rho(self) -> float:
         return snr_scale(self.radio)
 
-    def fit(self, n_elements=None, phase=None):
+    def fit(self, n_elements=None):
         n = self.n_elements if n_elements is None else n_elements
-        p = self.phase if phase is None else phase
-        return fit_snr(self.gains(), n, p, self.rho())
+        return fit_snr(self.gains(), n, self.phase, self.rho())
 
 
 def phase_label(phase: PhaseModel) -> str:
+    """The phase model as one string: "perfect", "<b>bit" or
+    "uniform:<spread>", the spread written with repr so that
+    ``phase_from_label`` reads it back exactly."""
     if isinstance(phase, Perfect):
         return "perfect"
     if isinstance(phase, UniformSpread):
-        return f"uniform{phase.spread:g}"
+        return f"uniform:{phase.spread!r}"
     return f"{phase.bits}bit"
+
+
+def phase_from_label(text: str) -> PhaseModel:
+    """Inverse of ``phase_label``; a bare "uniform" has spread 0.25."""
+    if text == "perfect":
+        return Perfect()
+    if text.endswith("bit") and text[:-3].isdecimal():
+        return QuantizedBits(int(text[:-3]))
+    if text == "uniform":
+        return UniformSpread(0.25)
+    if text.startswith("uniform:"):
+        try:
+            spread = float(text[len("uniform:"):])
+        except ValueError:
+            raise DomainError(
+                f"uniform spread must be a number; got {text!r}") from None
+        return UniformSpread(spread)
+    raise DomainError(
+        f"phase must be perfect, <b>bit, or uniform[:spread]; got {text!r}")
 
 
 # A flat key is the name of a field of ScenarioConfig or of one of its
 # sections, and the type of the field's default is the only JSON type the
 # key takes: bool a flag, int a count, float a finite int or float (stored
-# as float), and a tuple a position of exactly two finite ints or floats
-# (kept as given).  Only the phase model is written as several keys.
+# as float), a tuple a position of exactly two finite ints or floats
+# (kept as given), and the phase model its ``phase_label`` string.
 _SECTIONS = ("geometry", "radio", "packet", "mc", "policy")
 
 
 def _flat_fields(s: ScenarioConfig):
-    """(section or None, key, value) for every flat key but the phase's."""
+    """(section or None, key, JSON value) for every flat key."""
     for f in dataclasses.fields(s):
+        value = getattr(s, f.name)
         if f.name in _SECTIONS:
-            section = getattr(s, f.name)
-            for g in dataclasses.fields(section):
-                yield f.name, g.name, getattr(section, g.name)
-        elif f.name != "phase":
-            yield None, f.name, getattr(s, f.name)
+            for g in dataclasses.fields(value):
+                yield f.name, g.name, getattr(value, g.name)
+        else:
+            yield None, f.name, (phase_label(value) if f.name == "phase"
+                                 else value)
 
 
 def scenario_to_dict(s: ScenarioConfig) -> dict:
     """Flat JSON-ready view of a scenario (linear units throughout)."""
-    d = {key: list(value) if isinstance(value, tuple) else value
-         for _, key, value in _flat_fields(s)}
-    if isinstance(s.phase, Perfect):
-        d["phase"] = "perfect"
-    elif isinstance(s.phase, UniformSpread):
-        d["phase"] = "uniform"
-        d["phase_spread"] = s.phase.spread
-    else:
-        d["phase"] = "quantized"
-        d["phase_bits"] = s.phase.bits
-    return d
+    return {key: list(value) if isinstance(value, tuple) else value
+            for _, key, value in _flat_fields(s)}
 
 
 def _typed(key, value, default):
@@ -162,44 +175,29 @@ def _typed(key, value, default):
     return float(value)
 
 
-def _phase_from_dict(d):
-    spread = _typed("phase_spread", d.get("phase_spread", 0.25), 0.0)
-    bits = _typed("phase_bits", d.get("phase_bits", 2), 0)
-    kind = d.get("phase", "perfect")
-    if kind == "perfect":
-        return Perfect()
-    if kind == "uniform":
-        return UniformSpread(spread)
-    if kind == "quantized":
-        return QuantizedBits(bits)
-    raise DomainError(
-        f"phase must be perfect, uniform, or quantized; got {kind!r}")
-
-
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Inverse of ``scenario_to_dict``; keys left out keep their defaults.
 
-    A uniform phase without ``phase_spread`` gets 0.25, a quantized one
-    without ``phase_bits`` gets 2.  A key takes only the JSON type of its
-    field's default (see ``_SECTIONS``).  Raises DomainError for an unknown
-    key, an unknown phase model, or a value of the wrong type or one
-    that does not validate.
+    A key takes only the JSON type of its field's default (see
+    ``_SECTIONS``).  Raises DomainError for an unknown key, an unknown
+    phase model, or a value of the wrong type or one that does not
+    validate.
     """
     default = ScenarioConfig()
-    unknown = sorted(set(d) - set(scenario_to_dict(default))
-                     - {"phase_spread", "phase_bits"})
+    unknown = sorted(set(d) - set(scenario_to_dict(default)))
     if unknown:
         raise DomainError(f"unknown config key(s): {', '.join(unknown)}")
     try:
         changes = {name: {} for name in (None,) + _SECTIONS}
         for section, key, value in _flat_fields(default):
             if key in d:
-                changes[section][key] = _typed(key, d[key], value)
+                value = _typed(key, d[key], value)
+                changes[section][key] = (phase_from_label(value)
+                                         if key == "phase" else value)
         sections = {name: dataclasses.replace(getattr(default, name),
                                               **changes[name])
                     for name in _SECTIONS}
-        return dataclasses.replace(default, **changes[None], **sections,
-                                   phase=_phase_from_dict(d))
+        return dataclasses.replace(default, **changes[None], **sections)
     except (ValueError, TypeError, OverflowError) as exc:
         raise DomainError(str(exc)) from exc
 

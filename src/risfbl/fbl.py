@@ -177,8 +177,6 @@ def avg_rate_exact(fit: GammaFit, blocklength: int, target_bler: float,
                    policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Exact average achievable rate C1 - Q^-1(eps) C2 / sqrt(r)."""
     c1 = c1_avg_capacity(fit, policy)
-    if target_bler == 0.5:
-        return c1
     c2 = c2_avg_sqrt_dispersion(fit, policy)
     return c1 - inv_q(target_bler) / math.sqrt(blocklength) * c2
 

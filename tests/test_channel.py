@@ -26,6 +26,7 @@ from risfbl.channel import (
     phase_expectations,
     snr_scale,
 )
+from risfbl.experiments import ScenarioConfig
 from risfbl.specfun import DomainError
 
 import oracles
@@ -65,12 +66,15 @@ class TestLinkBudget:
         assert geo.d_ris_ac() == pytest.approx(math.hypot(9.0, 5.0))
 
     def test_geometry_3d_lifts_ap(self):
-        flat = Geometry(use_3d=False)
-        lifted = Geometry(use_3d=True)
-        assert lifted.d_ap_ac() == pytest.approx(
-            math.hypot(flat.d_ap_ac(), 12.5))
+        flat = Geometry()
+        lifted = Geometry(ap_height=12.5)
+        assert flat.d_ap_ac() == 100.0
+        assert lifted.d_ap_ac() == math.sqrt(100.0 ** 2 + 12.5 ** 2)
+        assert lifted.d_ap_ris() == math.sqrt(91.0 ** 2 + 5.0 ** 2 + 12.5 ** 2)
         # RIS-AC leg stays planar
         assert lifted.d_ris_ac() == flat.d_ris_ac()
+        with pytest.raises(DomainError):
+            Geometry(ap_height=-1.0)
 
 
 class TestPhaseModels:
@@ -225,3 +229,29 @@ class TestAsymptotics:
             asymptotic_trend(g, Perfect(), [16, 32])
         with pytest.raises(DomainError):
             asymptotic_trend(g, Perfect(), [512, 256])
+
+
+@pytest.mark.parametrize("make,kwargs", [
+    (GammaFit, {"shape": math.nan, "rate": 1.0}),
+    (GammaFit, {"shape": 1.0, "rate": math.nan}),
+    (LinkGains, {"direct": math.nan, "ap_ris": 1.0, "ris_ac": 1.0}),
+    (LinkGains, {"direct": 1.0, "ap_ris": math.nan, "ris_ac": 1.0}),
+    (LinkGains, {"direct": 1.0, "ap_ris": 1.0, "ris_ac": math.nan}),
+    (RadioConfig, {"tx_power": math.nan}),
+    (RadioConfig, {"noise_density": math.nan}),
+    (RadioConfig, {"bandwidth": math.nan}),
+    (RadioConfig, {"noise_figure": math.nan}),
+    (Geometry, {"ap": (math.nan, 0.0)}),
+    (Geometry, {"ac": (100.0, math.nan)}),
+    (Geometry, {"ris": (math.nan, 5.0)}),
+    (Geometry, {"ap_height": math.nan}),
+    (ScenarioConfig, {"direct_exponent": math.nan}),
+], ids=["fit-shape", "fit-rate", "gains-direct", "gains-ap_ris",
+        "gains-ris_ac", "radio-tx_power", "radio-noise_density",
+        "radio-bandwidth", "radio-noise_figure", "geometry-ap",
+        "geometry-ac", "geometry-ris", "geometry-ap_height",
+        "scenario-direct_exponent"])
+def test_constructors_reject_nan(make, kwargs):
+    # every range check is written so that NaN fails it
+    with pytest.raises(DomainError):
+        make(**kwargs)

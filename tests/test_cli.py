@@ -32,20 +32,22 @@ class TestExitCodes:
         assert "bandwidth" in err
 
     def test_unknown_key_rejected(self, capsys):
-        # max_series_terms is a retired key and must not be ignored quietly
-        for item in ("bandwdith=1e5", "max_series_terms=16"):
+        # a misspelt or retired key must not be ignored quietly
+        for item in ("bandwdith=1e5", "max_series_terms=16", "phase_bits=2",
+                     "phase_spread=0.25", "use_3d=true",
+                     "carrier_frequency=1.9e9"):
             code, _, err = run(capsys, "validate", "--set", item)
             assert code == EXIT_CONFIG
             assert item.partition("=")[0] in err
 
     @pytest.mark.parametrize("argv", [
         ("--phase", "uniform:abc"),
-        ("--set", "phase=uniform", "--set", "phase_spread=abc"),
-        ("--set", "phase=quantized", "--set", "phase_bits=x"),
+        ("--set", "phase=uniform:abc"),
+        ("--set", "phase=2"),
         ("--set", "tx_power_db=abc"),
         ("--set", "tx_power_db=1e6"),
         ("--set", "direct_link=False"),
-        ("--set", "use_3d=no"),
+        ("--set", "ap_height=true"),
         ("--set", "n_elements=512.9"),
         ("--set", "seed=true"),
         ("--set", "tx_power=true"),
@@ -141,8 +143,8 @@ class TestThinWrappers:
 class TestConfigHandling:
     def test_config_file_plus_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_elements": 128, "phase": "quantized",
-                                   "phase_bits": 2, "direct_link": False}))
+        cfg.write_text(json.dumps({"n_elements": 128, "phase": "2bit",
+                                   "direct_link": False}))
         code, out, _ = run(capsys, "fit", "--config", str(cfg),
                            "--set", "n_elements=64")
         assert code == 0
@@ -165,9 +167,19 @@ class TestConfigHandling:
         assert csv_record(out)["seed"] == "777"
 
     def test_phase_flag_forms(self, capsys):
-        for flag in ("perfect", "1bit", "3bit", "uniform:0.5"):
+        for flag in ("perfect", "1bit", "3bit", "uniform", "uniform:0.5"):
             assert run(capsys, "validate", "--phase", flag)[0] == 0
-        assert run(capsys, "validate", "--phase", "sideways")[0] == EXIT_CONFIG
+        for flag in ("sideways", "quantized", "0bit", "uniform0.5"):
+            assert run(capsys, "validate", "--phase", flag)[0] == EXIT_CONFIG
+
+    def test_phase_flag_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phase": "uniform:0.5"}))
+        _, flag_out, _ = run(capsys, "fit", "--phase", "2bit")
+        code, out, _ = run(capsys, "fit", "--config", str(cfg),
+                           "--phase", "2bit")
+        assert code == 0
+        assert out == flag_out
 
 
 class TestFigureCommand:

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risfbl import fbl
 from risfbl.channel import Geometry, Perfect, QuantizedBits, UniformSpread
@@ -16,6 +18,7 @@ from risfbl.experiments import (
     N_GRID,
     ResultTable,
     ScenarioConfig,
+    phase_from_label,
     phase_label,
     required_elements,
     run_figure,
@@ -26,6 +29,11 @@ from risfbl.montecarlo import McConfig, sample_snr
 from risfbl.specfun import DomainError
 
 FAST = ScenarioConfig(mc=McConfig(n_samples=500))
+
+PHASES = st.one_of(
+    st.just(Perfect()),
+    st.builds(QuantizedBits, st.integers(1, 16)),
+    st.builds(UniformSpread, st.floats(0.0, 1.0, exclude_min=True)))
 
 
 def _paired(fmt, tags):
@@ -67,11 +75,28 @@ class TestScenario:
     def test_phase_serialization(self):
         s = ScenarioConfig(phase=QuantizedBits(3))
         d = scenario_to_dict(s)
-        assert d["phase"] == "quantized" and d["phase_bits"] == 3
+        assert d["phase"] == "3bit"
 
     def test_phase_labels(self):
         assert phase_label(Perfect()) == "perfect"
         assert phase_label(QuantizedBits(2)) == "2bit"
+        assert phase_label(UniformSpread(0.25)) == "uniform:0.25"
+        # the spread is written in full, not rounded to six digits
+        assert phase_label(UniformSpread(0.1 + 0.2)) == (
+            "uniform:0.30000000000000004")
+
+    @given(PHASES)
+    def test_phase_label_round_trips(self, phase):
+        assert phase_from_label(phase_label(phase)) == phase
+
+    @settings(max_examples=50)
+    @given(PHASES.filter(lambda p: p != Perfect()),
+           st.floats(0.0, 1e3, exclude_min=True))
+    def test_scenario_json_round_trips(self, phase, ap_height):
+        s = ScenarioConfig(phase=phase,
+                           geometry=Geometry(ap_height=ap_height))
+        d = json.loads(json.dumps(scenario_to_dict(s)))
+        assert scenario_from_dict(d) == s
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -97,29 +122,36 @@ class TestScenario:
     def test_key_set(self):
         # every config field is a key; a new field must be added here
         assert set(scenario_to_dict(ScenarioConfig())) == {
-            "ap", "ac", "ris", "ap_height", "use_3d", "tx_power",
-            "noise_density", "bandwidth", "noise_figure",
-            "carrier_frequency", "info_bits", "blocklength", "target_bler",
-            "n_elements", "direct_link", "direct_exponent", "n_samples",
-            "seed", "stream_id", "chunk", "rel_tol", "phase"}
+            "ap", "ac", "ris", "ap_height", "tx_power", "noise_density",
+            "bandwidth", "noise_figure", "info_bits", "blocklength",
+            "target_bler", "n_elements", "phase", "direct_link",
+            "direct_exponent", "n_samples", "seed", "stream_id", "chunk",
+            "rel_tol"}
+        assert type(scenario_to_dict(ScenarioConfig())["phase"]) is str
 
     def test_from_dict_phase_defaults(self):
+        assert scenario_from_dict({}).phase == Perfect()
         assert scenario_from_dict({"phase": "uniform"}).phase == UniformSpread(0.25)
-        assert scenario_from_dict({"phase": "quantized"}).phase == QuantizedBits(2)
+        assert scenario_from_dict({"phase": "2bit"}).phase == QuantizedBits(2)
 
     @pytest.mark.parametrize("d", [
         {"bandwdith": 1e5}, {"phase": "sideways"},
-        {"phase": "uniform", "phase_spread": "abc"},
-        {"phase": "quantized", "phase_bits": "x"}, {"ap": 3},
-        {"direct_link": "False"}, {"use_3d": "no"}, {"n_elements": 512.9},
+        {"phase": "uniform:abc"},
+        {"phase": "quantized"}, {"ap": 3},
+        {"direct_link": "False"}, {"ap_height": "12.5"}, {"n_elements": 512.9},
         {"seed": True}, {"tx_power": True}, {"rel_tol": "1e-9"},
         {"ris": [True, 5]}, {"ap": [0.0, 0.0, 1.0]}, {"ac": "100,0"},
         {"seed": -1}, {"seed": 2 ** 64}, {"stream_id": -1},
         {"stream_id": 2 ** 64},
-        {"phase": "perfect", "phase_spread": "abc"},
-        {"phase": "perfect", "phase_bits": 1.5},
+        {"phase": "uniform:1.5"},
+        {"phase": 2},
         {"tx_power": float("nan")}, {"direct_exponent": float("inf")},
         {"ris": [float("nan"), 5]},
+        {"phase": "0bit"}, {"phase": "uniform:0"}, {"phase": "uniform:nan"},
+        {"phase": "uniform0.5"}, {"ap_height": -1.0},
+        # retired keys
+        {"phase_bits": 2}, {"phase_spread": 0.25}, {"use_3d": True},
+        {"carrier_frequency": 1.9e9},
     ])
     def test_from_dict_rejects(self, d):
         with pytest.raises(DomainError):
@@ -137,7 +169,8 @@ class TestResultTable:
         assert vals[1] == 1e-300
 
     def test_write_emits_sidecar(self, tmp_path):
-        t = run_figure("fig8", FAST)
+        scenario = dataclasses.replace(FAST, phase=UniformSpread(0.1 + 0.2))
+        t = run_figure("fig8", scenario)
         out = tmp_path / "fig8.csv"
         t.write(out)
         text = out.read_text()
@@ -147,8 +180,9 @@ class TestResultTable:
         assert side["seed"] == FAST.mc.seed
         assert side["scenario"]["n_samples"] == 500
         # the sidecar rebuilds the scenario the figure ran, with its pins
+        assert side["scenario"]["phase"] == "uniform:0.30000000000000004"
         assert scenario_from_dict(side["scenario"]) == dataclasses.replace(
-            FAST, direct_link=False)
+            scenario, direct_link=False)
 
 
 class TestFigures:

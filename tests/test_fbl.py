@@ -205,6 +205,14 @@ class TestSharedAverages:
         assert len(sizes) <= 21
         assert min(sizes) > 1
 
+    @pytest.mark.parametrize("shape,rate", SERIES_CASES)
+    def test_rate_at_half_bler_is_c1(self, shape, rate):
+        # Q^-1(0.5) = 0 exactly, so the general formula returns C1 as is
+        fit = GammaFit(shape, rate)
+        assert inv_q(0.5) == 0.0
+        assert avg_rate_exact(fit, 300, 0.5, WIDE_POLICY) == c1_avg_capacity(
+            fit, WIDE_POLICY)
+
     def test_values_independent_of_cache_and_order(self):
         fit = GammaFit(7.5, 0.03)
         order = ("exact", "bound", "c1", "c2")
