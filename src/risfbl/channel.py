@@ -70,13 +70,17 @@ class UniformSpread:
 
 @dataclass(frozen=True)
 class QuantizedBits:
-    """b-bit quantized phase shifts; analytically a uniform spread 2^-b."""
+    """b-bit quantized phase shifts; analytically a uniform spread 2^-b.
+
+    At most 52 bits: a float64 phase in [0, 2 pi) cannot resolve a finer
+    step.
+    """
 
     bits: int
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise DomainError("bits must be >= 1")
+        if not 1 <= self.bits <= 52:
+            raise DomainError("bits must lie in [1, 52]")
 
     @property
     def spread(self) -> float:

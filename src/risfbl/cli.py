@@ -227,8 +227,9 @@ def build_parser():
                         help="RIS element count")
         sp.add_argument("--phase",
                         help="phase model, as the config key phase: perfect, "
-                             "<b>bit (e.g. 2bit), or uniform[:spread] with "
-                             "the spread a fraction of pi (default 0.25)")
+                             "<b>bit with b in 1..52 (e.g. 2bit), or "
+                             "uniform[:spread] with the spread a fraction "
+                             "of pi (default 0.25)")
         g = sp.add_mutually_exclusive_group()
         g.add_argument("--no-direct", action="store_true",
                        help="disable the direct AP-AC link")

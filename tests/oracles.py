@@ -72,15 +72,26 @@ FROZEN = {
 
 
 def gamma_expect(shape, rate, g, dps=40):
-    """E[g(gamma)] for gamma ~ Gamma(shape, rate), peak-normalized."""
+    """E[g(gamma)] for gamma ~ Gamma(shape, rate), peak-normalized.
+
+    Below shape 1 the density's u^(shape - 1) endpoint singularity is
+    taken out by u = v^(1/shape), since u^(shape - 1) du = dv / shape:
+    E[g] = rate^shape / Gamma(shape + 1) * int g(u(v)) e^(-rate u(v)) dv,
+    whose integrand is bounded and peaks at v = 0.
+    """
     with mp.workdps(dps):
         a, b = mp.mpf(shape), mp.mpf(rate)
-        ld = lambda u: a * mp.log(b) + (a - 1) * mp.log(u) - b * u - mp.loggamma(a)
-        mode = max(shape - 1.0, 1e-6) / rate
-        ldp = ld(mp.mpf(mode))
         m = shape / rate
-        pts = [0, m / 100, m / 10, m, 10 * m, 100 * m, mp.inf]
-        val = mp.quad(lambda u: g(u) * mp.e ** (ld(u) - ldp), pts, maxdegree=8)
+        spots = [m / 100, m / 10, m, 10 * m, 100 * m]
+        if shape < 1:
+            pts = [0] + [mp.mpf(u) ** a for u in spots] + [mp.inf]
+            val = mp.quad(lambda v: g(v ** (1 / a)) * mp.e ** (-b * v ** (1 / a)),
+                          pts, maxdegree=8)
+            return val * mp.e ** (a * mp.log(b) - mp.loggamma(a + 1))
+        ld = lambda u: a * mp.log(b) + (a - 1) * mp.log(u) - b * u - mp.loggamma(a)
+        ldp = ld(mp.mpf(max(shape - 1.0, 1e-6) / rate))
+        val = mp.quad(lambda u: g(u) * mp.e ** (ld(u) - ldp), [0] + spots + [mp.inf],
+                      maxdegree=8)
         return val * mp.e ** ldp
 
 

@@ -91,6 +91,10 @@ class TestPhaseModels:
             UniformSpread(1.5)
         with pytest.raises(DomainError):
             QuantizedBits(0)
+        # a float64 phase cannot resolve a step finer than 2^-52 of a turn
+        assert QuantizedBits(52).spread == 2.0 ** -52
+        with pytest.raises(DomainError):
+            QuantizedBits(53)
 
     def test_expectations_perfect_limit(self):
         assert phase_expectations(0.0) == (1.0, 1.0, 1.0, 1.0, 1.0, 1.0)

@@ -76,6 +76,19 @@ class TestExitCodes:
         assert "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("mc", "--N", "4", "--phase", "2000bit", "--set", "n_samples=100"),
+        ("fit", "--phase", "2000bit"),
+        ("fit", "--phase", "53bit"),
+    ])
+    def test_too_many_phase_bits_is_config_error(self, capsys, argv):
+        # a float64 phase resolves at most 52 bits; more must not reach the
+        # sampler, where 2^bits overflows
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert "bits" in err
+        assert out == ""
+
     def test_missing_config_file(self, capsys):
         assert run(capsys, "validate", "--config", "/no/such.json")[0] == EXIT_CONFIG
 

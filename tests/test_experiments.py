@@ -152,6 +152,8 @@ class TestScenario:
         # retired keys
         {"phase_bits": 2}, {"phase_spread": 0.25}, {"use_3d": True},
         {"carrier_frequency": 1.9e9},
+        # finer than a float64 phase resolves
+        {"phase": "53bit"},
     ])
     def test_from_dict_rejects(self, d):
         with pytest.raises(DomainError):

@@ -141,6 +141,16 @@ class TestRateBounds:
         recovered = (c1_lb - lb) * math.sqrt(300.0) / inv_q(1e-9)
         assert recovered == pytest.approx(bound, rel=1e-9)
 
+    @pytest.mark.parametrize("shape,rate", [(0.1, 1e-3), (0.5, 1e-4), (0.75, 0.01)])
+    def test_oracle_matches_hyperu(self, shape, rate):
+        # below shape 1 the oracle's quadrature meets the density's endpoint
+        # singularity with g(0) = 1; E[(1+g)^-2] has a closed form
+        import mpmath as mp
+        with mp.workdps(40):
+            ref = mp.power(rate, shape) * mp.hyperu(shape, shape - 1, rate)
+        got = oracles.gamma_expect(shape, rate, lambda u: (1 + u) ** -2)
+        assert float(got) == pytest.approx(float(ref), rel=1e-13)
+
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_dispersion_factor_matches_hyperu(self, shape, rate):
         # E[(1+g)^-2] = rate^shape U(shape, shape - 1, rate) in closed form

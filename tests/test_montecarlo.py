@@ -119,6 +119,52 @@ class TestLiteralOracle:
         assert abs(a.m2 - b.m2) < 4.0 * math.hypot(a.m2_se, b.m2_se)
 
 
+class TestRotationTable:
+    """The per-call cos/sin table and its Taylor step against libm."""
+
+    # phi = w (t - 1/2): w = 2 s pi for spreads 1, 1/4 and 2^-b, and
+    # w = -step for b-bit quantizers, b = 1..52
+    RATES = ([2.0 * s * math.pi
+              for s in [1.0, 0.25] + [2.0 ** -b for b in range(1, 53)]]
+             + [-QuantizedBits(b).step for b in range(1, 53)])
+
+    @pytest.mark.parametrize("w", RATES)
+    def test_matches_libm(self, w):
+        # t = 0 and t = 1 are the quantizer's ties v = -1/2 and v = 1/2;
+        # grid points and midpoints between them are the extremes of delta
+        k = montecarlo._K
+        t = np.concatenate(([0.0, 1.0], np.arange(k + 1) / k,
+                            (np.arange(k) + 0.5) / k,
+                            np.random.default_rng(3).random(20_000)))[:, None]
+        # one element per row with r = 1: the row sums are cos phi and sin phi
+        re, im = montecarlo._rotated_sums(
+            np.ones_like(t), t.copy(), w, montecarlo._cis_table(w),
+            np.empty_like(t), np.empty(t.shape, dtype=np.int64),
+            np.empty_like(t), np.empty_like(t))
+        phi = w * (t[:, 0] - 0.5)
+        assert np.max(np.abs(re - np.cos(phi))) <= 1e-15
+        assert np.max(np.abs(im - np.sin(phi))) <= 1e-15
+
+    @pytest.mark.parametrize("direct", [True, False])
+    @pytest.mark.parametrize("phase", PHASES, ids=repr)
+    def test_trig_budget(self, monkeypatch, phase, direct):
+        # the table's 2 (K + 1) values are all the trig one call may take,
+        # however many samples and elements it draws
+        counted = []
+
+        def counting(f):
+            def wrapper(x, *args, **kwargs):
+                counted.append(np.size(x))
+                return f(x, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "cos", counting(np.cos))
+        monkeypatch.setattr(np, "sin", counting(np.sin))
+        g = link_gains(Geometry(), direct_link=direct)
+        sample_snr(g, 300, phase, RHO, McConfig(n_samples=2000))
+        assert sum(counted) <= 2 * (montecarlo._K + 1)
+
+
 class TestMemory:
     @pytest.mark.parametrize("phase", PHASES, ids=repr)
     def test_working_set_bounded(self, phase):
