@@ -100,16 +100,23 @@ def bler_expect(shape, rate, lin, dps=40):
 
     ``lin`` carries kappa0, kappa1, xi0, xi1 as floats; both pieces are
     normalized by their own integrand peak so the relative accuracy
-    survives extreme tails.
+    survives extreme tails.  Below shape 1 the head int_0^kappa0 of the
+    density is taken in v = u^shape, as in ``gamma_expect``, which takes
+    out its u^(shape - 1) endpoint singularity.
     """
     with mp.workdps(dps):
         k0, k1 = mp.mpf(repr(lin.kappa0)), mp.mpf(repr(lin.kappa1))
         xi0, xi1 = mp.mpf(repr(lin.xi0)), mp.mpf(repr(lin.xi1))
         a, b = mp.mpf(shape), mp.mpf(rate)
         ld = lambda u: a * mp.log(b) + (a - 1) * mp.log(u) - b * u - mp.loggamma(a)
-        ld0 = ld(k0)
-        head = mp.e ** ld0 * mp.quad(
-            lambda u: mp.e ** (ld(u) - ld0), [0, k0 / 2, k0], maxdegree=10)
+        if shape < 1:
+            head = mp.e ** (a * mp.log(b) - mp.loggamma(a + 1)) * mp.quad(
+                lambda v: mp.e ** (-b * v ** (1 / a)), [0, (k0 / 2) ** a, k0 ** a],
+                maxdegree=10)
+        else:
+            ld0 = ld(k0)
+            head = mp.e ** ld0 * mp.quad(
+                lambda u: mp.e ** (ld(u) - ld0), [0, k0 / 2, k0], maxdegree=10)
         ld1 = ld(k1)
         ramp = mp.e ** ld1 * mp.quad(
             lambda u: (mp.mpf("0.5") + xi0 * (u - xi1)) * mp.e ** (ld(u) - ld1),

@@ -277,17 +277,25 @@ class TestAvgBler:
 
     @pytest.mark.parametrize("shape,rate,r,L", [
         (0.5, 10.0, 300, 240), (2.0, 0.5, 300, 240),
-        (205.94, 771.6, 300, 240), (50.0, 0.05, 300, 240)])
+        (205.94, 771.6, 300, 240), (50.0, 0.05, 300, 240),
+        (0.05, 50.0, 300, 240), (0.05, 5.0, 300, 240)])
     def test_matches_oracle(self, shape, rate, r, L):
         ref = float(oracles.bler_expect(shape, rate, linearization_params(r, L)))
         got = avg_bler(GammaFit(shape, rate), r, L)
         assert got == pytest.approx(ref, rel=1e-9)
+        assert not avg_bler_detail(GammaFit(shape, rate), r, L).flagged
 
     def test_detail_consistency(self):
-        det = avg_bler_detail(GammaFit(20.0, 0.1), 300, 240)
-        assert not det.flagged
-        assert det.value == det.closed_form
-        assert det.closed_form == pytest.approx(det.reference, rel=1e-9)
+        # every oracle point with a representable BLER: the by-parts
+        # reference alone must reproduce the closed form there
+        for (shape, rate, r, L), frozen in oracles.FROZEN.items():
+            if frozen[3] is None:
+                continue
+            det = avg_bler_detail(GammaFit(shape, rate), r, L)
+            assert not det.flagged, (shape, rate)
+            assert det.value == det.closed_form
+            assert det.reference == pytest.approx(det.closed_form, rel=1e-9), (
+                shape, rate)
 
     def test_saturates_to_one_at_low_snr(self):
         assert avg_bler(GammaFit(200.0, 800.0), 300, 240) == pytest.approx(
