@@ -78,26 +78,14 @@ def q_function(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _normal_pdf(x):
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 def inv_q(p: float) -> float:
-    """Inverse of the Q-function, accurate down to p ~ 1e-12.
+    """Inverse of the Q-function, -Phi^-1(p), by scipy's ndtri.
 
-    A rational-approximation seed (erfcinv) is polished with Newton steps
-    on q_function so that q_function(inv_q(p)) = p to ~1e-12 relative.
+    Accurate to a few ulp over all of (0, 1), down to subnormal p.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"inv_q requires p in (0, 1), got {p}")
-    x = _SQRT2 * float(sp.erfcinv(2.0 * p))
-    for _ in range(2):
-        f = q_function(x) - p
-        d = _normal_pdf(x)
-        if d == 0.0:
-            break
-        x += f / d  # Q'(x) = -pdf(x)
-    return float(x)
+    return float(-sp.ndtri(p))
 
 
 def sinc_norm(x):
