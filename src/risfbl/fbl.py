@@ -238,7 +238,7 @@ def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     """
     un, uw = _panel_grid(lin.kappa0, lin.kappa1, 640)
     val = -lin.xi0 * float(np.sum(uw * sp.gammainc(fit.shape, fit.rate * un)))
-    return min(max(val, 0.0), 1.0) + 0.0
+    return min(val, 1.0)  # val >= 0: -xi0 > 0 and P >= 0
 
 
 @dataclass(frozen=True)
