@@ -16,8 +16,9 @@ bound through e^beta E_alpha(beta).  Here all three Gamma averages behind
 them are integrated directly against the Gamma density in
 w = ln(rate * gamma), in one call of the peak-tracked quadrature of
 ``specfun`` (the kernel that also evaluates Kummer U), and cached per
-fit.  Integrands are assembled in the log domain, so shape parameters in
-the thousands do not overflow.
+fit.  The three share one pair of limits and one grid per refinement,
+on which ln(1 + gamma) is computed once.  Integrands are assembled in
+the log domain, so shape parameters in the thousands do not overflow.
 """
 
 import functools
@@ -32,8 +33,9 @@ from .specfun import (
     LOG2E,
     DomainError,
     EvalPolicy,
+    _even,
+    _gl_panels,
     _log_integral,
-    _panel_grid,
     _softplus,
     inv_q,
     q_function,
@@ -42,6 +44,8 @@ from .specfun import log_gamma_kummer_u  # noqa: F401  traced by name (ROADMAP i
 from .channel import GammaFit
 
 _LN2 = math.log(2.0)
+_REF_PANELS = 54  # of the average-BLER reference, 648 nodes
+_STEP_SDS = 12.0  # half width of the Gamma CDF's step, in sds
 
 
 class ValidityError(ValueError):
@@ -130,8 +134,9 @@ def _gamma_averages(fit: GammaFit, policy: EvalPolicy):
     """(E[ln(1 + gamma)], E[sqrt(1 - (1+gamma)^-2)], E[1 - (1+gamma)^-2]).
 
     gamma ~ Gamma(shape, rate).  In w = ln(rate * gamma) the density is
-    exp(shape w - e^w - lnGamma(shape)) dw, and the three log-integrands
-    are integrated against it in one kernel call.  The last few fits are
+    exp(shape w - e^w - lnGamma(shape)) dw, and the three log-integrands,
+    stacked from one softplus(w - ln rate) = ln(1 + gamma) per grid, are
+    integrated against it in one kernel call.  The last few fits are
     cached, so C1, C2 and the lower bound of one fit cost one quadrature.
     The third average is taken as 1 - (1+gamma)^-2 rather than
     (1+gamma)^-2, whose integrand keeps the density's left tail: at
@@ -145,17 +150,13 @@ def _gamma_averages(fit: GammaFit, policy: EvalPolicy):
     def h(w):
         return alpha * w - np.exp(w) - lg
 
-    def ln_1p_gamma(w):
-        return _softplus(w - lnb)
-
-    def ln_disp(w):  # ln(1 - (1+gamma)^-2)
-        return np.log(-np.expm1(-2.0 * ln_1p_gamma(w)))
+    def log_g(w):
+        ln_1p_gamma = _softplus(w - lnb)
+        ln_disp = np.log(-np.expm1(-2.0 * ln_1p_gamma))  # ln(1 - (1+gamma)^-2)
+        return np.stack((np.log(ln_1p_gamma), 0.5 * ln_disp, ln_disp))
 
     # the density peaks at w = ln(shape)
-    logs = _log_integral(h, policy, math.log(alpha),
-                         lambda w: np.log(ln_1p_gamma(w)),
-                         lambda w: 0.5 * ln_disp(w),
-                         ln_disp)
+    logs = _log_integral(h, policy, math.log(alpha), log_g)
     return tuple(math.exp(x) for x in logs)
 
 
@@ -234,9 +235,29 @@ def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     slope xi0 < 0 between, so its Gamma average is
     -xi0 int_kappa0^kappa1 P(shape, rate u) du: one positive integral of
     the Gamma CDF, with no subtraction and no density endpoint
-    singularity at any shape.
+    singularity at any shape.  It is summed on 54 composite 12-point
+    Gauss-Legendre panels, even over the ramp while P's step, mean
+    +- ``_STEP_SDS`` sd (sd = mean / sqrt(shape)), is wider than the
+    ramp.  A narrower step, which even panels would not resolve at
+    large shape, gets all the panels but one for each flat end of the
+    ramp, centred on the mean clipped to the ramp: beyond its
+    ``_STEP_SDS`` sd P is 0 or 1 to within the Gamma's tail that far
+    out, below 1e-19 from shape 100 up.
     """
-    un, uw = _panel_grid(lin.kappa0, lin.kappa1, 640)
+    k0, k1 = lin.kappa0, lin.kappa1
+    half = _STEP_SDS * fit.mean / math.sqrt(fit.shape)
+    if 2.0 * half < k1 - k0:
+        mid = min(max(fit.mean, k0), k1)
+        lo, hi = max(mid - half, k0), min(mid + half, k1)
+        edges = [_even(lo, hi, _REF_PANELS + 1 - (lo > k0) - (hi < k1))]
+        if lo > k0:
+            edges.insert(0, [k0])
+        if hi < k1:
+            edges.append([k1])
+        edges = np.concatenate(edges)
+    else:
+        edges = _even(k0, k1, _REF_PANELS + 1)
+    un, uw = _gl_panels(edges)
     val = -lin.xi0 * float(np.sum(uw * sp.gammainc(fit.shape, fit.rate * un)))
     return min(val, 1.0)  # val >= 0: -xi0 > 0 and P >= 0
 

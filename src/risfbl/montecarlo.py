@@ -26,7 +26,13 @@ short Taylor steps: s = sin delta ~ delta (1 - delta^2/6) and
 cos delta = sqrt(1 - s^2) ~ 1 - s^2/2 - s^4/8, whose truncation errors
 are below 3e-18.  Against libm cos and sin of the same phi the rotation
 is within 1e-15 absolute.  A block's working set grows by one float64
-and one int64 array of its rows x N.
+and one int64 array of its rows x N; the gathered table values go to
+the block's own buffer, which is free by then.
+
+Every pass over an element runs on contiguous memory where it can: 1 - U
+on the whole block, r = sqrt(E1 E2) into its own rows x N scratch, and
+the rotation on the scratch arrays and the block's contiguous front.
+Only ln(1 - U) runs on the exponential columns alone.
 
 The generator is PCG64DXSM seeded by (seed, stream id), rows are drawn
 from it in order whatever the block size, and the reductions use a
@@ -112,15 +118,18 @@ def _rotated_sums(r, t, w, table, c, j, cos_j, sin_j):
     arrays: ``c`` (float64) and ``j`` (int64) are scratch of ``r``'s shape,
     ``j``'s memory serves as float64 once the table is gathered, and ``c``
     may be ``t``.  ``cos_j`` and ``sin_j`` receive the gathered table
-    values and may be ``t``.  Only ``r`` is left as it was.
+    values (``cos_j`` first holds rint(t K) as float64) and may be ``t``
+    or share its memory, which is read first.  Only ``r`` is left as it
+    was.
     """
     cos_t, sin_t = table
     np.multiply(t, _K, out=c)
-    np.rint(c, out=j, casting="unsafe")
-    c -= j
+    np.rint(c, out=cos_j)
+    c -= cos_j
     c *= w / _K  # delta
-    np.take(cos_t, j, out=cos_j, mode="wrap")
-    np.take(sin_t, j, out=sin_j, mode="wrap")
+    np.copyto(j, cos_j, casting="unsafe")
+    np.take(cos_t, j, out=cos_j, mode="clip")  # every j lies in [0, K]
+    np.take(sin_t, j, out=sin_j, mode="clip")
     q = j.view(np.float64)
     np.multiply(c, c, out=q)
     q *= -1.0 / 6.0
@@ -157,14 +166,18 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     step, with one cos/sin table per call.
 
     A row is uniforms [E_d (direct link on only), E1[N], E2[N], U_d (direct
-    link on only), U[N] (not for Perfect)], its leading exponential
-    columns mapped to -E = ln(1 - U) in place.  All rows come from one
+    link on only), U[N] (not for Perfect)].  The whole block is mapped to
+    1 - U, which is exact for the generator's multiples of 2^-53, and its
+    leading exponential columns then to -E = ln(1 - U) in place.  The
+    phase columns are read as 1 - U, uniform as well; that turns every
+    phi into -phi exactly (the table is exactly symmetric), so X is
+    unchanged to the bit.  All rows come from one
     stream in order, so the samples depend on seed and stream id only.
     A block holds at most ``cfg.chunk`` rows and at most ``_BLOCK_BYTES``
     of float64 (at least one row), in one reused buffer; that is all
-    either sets.  A phase model other than Perfect adds one float64 and
-    one int64 scratch array of the block's rows x N, and the 2 (K + 1)
-    table values.
+    either sets.  r takes one float64 scratch array of the block's rows x
+    N; a phase model other than Perfect adds one float64 and one int64
+    more, and the 2 (K + 1) table values.
     """
     if n_elements < 0:
         raise DomainError("n_elements must be >= 0")
@@ -179,6 +192,7 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     rows = max(1, min(cfg.chunk, cfg.n_samples,
                       _BLOCK_BYTES // (8 * max(width, 1))))
     buf = np.empty((rows, width))
+    r_buf = np.empty((rows, n))
     if not perfect:
         quantized = isinstance(phase, QuantizedBits)
         w = -phase.step if quantized else 2.0 * phase.spread * math.pi
@@ -191,27 +205,28 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     for lo in range(0, cfg.n_samples, rows):
         m = min(rows, cfg.n_samples - lo)
         u = rng.random(out=buf[:m])
+        np.subtract(1.0, u, out=u)  # exact for multiples of 2^-53
         e = u[:, :ne]
-        np.subtract(1.0, e, out=e)
         np.log(e, out=e)  # -E; 1 - U >= 2^-53, so E is finite
-        r, work, phi = e[:, d:d + n], e[:, d + n:], u[:, ne + d:]
         hd = np.sqrt(-gains.direct * e[:, 0]) if d else 0.0
-        r *= work
+        r = np.multiply(e[:, d:d + n], e[:, d + n:], out=r_buf[:m])
         np.sqrt(r, out=r)
         if perfect:
             re, im = hd + amp * np.sum(r, axis=1), 0.0
         else:
-            t = phi
+            # the block is free once t is read: the table is gathered there
+            cos_j, sin_j = buf.reshape(-1)[:2 * m * n].reshape(2, m, n)
+            t = phi = u[:, ne + d:]
             if quantized:
                 t = c[:m]
                 levels = 2.0 ** phase.bits
                 np.multiply(phi, -levels, out=t)
                 if d:
                     t += levels * u[:, ne:ne + 1]  # x
-                np.rint(t, out=work)
-                t -= work  # v
+                np.rint(t, out=sin_j)
+                t -= sin_j  # v
                 t += 0.5
-            re, im = _rotated_sums(r, t, w, table, c[:m], j[:m], phi, work)
+            re, im = _rotated_sums(r, t, w, table, c[:m], j[:m], cos_j, sin_j)
             re = hd + amp * re
             im = amp * im
         out[lo:lo + m] = re * re + im * im

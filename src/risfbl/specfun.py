@@ -17,13 +17,17 @@ takes as limits the first outward probes where the integrand has dropped
 by e^-70, and sums composite 12-point Gauss-Legendre panels, doubling
 the node count from 256 until the log integral moves by less than
 ``EvalPolicy.rel_tol``.  One call can integrate several integrands that
-share an exponent (a density times several functions): the scan, zoom
-and probes run once on the shared exponent, and each integrand takes its
-own limits from the probes and its own panels.  Every step evaluates the
-exponent on whole arrays.  All accumulation is done in the log domain so shape parameters
-in the thousands (large-N Gamma fits) do not overflow.
+share an exponent (a density times several functions).  The scan and
+zoom run once on the shared exponent and the probes once on the stack of
+integrands.  All of them share one pair of limits, the outermost of
+their own, and each refinement builds one grid and evaluates the
+exponent and the stack on it once.  Grids are built on cached ramps
+with ``np.linspace``'s arithmetic, bit for bit.  All accumulation is
+done in the log domain so shape parameters in the thousands (large-N
+Gamma fits) do not overflow.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,17 +105,33 @@ def sinc_norm(x):
 
 _DROP = 70.0  # integrand is followed until exp(h - h_peak) < e^-70
 _OFFSETS = 1e-3 * 1.8 ** np.arange(200)  # limit probes, outward from the peak
+# the peak itself, then the probes to its left and to its right
+_PROBE_STEPS = np.concatenate(([0.0], -_OFFSETS, _OFFSETS))
+_SCAN = np.linspace(-80.0, 80.0, 321)  # fixed part of the peak search
 _GL12 = np.polynomial.legendre.leggauss(12)
 
 
-def _log_one(v):  # log g for g = 1: the integrand exp(h) alone
-    return 0.0
+@functools.lru_cache(maxsize=16)  # the grids of this package use ten sizes
+def _ramp(num):
+    ramp = np.arange(float(num))
+    ramp.flags.writeable = False
+    return ramp
 
 
-def _panel_grid(vl, vr, n_points):
-    """Composite Gauss-Legendre grid on [vl, vr] (12-point panels)."""
-    n_panels = max(4, int(math.ceil(n_points / 12)))
-    edges = np.linspace(vl, vr, n_panels + 1)
+def _even(start, stop, num):
+    """``np.linspace(start, stop, num)`` for num >= 2, bit for bit.
+
+    The same arithmetic on a cached 0, 1, ..., num - 1 ramp: ramp times
+    the step, plus the start, with the last point set to the stop.
+    """
+    out = _ramp(num) * ((stop - start) / (num - 1))
+    out += start
+    out[-1] = stop
+    return out
+
+
+def _gl_panels(edges):
+    """Composite 12-point Gauss-Legendre nodes and weights on panel edges."""
     x, w = _GL12
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -120,75 +140,77 @@ def _panel_grid(vl, vr, n_points):
     return nodes, weights
 
 
-def _log_integral(h, policy, v_guess, *log_gs):
-    """log of int exp(h(v)) dv over the real line for a single-bump exponent.
+def _panel_grid(vl, vr, n_points):
+    """Composite Gauss-Legendre grid on [vl, vr] (12-point panels)."""
+    n_panels = max(4, int(math.ceil(n_points / 12)))
+    return _gl_panels(_even(vl, vr, n_panels + 1))
+
+
+def _log_integral(h, policy, v_guess, log_g=None):
+    """log int exp(h(v) + log_g(v)) dv over the real line, per integrand.
+
+    h is a single-bump exponent shared by k integrands; ``log_g(v)``
+    returns their log factors stacked, shape (k, *v.shape).  Without
+    ``log_g`` there is one integrand, exp(h) alone.  Returns the tuple of
+    the k log integrals.
 
     The peak of h is searched on [-80, 80] and more finely within +-5 of
-    ``v_guess``, then zoomed in on; each limit is the first of
-    ``_OFFSETS`` away from the peak where h is ``_DROP`` below it.
-    Returns the log integral; raises NonConvergenceError if doubling the
-    node count from 256 still moves the result by more than rel_tol.
-
-    With ``log_gs``, returns instead the tuple of log int exp(h + log_g)
-    dv, one per ``log_g``.  The search and the probes run once, on h
-    alone.  Each integrand takes as its peak the largest of its values at
-    the peak of h and at the probes, as limits the first probes where it
-    is ``_DROP`` below that, and its own grid; so a log_g may move the
-    bump, but not by ``_DROP`` in height at the peak of h.  An integral
-    stops refining once it has settled, and the call ends when all have.
+    ``v_guess``, then zoomed in on.  The stack is probed once, at the
+    peak and at ``_OFFSETS`` away from it on either side.  Each integrand
+    takes as its top the largest of its probed values and falls ``_DROP``
+    below it at some probe on each side; the call integrates all of them
+    between the outermost of those probes, so a log_g may move the bump,
+    but not by ``_DROP`` in height at the peak of h.  Each refinement
+    builds one grid, from 256 nodes doubling up to 4096, and evaluates h
+    and ``log_g`` on it once.  An integral keeps the value of the
+    refinement at which it moved by less than ``policy.rel_tol``, and the
+    call ends when all have; raises NonConvergenceError if one has not
+    at 4096 nodes.
     """
-    v = np.unique(np.concatenate([
-        np.linspace(-80.0, 80.0, 321),
-        np.linspace(v_guess - 5.0, v_guess + 5.0, 41),
-    ]))
+    v = np.unique(np.concatenate([_SCAN, _even(v_guess - 5.0, v_guess + 5.0, 41)]))
     vals = h(v)
     # a single-peaked h peaks within a cell of the grid maximum; four
     # 129-point passes shrink that cell from 0.5 to 3e-8, where a peak in
     # the hundreds is flat to double precision
     for _ in range(4):
         i = int(np.argmax(vals))
-        v = np.linspace(v[max(i - 1, 0)], v[min(i + 1, v.size - 1)], 129)
+        v = _even(v[max(i - 1, 0)], v[min(i + 1, v.size - 1)], 129)
         vals = h(v)
-    i = int(np.argmax(vals))
-    v_peak, h_peak = v[i], vals[i]
-    if not np.isfinite(h_peak):
-        raise NonConvergenceError("integrand peak is not finite")
-    signs = np.array([-1.0, 1.0])
-    probes = v_peak + signs[:, None] * _OFFSETS
+    v_peak = v[int(np.argmax(vals))]
+
+    def log_f(v):  # the k log integrands, stacked
+        return h(v)[None] if log_g is None else h(v) + log_g(v)
+
     # far probes overflow exp inside h; they need only compare as small
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        h_probes = h(probes)
-        terms = []  # (log g, peak estimate, limits) per integrand
-        for log_g in log_gs or (_log_one,):
-            f = h_probes + log_g(probes)
-            top = max(h_peak + log_g(v_peak), f.max())
-            below = f < top - _DROP
-            below[:, -1] = True  # no drop at any probe: stop at the last one
-            terms.append((log_g, top,
-                          v_peak + signs * _OFFSETS[np.argmax(below, axis=1)]))
+        f = log_f(v_peak + _PROBE_STEPS)
+    top = f.max(axis=1)
+    if not np.all(np.isfinite(top)):
+        raise NonConvergenceError("integrand peak is not finite")
+    below = f[:, 1:].reshape(-1, 2, _OFFSETS.size) < (top - _DROP)[:, None, None]
+    below[..., -1] = True  # no drop at any probe: stop at the last one
+    reach = _OFFSETS[np.argmax(below, axis=2).max(axis=0)]
+    vl, vr = v_peak - reach[0], v_peak + reach[1]
 
-    def attempt(log_g, top, limits, n):
-        nodes, weights = _panel_grid(*limits, n)
-        vals = np.exp(h(nodes) + log_g(nodes) - top)
-        return math.log(float(np.sum(weights * vals))) + top
+    def attempt(n):
+        nodes, weights = _panel_grid(vl, vr, n)
+        return np.log(np.exp(log_f(nodes) - top[:, None]) @ weights) + top
 
-    prev = [attempt(*term, 256) for term in terms]
-    done = [None] * len(terms)
+    prev = attempt(256)
+    out = np.empty_like(prev)
+    todo = np.ones(prev.shape, dtype=bool)
     for n in (512, 1024, 2048, 4096):
-        changes = []
-        for k, term in enumerate(terms):
-            if done[k] is None:
-                cur = attempt(*term, n)
-                if abs(cur - prev[k]) < policy.rel_tol:
-                    done[k] = cur
-                else:
-                    changes.append(abs(cur - prev[k]))
-                prev[k] = cur
-        if not changes:
-            return tuple(done) if log_gs else done[0]
+        cur = attempt(n)
+        change = np.abs(cur - prev)
+        settled = todo & (change < policy.rel_tol)
+        out[settled] = cur[settled]
+        todo &= ~settled
+        if not todo.any():
+            return tuple(out.tolist())
+        prev = cur
     raise NonConvergenceError(
         "quadrature failed to converge after refinement "
-        f"(last change {max(changes):.3e})"
+        f"(last change {change[todo].max():.3e})"
     )
 
 
@@ -213,7 +235,7 @@ def log_gamma_kummer_u(a: float, b: float, z: float,
         return a * v - (a - b + 1.0) * _softplus(v) - z * np.exp(v)
 
     # Peak is near min(a/z, ...) in u; seed the scan around both regimes.
-    return _log_integral(h, policy, math.log(max(a, 1.0) / z))
+    return _log_integral(h, policy, math.log(max(a, 1.0) / z))[0]
 
 
 def kummer_u(a: float, b: float, z: float,

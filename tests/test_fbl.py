@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from risfbl import fbl, specfun
 from risfbl.channel import GammaFit
@@ -199,7 +200,7 @@ class TestSharedAverages:
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_integrand_calls_bounded(self, monkeypatch, shape, rate):
-        # one search on the density, then two to five grids per integrand
+        # one search on the density, the probes, then two to five grids
         sizes = []
         kernel = fbl._log_integral
 
@@ -214,6 +215,33 @@ class TestSharedAverages:
         c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
         assert len(sizes) <= 21
         assert min(sizes) > 1
+
+    @pytest.mark.parametrize("shape,rate", SERIES_CASES)
+    def test_one_grid_per_refinement(self, monkeypatch, shape, rate):
+        # after the probes, h and the stacked log-integrands see the same
+        # nodes: one grid per refinement for all three averages
+        seen_h, seen_g = [], []
+        kernel = fbl._log_integral
+
+        def counting(h, policy, v_guess, log_g):
+            def counted_h(v):
+                seen_h.append(np.copy(v))
+                return h(v)
+
+            def counted_g(v):
+                seen_g.append(np.copy(v))
+                return log_g(v)
+            return kernel(counted_h, policy, v_guess, counted_g)
+
+        monkeypatch.setattr(fbl, "_log_integral", counting)
+        fbl._gamma_averages.cache_clear()
+        c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
+        probes = next(i for i, v in enumerate(seen_h)
+                      if np.array_equal(v, seen_g[0]))
+        assert len(seen_h) - probes == len(seen_g)
+        assert 2 <= len(seen_g) - 1 <= 5
+        for v_h, v_g in zip(seen_h[probes:], seen_g):
+            assert np.array_equal(v_h, v_g)
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_rate_at_half_bler_is_c1(self, shape, rate):
@@ -296,6 +324,19 @@ class TestAvgBler:
             assert det.value == det.closed_form
             assert det.reference == pytest.approx(det.closed_form, rel=1e-9), (
                 shape, rate)
+
+    def test_narrow_step_resolved(self):
+        # at shape 1e7 the step of P(shape, rate u), sd = mean / sqrt(shape)
+        # ~ 2e-4 wide, is a fraction of an even panel of the ramp (~4e-3)
+        lin = linearization_params(300, 240)
+        un, uw = specfun._panel_grid(lin.kappa0, lin.kappa1, 24_000)
+        for mean in np.linspace(lin.kappa0, lin.kappa1, 20):
+            fit = GammaFit(1e7, 1e7 / mean)
+            det = avg_bler_detail(fit, 300, 240)
+            fine = -lin.xi0 * float(np.sum(uw * sp.gammainc(fit.shape,
+                                                            fit.rate * un)))
+            assert not det.flagged, mean
+            assert abs(det.reference - fine) <= 1e-9, mean
 
     def test_saturates_to_one_at_low_snr(self):
         assert avg_bler(GammaFit(200.0, 800.0), 300, 240) == pytest.approx(
