@@ -12,7 +12,6 @@ from .specfun import (
     NonConvergenceError,
     gamma_cdf,
     inv_q,
-    kummer_u,
     q_function,
 )
 from .channel import (

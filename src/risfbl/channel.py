@@ -192,7 +192,7 @@ PATH_LOSS_EXPONENT = 3.8
 
 def path_loss_gain(distance: float, exponent: float = PATH_LOSS_EXPONENT) -> float:
     """Linear power gain 10^(-(34.53 + 10*exponent*log10(D)) / 10)."""
-    if distance < 1.0:
+    if not distance >= 1.0:
         raise DomainError(f"path loss model needs distance >= 1 m, got {distance}")
     pl_db = PATH_LOSS_INTERCEPT_DB + 10.0 * exponent * math.log10(distance)
     return 10.0 ** (-pl_db / 10.0)

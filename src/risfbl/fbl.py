@@ -40,7 +40,7 @@ from .specfun import (
     inv_q,
     q_function,
 )
-from .specfun import log_gamma_kummer_u  # noqa: F401  traced by name (ROADMAP item 4)
+from .specfun import log_gamma_kummer_u  # noqa: F401  traced by name (ROADMAP item 1)
 from .channel import GammaFit
 
 _LN2 = math.log(2.0)
@@ -303,9 +303,9 @@ def avg_blocklength(c1: float, c2: float, info_bits: int,
     Solved directly as the positive root; a truncated expansion of the
     root is avoidable and less accurate at low average capacity.
     """
-    if c1 <= 0:
+    if not c1 > 0:
         raise DomainError("c1 must be > 0")
-    if c2 < 0:
+    if not c2 >= 0:
         raise DomainError("c2 must be >= 0")
     qc = inv_q(target_bler) * c2
     sqrt_r = (qc + math.sqrt(qc * qc + 4.0 * c1 * info_bits)) / (2.0 * c1)

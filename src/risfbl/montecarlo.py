@@ -181,7 +181,7 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     """
     if n_elements < 0:
         raise DomainError("n_elements must be >= 0")
-    if rho <= 0:
+    if not rho > 0:
         raise DomainError("rho must be > 0")
     if not isinstance(phase, (Perfect, UniformSpread, QuantizedBits)):
         raise DomainError(f"unknown phase model {phase!r}")

@@ -3,7 +3,7 @@ Special-function kernel
 =======================
 Numerical backend for every closed-form expression in the library:
 the Gamma CDF, the Gaussian Q-function and its inverse, and the
-confluent hypergeometric Kummer U function.
+confluent hypergeometric Kummer U function (as ln(Gamma(a) U)).
 
 Kummer U is evaluated from its integral representation
 
@@ -11,20 +11,19 @@ Kummer U is evaluated from its integral representation
 
 after the log substitution u = e^v, which maps the semi-infinite range
 onto the real line where the integrand is a single smooth bump.  The
-same kernel integrates the Gamma averages of the rate module.  It scans
-the exponent on a fixed grid and zooms in on its maximum a few times,
-takes as limits the first outward probes where the integrand has dropped
-by e^-70, and sums composite 12-point Gauss-Legendre panels, doubling
-the node count from 256 until the log integral moves by less than
-``EvalPolicy.rel_tol``.  One call can integrate several integrands that
-share an exponent (a density times several functions).  The scan and
-zoom run once on the shared exponent and the probes once on the stack of
-integrands.  All of them share one pair of limits, the outermost of
-their own, and each refinement builds one grid and evaluates the
-exponent and the stack on it once.  Grids are built on cached ramps
-with ``np.linspace``'s arithmetic, bit for bit.  All accumulation is
-done in the log domain so shape parameters in the thousands (large-N
-Gamma fits) do not overflow.
+same kernel integrates the Gamma averages of the rate module.  Each
+caller knows the peak of its exponent in closed form and hands it in;
+the kernel takes as limits the first outward probes from it where the
+integrand has dropped by e^-70, and sums composite 12-point
+Gauss-Legendre panels, doubling the node count from 256 until the log
+integral moves by less than ``EvalPolicy.rel_tol``.  One call can
+integrate several integrands that share an exponent (a density times
+several functions).  The probes run once on the stack of integrands.
+All of them share one pair of limits, the outermost of their own, and
+each refinement builds one grid and evaluates the exponent and the stack
+on it once.  Grids are built on cached ramps with ``np.linspace``'s
+arithmetic, bit for bit.  All accumulation is done in the log domain so
+shape parameters in the thousands (large-N Gamma fits) do not overflow.
 """
 
 import functools
@@ -66,10 +65,10 @@ _SQRT2 = math.sqrt(2.0)
 
 def gamma_cdf(shape: float, rate: float, x) -> float:
     """CDF of Gamma(shape, rate) at x; vectorizes over x."""
-    if shape <= 0 or rate <= 0:
+    if not (shape > 0 and rate > 0):
         raise DomainError(f"gamma_cdf requires shape, rate > 0, got {shape}, {rate}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise DomainError("gamma_cdf requires x >= 0")
     out = sp.gammainc(shape, rate * x)
     return float(out) if out.ndim == 0 else out
@@ -107,11 +106,10 @@ _DROP = 70.0  # integrand is followed until exp(h - h_peak) < e^-70
 _OFFSETS = 1e-3 * 1.8 ** np.arange(200)  # limit probes, outward from the peak
 # the peak itself, then the probes to its left and to its right
 _PROBE_STEPS = np.concatenate(([0.0], -_OFFSETS, _OFFSETS))
-_SCAN = np.linspace(-80.0, 80.0, 321)  # fixed part of the peak search
 _GL12 = np.polynomial.legendre.leggauss(12)
 
 
-@functools.lru_cache(maxsize=16)  # the grids of this package use ten sizes
+@functools.lru_cache(maxsize=16)  # the grids of this package use eight sizes
 def _ramp(num):
     ramp = np.arange(float(num))
     ramp.flags.writeable = False
@@ -146,38 +144,26 @@ def _panel_grid(vl, vr, n_points):
     return _gl_panels(_even(vl, vr, n_panels + 1))
 
 
-def _log_integral(h, policy, v_guess, log_g=None):
+def _log_integral(h, policy, v_peak, log_g=None):
     """log int exp(h(v) + log_g(v)) dv over the real line, per integrand.
 
-    h is a single-bump exponent shared by k integrands; ``log_g(v)``
+    h is a single-bump exponent shared by k integrands, with its peak at
+    ``v_peak``, which the caller knows in closed form; ``log_g(v)``
     returns their log factors stacked, shape (k, *v.shape).  Without
     ``log_g`` there is one integrand, exp(h) alone.  Returns the tuple of
     the k log integrals.
 
-    The peak of h is searched on [-80, 80] and more finely within +-5 of
-    ``v_guess``, then zoomed in on.  The stack is probed once, at the
-    peak and at ``_OFFSETS`` away from it on either side.  Each integrand
-    takes as its top the largest of its probed values and falls ``_DROP``
-    below it at some probe on each side; the call integrates all of them
-    between the outermost of those probes, so a log_g may move the bump,
-    but not by ``_DROP`` in height at the peak of h.  Each refinement
-    builds one grid, from 256 nodes doubling up to 4096, and evaluates h
-    and ``log_g`` on it once.  An integral keeps the value of the
-    refinement at which it moved by less than ``policy.rel_tol``, and the
-    call ends when all have; raises NonConvergenceError if one has not
-    at 4096 nodes.
+    The stack is probed once, at the peak and at ``_OFFSETS`` away from
+    it on either side.  Each integrand takes as its top the largest of
+    its probed values and falls ``_DROP`` below it at some probe on each
+    side; the call integrates all of them between the outermost of those
+    probes, so a log_g may move the bump, but not by ``_DROP`` in height
+    at the peak of h.  Each refinement builds one grid, from 256 nodes
+    doubling up to 4096, and evaluates h and ``log_g`` on it once.  An
+    integral keeps the value of the refinement at which it moved by less
+    than ``policy.rel_tol``, and the call ends when all have; raises
+    NonConvergenceError if one has not at 4096 nodes.
     """
-    v = np.unique(np.concatenate([_SCAN, _even(v_guess - 5.0, v_guess + 5.0, 41)]))
-    vals = h(v)
-    # a single-peaked h peaks within a cell of the grid maximum; four
-    # 129-point passes shrink that cell from 0.5 to 3e-8, where a peak in
-    # the hundreds is flat to double precision
-    for _ in range(4):
-        i = int(np.argmax(vals))
-        v = _even(v[max(i - 1, 0)], v[min(i + 1, v.size - 1)], 129)
-        vals = h(v)
-    v_peak = v[int(np.argmax(vals))]
-
     def log_f(v):  # the k log integrands, stacked
         return h(v)[None] if log_g is None else h(v) + log_g(v)
 
@@ -225,21 +211,20 @@ def log_gamma_kummer_u(a: float, b: float, z: float,
     This log-domain form stays finite for shape parameters far beyond
     the overflow range of Gamma(a) itself.
     """
-    if a <= 0:
+    if not a > 0:
         raise DomainError(f"kummer_u requires a > 0, got a={a}")
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"kummer_u requires z > 0, got z={z}")
+    if math.isnan(b):
+        raise DomainError("kummer_u requires a real b, got nan")
 
     # u = e^v:  exponent = a*v - (a - b + 1)*softplus(v) - z*e^v
     def h(v):
         return a * v - (a - b + 1.0) * _softplus(v) - z * np.exp(v)
 
-    # Peak is near min(a/z, ...) in u; seed the scan around both regimes.
-    return _log_integral(h, policy, math.log(max(a, 1.0) / z))[0]
-
-
-def kummer_u(a: float, b: float, z: float,
-             policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """Confluent hypergeometric Kummer U(a, b, z) via adaptive quadrature."""
-    return math.exp(log_gamma_kummer_u(a, b, z, policy) - sp.gammaln(a))
-
+    # h' = 0 at the one positive root of z u^2 - (b - 1 - z) u - a = 0
+    # (the roots multiply to -a/z < 0); the second form avoids cancellation
+    p = b - 1.0 - z
+    d = math.hypot(p, 2.0 * math.sqrt(a * z))
+    u_peak = (p + d) / (2.0 * z) if p > 0 else 2.0 * a / (d - p)
+    return _log_integral(h, policy, math.log(u_peak))[0]

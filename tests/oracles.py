@@ -8,8 +8,8 @@ peak, so mpmath's relative stopping criterion applies even when the
 result underflows double precision by hundreds of orders).
 
 The last sections hold alternative forms (expanded moment formulas,
-the Taylor rate, the linearized-Q surrogate, incomplete-gamma and
-exponential-integral wrappers) that only the tests use as cross-checks,
+the Taylor rate, the linearized-Q surrogate, Kummer U, incomplete-gamma
+and exponential-integral wrappers) that only the tests use as cross-checks,
 and two Monte Carlo references for ``risfbl.montecarlo.sample_snr``:
 the literal controller in complex arithmetic on the sampler's own
 exponential draws, and the complex-Gaussian sampler it must match in
@@ -156,6 +156,11 @@ def log_gamma_u_ref(a, b, z, dps=40):
 # ---------------------------------------------------------------------------
 # Cross-check forms used only by the tests
 # ---------------------------------------------------------------------------
+
+def kummer_u(a, b, z):
+    """Confluent hypergeometric Kummer U(a, b, z) from the library's log form."""
+    return math.exp(log_gamma_kummer_u(a, b, z) - sp.gammaln(a))
+
 
 def ln_gamma(x):
     """Natural log of the Gamma function for x > 0."""

@@ -27,7 +27,9 @@ from risfbl.channel import (
     snr_scale,
 )
 from risfbl.experiments import ScenarioConfig
-from risfbl.specfun import DomainError
+from risfbl.fbl import avg_blocklength
+from risfbl.montecarlo import sample_snr
+from risfbl.specfun import DomainError, gamma_cdf, log_gamma_kummer_u
 
 import oracles
 
@@ -259,3 +261,23 @@ def test_constructors_reject_nan(make, kwargs):
     # every range check is written so that NaN fails it
     with pytest.raises(DomainError):
         make(**kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gamma_cdf(math.nan, 1.0, 1.0),
+    lambda: gamma_cdf(1.0, math.nan, 1.0),
+    lambda: gamma_cdf(1.0, 1.0, math.nan),
+    lambda: gamma_cdf(1.0, 1.0, [0.5, math.nan]),
+    lambda: path_loss_gain(math.nan),
+    lambda: sample_snr(LinkGains(1.0, 1.0, 1.0), 4, Perfect(), math.nan),
+    lambda: avg_blocklength(math.nan, 1.0, 240, 1e-9),
+    lambda: avg_blocklength(1.0, math.nan, 240, 1e-9),
+    lambda: log_gamma_kummer_u(math.nan, 1.0, 1.0),
+    lambda: log_gamma_kummer_u(1.0, math.nan, 1.0),
+    lambda: log_gamma_kummer_u(1.0, 1.0, math.nan),
+], ids=["gamma_cdf-shape", "gamma_cdf-rate", "gamma_cdf-x", "gamma_cdf-x-array",
+        "path_loss-distance", "sample_snr-rho", "blocklength-c1",
+        "blocklength-c2", "kummer-a", "kummer-b", "kummer-z"])
+def test_scalar_checks_reject_nan(call):
+    with pytest.raises(DomainError):
+        call()

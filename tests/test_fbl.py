@@ -200,30 +200,31 @@ class TestSharedAverages:
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_integrand_calls_bounded(self, monkeypatch, shape, rate):
-        # one search on the density, the probes, then two to five grids
+        # the probes, then two to five grids
         sizes = []
         kernel = fbl._log_integral
 
-        def counting(h, policy, v_guess, *log_gs):
+        def counting(h, policy, v_peak, *log_gs):
             def counted(v):
                 sizes.append(np.size(v))
                 return h(v)
-            return kernel(counted, policy, v_guess, *log_gs)
+            return kernel(counted, policy, v_peak, *log_gs)
 
         monkeypatch.setattr(fbl, "_log_integral", counting)
         fbl._gamma_averages.cache_clear()
         c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
-        assert len(sizes) <= 21
+        assert len(sizes) <= 6
         assert min(sizes) > 1
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_one_grid_per_refinement(self, monkeypatch, shape, rate):
-        # after the probes, h and the stacked log-integrands see the same
-        # nodes: one grid per refinement for all three averages
+        # the probes start at the density's peak, ln(shape); from there on
+        # h and the stacked log-integrands see the same nodes: one grid per
+        # refinement for all three averages
         seen_h, seen_g = [], []
         kernel = fbl._log_integral
 
-        def counting(h, policy, v_guess, log_g):
+        def counting(h, policy, v_peak, log_g):
             def counted_h(v):
                 seen_h.append(np.copy(v))
                 return h(v)
@@ -231,16 +232,15 @@ class TestSharedAverages:
             def counted_g(v):
                 seen_g.append(np.copy(v))
                 return log_g(v)
-            return kernel(counted_h, policy, v_guess, counted_g)
+            return kernel(counted_h, policy, v_peak, counted_g)
 
         monkeypatch.setattr(fbl, "_log_integral", counting)
         fbl._gamma_averages.cache_clear()
         c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
-        probes = next(i for i, v in enumerate(seen_h)
-                      if np.array_equal(v, seen_g[0]))
-        assert len(seen_h) - probes == len(seen_g)
+        assert np.array_equal(seen_h[0], math.log(shape) + specfun._PROBE_STEPS)
+        assert len(seen_h) == len(seen_g)
         assert 2 <= len(seen_g) - 1 <= 5
-        for v_h, v_g in zip(seen_h[probes:], seen_g):
+        for v_h, v_g in zip(seen_h, seen_g):
             assert np.array_equal(v_h, v_g)
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)

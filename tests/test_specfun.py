@@ -17,7 +17,6 @@ from risfbl.specfun import (
     NonConvergenceError,
     gamma_cdf,
     inv_q,
-    kummer_u,
     log_gamma_kummer_u,
     q_function,
     sinc_norm,
@@ -124,13 +123,13 @@ IDENTITY_CASES = [(1.5, 0.3), (4.0, 2.0), (30.0, 10.0)]
 class TestKummerU:
     @pytest.mark.parametrize("a,b,z", MPMATH_CASES)
     def test_against_mpmath(self, a, b, z):
-        assert kummer_u(a, b, z) == pytest.approx(
+        assert oracles.kummer_u(a, b, z) == pytest.approx(
             oracles.kummer_u_ref(a, b, z), rel=1e-9)
 
     def test_identity_b_eq_a_plus_one(self):
         # U(a, a+1, z) = z^-a
         for a, z in IDENTITY_CASES:
-            assert kummer_u(a, a + 1.0, z) == pytest.approx(z ** -a, rel=1e-10)
+            assert oracles.kummer_u(a, a + 1.0, z) == pytest.approx(z ** -a, rel=1e-10)
 
     def test_log_form_large_shape(self):
         # shape far beyond Gamma overflow
@@ -149,26 +148,46 @@ class TestKummerU:
     @pytest.mark.parametrize("a,b,z", MPMATH_CASES + [
         (a, a + 1.0, z) for a, z in IDENTITY_CASES] + [(2000.0, 101.0, 0.01)])
     def test_integrand_calls_bounded(self, monkeypatch, a, b, z):
-        # peak, limits and refinements take a few array calls of h each
+        # one array call of h for the probes, then one per grid (two to five)
         sizes = []
         kernel = specfun._log_integral
 
-        def counting(h, policy, v_guess):
+        def counting(h, policy, v_peak):
             def counted(v):
                 sizes.append(np.size(v))
                 return h(v)
-            return kernel(counted, policy, v_guess)
+            return kernel(counted, policy, v_peak)
 
         monkeypatch.setattr(specfun, "_log_integral", counting)
         log_gamma_kummer_u(a, b, z)
-        assert len(sizes) <= 16
+        assert len(sizes) <= 6
         assert min(sizes) > 1
+
+    def test_peak_is_stationary(self, monkeypatch):
+        # the closed-form peak handed to the kernel is the maximum of h,
+        # on both branches of the root formula (b - 1 - z above and below 0)
+        seen = []
+        kernel = specfun._log_integral
+
+        def capturing(h, policy, v_peak):
+            seen.append((h, v_peak))
+            return kernel(h, policy, v_peak)
+
+        monkeypatch.setattr(specfun, "_log_integral", capturing)
+        cases = MPMATH_CASES + [(a, a + 1.0, z) for a, z in IDENTITY_CASES] + [
+            (2000.0, 101.0, 0.01)]
+        assert {b - 1.0 - z > 0 for a, b, z in cases} == {True, False}
+        for a, b, z in cases:
+            log_gamma_kummer_u(a, b, z)
+            h, v_peak = seen[-1]
+            left, peak, right = h(v_peak + np.array([-1e-4, 0.0, 1e-4]))
+            assert left <= peak and right <= peak, (a, b, z)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            kummer_u(-1.0, 1.0, 1.0)
+            oracles.kummer_u(-1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
-            kummer_u(1.0, 1.0, 0.0)
+            oracles.kummer_u(1.0, 1.0, 0.0)
 
 
 class TestGenExpIntegral:
