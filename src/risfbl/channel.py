@@ -294,9 +294,7 @@ def gamma_fit(moments: Moments, rho: float) -> GammaFit:
     """Moment-match gamma = rho * X to Gamma(shape, rate)."""
     if rho <= 0:
         raise DomainError("rho must be > 0")
-    var = moments.m2 - moments.m1 ** 2
-    if var <= 0:
-        raise DegenerateMomentsError("m2 - m1^2 must be > 0")
+    var = moments.variance
     return GammaFit(shape=moments.m1 ** 2 / var, rate=moments.m1 / (rho * var))
 
 

@@ -4,7 +4,8 @@ Command-line front end
 Thin wrapper over the library: loads a flat JSON scenario config (the
 keys of ``experiments.scenario_to_dict``), applies key=value overrides
 and the shorthand flags, and dispatches.  The one-row commands are a
-table of record functions of the scenario; each record is written with
+table of record functions of the scenario, the closed-form ones picks of
+the cell metrics of ``experiments``; each record is written with
 the scenario's element count and seed as one CSV row or JSON object.
 ``figure`` writes a whole table and ``required-n`` the result of the
 element search.  Floats keep full precision.
@@ -19,24 +20,21 @@ import math
 import sys
 
 from .specfun import DomainError, NonConvergenceError
-from .channel import DegenerateMomentsError, moments_X
-from .fbl import (
-    ValidityError,
-    avg_bler,
-    avg_blocklength,
-    avg_rate_exact,
-    avg_rate_lower_bound,
-    c1_avg_capacity,
-    c2_avg_sqrt_dispersion,
-)
+from .channel import DegenerateMomentsError, gamma_fit, moments_X
+from .fbl import ValidityError
 from .montecarlo import empirical_stats, ks_distance, mc_avg_metrics, sample_snr
 from .experiments import (
     BracketError,
     FIGURE_IDS,
     ScenarioConfig,
+    bler,
+    blocklength,
+    rate_exact,
+    rate_lower_bound,
     required_elements,
     run_figure,
     scenario_from_dict,
+    sqrt_dispersion,
 )
 
 EXIT_USAGE = 2
@@ -130,33 +128,17 @@ def _emit_record(record: dict, args):
 
 def _fit(s):
     m = moments_X(s.gains(), s.n_elements, s.phase)
-    fit = s.fit()
+    fit = gamma_fit(m, s.rho())
     return {"m1": m.m1, "m2": m.m2, "shape": fit.shape, "rate": fit.rate,
             "snr_mean": fit.mean, "snr_mean_db": 10.0 * math.log10(fit.mean)}
 
 
-def _rate(s):
-    fit, pkt = s.fit(), s.packet
-    return {
-        "avg_rate": avg_rate_exact(fit, pkt.blocklength, pkt.target_bler,
-                                   s.policy),
-        "avg_rate_lower_bound": avg_rate_lower_bound(
-            fit, pkt.blocklength, pkt.target_bler, s.policy),
-        "avg_sqrt_dispersion": c2_avg_sqrt_dispersion(fit, s.policy),
-    }
-
-
-def _bler(s):
-    return {"avg_bler": avg_bler(s.fit(), s.packet.blocklength,
-                                 s.packet.info_bits)}
-
-
-def _blocklength(s):
-    fit, pkt = s.fit(), s.packet
-    c1 = c1_avg_capacity(fit, s.policy)
-    c2 = c2_avg_sqrt_dispersion(fit, s.policy)
-    return {"avg_blocklength": avg_blocklength(c1, c2, pkt.info_bits,
-                                               pkt.target_bler)}
+def _metrics(**named):
+    """Record of the named cell metrics at the scenario's Gamma fit."""
+    def record(s):
+        fit = s.fit()
+        return {key: metric(fit, s) for key, metric in named.items()}
+    return record
 
 
 def _mc(s):
@@ -177,9 +159,11 @@ def _mc(s):
 # n_elements and seed
 _RECORDS = {
     "fit": _fit,
-    "rate": _rate,
-    "bler": _bler,
-    "blocklength": _blocklength,
+    "rate": _metrics(avg_rate=rate_exact,
+                     avg_rate_lower_bound=rate_lower_bound,
+                     avg_sqrt_dispersion=sqrt_dispersion),
+    "bler": _metrics(avg_bler=bler),
+    "blocklength": _metrics(avg_blocklength=blocklength),
     "mc": _mc,
     "validate": lambda s: {"valid": True},
 }

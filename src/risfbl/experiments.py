@@ -28,7 +28,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,6 +252,42 @@ def _mc_cfg(scenario, *name):
 
 
 # ---------------------------------------------------------------------------
+# Cell metrics
+# ---------------------------------------------------------------------------
+# The closed-form averages of one cell, each a function of (Gamma fit, cell
+# scenario), shared by the figure specs, the element search and the CLI's
+# records.  They call library functions by name inside their bodies, never
+# as stored objects, so a function swapped into this module's globals
+# (bench/tracer.py times them that way) is the one that runs.
+
+def rate_exact(fit, s):
+    return avg_rate_exact(fit, s.packet.blocklength, s.packet.target_bler,
+                          s.policy)
+
+
+def rate_lower_bound(fit, s):
+    return avg_rate_lower_bound(fit, s.packet.blocklength,
+                                s.packet.target_bler, s.policy)
+
+
+def capacity_shannon(fit, s):
+    return c1_avg_capacity(fit, s.policy)
+
+
+def sqrt_dispersion(fit, s):
+    return c2_avg_sqrt_dispersion(fit, s.policy)
+
+
+def bler(fit, s):
+    return avg_bler(fit, s.packet.blocklength, s.packet.info_bits)
+
+
+def blocklength(fit, s):
+    return avg_blocklength(capacity_shannon(fit, s), sqrt_dispersion(fit, s),
+                           s.packet.info_bits, s.packet.target_bler)
+
+
+# ---------------------------------------------------------------------------
 # Figure specs and engines
 # ---------------------------------------------------------------------------
 
@@ -260,14 +296,12 @@ class _Figure(NamedTuple):
 
     ``pins`` are the scenario fields the figure fixes.  A case is a column
     tag plus the scenario fields it sets (phase, direct link, direct
-    exponent); the rest are the scenario's.  ``analytic`` and ``mc`` hold
-    (column template, metric of (fit or MC averages, cell scenario)).
-    Metrics call library functions by name inside their bodies, never as
-    stored objects, so a function swapped into this module's globals
-    (bench/tracer.py times them that way) is the one that runs.
+    exponent); the rest are the scenario's.  A figure with an ``axis``
+    sweeps it, one without is an SNR CDF.  ``analytic`` and ``mc`` hold
+    (column template, metric of (fit or MC averages, cell scenario)); the
+    analytic ones are the cell metrics above.
     """
 
-    engine: Callable
     pins: dict
     cases: tuple
     axis: str = ""
@@ -336,34 +370,19 @@ def _sweep(figure_id, spec, scenario, workers):
     return cols
 
 
-def _rate_exact(fit, s):
-    return avg_rate_exact(fit, s.packet.blocklength, s.packet.target_bler,
-                          s.policy)
-
-
-def _bler(fit, s):
-    return avg_bler(fit, s.packet.blocklength, s.packet.info_bits)
-
-
-def _blocklength(fit, s):
-    c1 = c1_avg_capacity(fit, s.policy)
-    c2 = c2_avg_sqrt_dispersion(fit, s.policy)
-    return avg_blocklength(c1, c2, s.packet.info_bits, s.packet.target_bler)
-
-
 def _blocklength_mc(mc, s):
     return avg_blocklength(mc.avg_capacity, mc.avg_sqrt_dispersion,
                            s.packet.info_bits, s.packet.target_bler)
 
 
 _FIGURES = {
-    "fig2a": _Figure(_cdf, {"direct_link": False, "n_elements": 1024}, (
+    "fig2a": _Figure({"direct_link": False, "n_elements": 1024}, (
         ("perfect", {"phase": Perfect()}),
         ("3bit", {"phase": QuantizedBits(3)}),
         ("2bit", {"phase": QuantizedBits(2)}),
         ("1bit", {"phase": QuantizedBits(1)}),
         ("uniform", {"phase": UniformSpread(1.0)}))),
-    "fig2b": _Figure(_cdf, {"n_elements": 1024}, (
+    "fig2b": _Figure({"n_elements": 1024}, (
         ("reflector_nodirect",
          {"phase": UniformSpread(1.0), "direct_link": False}),
         ("perfect_nodirect", {"phase": Perfect(), "direct_link": False}),
@@ -371,50 +390,48 @@ _FIGURES = {
         ("1bit_direct", {"phase": QuantizedBits(1), "direct_link": True}),
         ("2bit_direct", {"phase": QuantizedBits(2), "direct_link": True}))),
     "fig3": _Figure(
-        _sweep, {"direct_link": False}, (("", {}),), "n_elements",
-        (("rate_exact", _rate_exact),
-         ("rate_lower_bound", lambda fit, s: avg_rate_lower_bound(
-             fit, s.packet.blocklength, s.packet.target_bler, s.policy)),
-         ("capacity_shannon", lambda fit, s: c1_avg_capacity(fit, s.policy))),
+        {"direct_link": False}, (("", {}),), "n_elements",
+        (("rate_exact", rate_exact),
+         ("rate_lower_bound", rate_lower_bound),
+         ("capacity_shannon", capacity_shannon)),
         (("rate_mc", lambda mc, s: mc.avg_rate),
          ("rate_mc_se", lambda mc, s: mc.avg_rate_se))),
     "fig4": _Figure(
-        _sweep, {"direct_link": False}, (
+        {"direct_link": False}, (
             ("perfect", {"phase": Perfect()}),
             ("2bit", {"phase": QuantizedBits(2)}),
             ("1bit", {"phase": QuantizedBits(1)})), "n_elements",
-        (("bler_{}", _bler),),
+        (("bler_{}", bler),),
         (("bler_{}_mc", lambda mc, s: mc.avg_bler),)),
     "fig5": _Figure(
-        _sweep, {"direct_link": False, "n_elements": 512}, (
+        {"direct_link": False, "n_elements": 512}, (
             ("perfect", {"phase": Perfect()}),
             ("2bit", {"phase": QuantizedBits(2)}),
             ("1bit", {"phase": QuantizedBits(1)})), "ris_distance_m",
-        (("bler_{}", _bler),),
+        (("bler_{}", bler),),
         (("bler_{}_mc", lambda mc, s: mc.avg_bler),)),
     "fig6a": _Figure(
-        _sweep, {"direct_link": True}, (
+        {"direct_link": True}, (
             ("_ple3.6", {"direct_exponent": 3.6}),
             ("_ple3.8", {"direct_exponent": 3.8}),
             ("_ple4", {"direct_exponent": 4.0})), "ris_distance_m",
-        (("rate{}", _rate_exact),),
+        (("rate{}", rate_exact),),
         (("rate{}_mc", lambda mc, s: mc.avg_rate),)),
     "fig6b": _Figure(
-        _sweep, {"direct_link": False}, (("", {}),), "ris_distance_m",
-        (("rate{}", _rate_exact),),
+        {"direct_link": False}, (("", {}),), "ris_distance_m",
+        (("rate{}", rate_exact),),
         (("rate{}_mc", lambda mc, s: mc.avg_rate),)),
     "fig7": _Figure(
-        _sweep, {"direct_link": False}, (
+        {"direct_link": False}, (
             ("1bit", {"phase": QuantizedBits(1)}),
             ("2bit", {"phase": QuantizedBits(2)}),
             ("3bit", {"phase": QuantizedBits(3)}),
             ("perfect", {"phase": Perfect()})), "n_elements",
-        (("blocklength_{}", _blocklength),),
+        (("blocklength_{}", blocklength),),
         (("blocklength_{}_mc", _blocklength_mc),)),
     "fig8": _Figure(
-        _sweep, {"direct_link": False}, (("", {}),), "n_elements",
-        (("sqrt_dispersion",
-          lambda fit, s: c2_avg_sqrt_dispersion(fit, s.policy)),),
+        {"direct_link": False}, (("", {}),), "n_elements",
+        (("sqrt_dispersion", sqrt_dispersion),),
         (("sqrt_dispersion_mc", lambda mc, s: mc.avg_sqrt_dispersion),)),
 }
 
@@ -439,7 +456,8 @@ def run_figure(figure_id: str, scenario: ScenarioConfig = ScenarioConfig(),
         "seed": scenario.mc.seed,
         "n_samples": scenario.mc.n_samples,
     }
-    columns = spec.engine(figure_id, spec, scenario, max(int(workers), 1))
+    engine = _sweep if spec.axis else _cdf
+    columns = engine(figure_id, spec, scenario, max(int(workers), 1))
     return ResultTable(figure_id=figure_id, columns=columns, meta=meta)
 
 
@@ -451,28 +469,24 @@ N_SEARCH_CAP = 8192
 
 
 def required_elements(target_bler: float,
-                      scenario: ScenarioConfig = ScenarioConfig(),
-                      n_cap: int = N_SEARCH_CAP) -> int:
+                      scenario: ScenarioConfig = ScenarioConfig()) -> int:
     """Smallest N with avg_bler(fit(N)) <= target_bler, by integer bisection."""
     if not 0.0 < target_bler < 1.0:
         raise DomainError("target_bler must lie in (0, 1)")
-    pkt = scenario.packet
 
-    def bler(n):
-        return avg_bler(scenario.fit(n_elements=n), pkt.blocklength,
-                        pkt.info_bits)
+    def bler_at(n):
+        return bler(scenario.fit(n_elements=n), scenario)
 
-    lo = 1
-    if bler(lo) <= target_bler:
+    lo, hi = 1, N_SEARCH_CAP
+    if bler_at(lo) <= target_bler:
         return lo
-    hi_val = bler(n_cap)
+    hi_val = bler_at(hi)
     if hi_val > target_bler:
         raise BracketError(
-            f"avg_bler at N={n_cap} is {hi_val:.3e} > target {target_bler:.3e}")
-    hi = n_cap
+            f"avg_bler at N={hi} is {hi_val:.3e} > target {target_bler:.3e}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if bler(mid) <= target_bler:
+        if bler_at(mid) <= target_bler:
             hi = mid
         else:
             lo = mid

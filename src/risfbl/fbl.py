@@ -147,16 +147,14 @@ def _gamma_averages(fit: GammaFit, policy: EvalPolicy):
     lnb = math.log(fit.rate)
     lg = sp.gammaln(alpha)
 
-    def h(w):
-        return alpha * w - np.exp(w) - lg
-
-    def log_g(w):
+    def log_f(w):
+        h = alpha * w - np.exp(w) - lg  # the log density
         ln_1p_gamma = _softplus(w - lnb)
         ln_disp = np.log(-np.expm1(-2.0 * ln_1p_gamma))  # ln(1 - (1+gamma)^-2)
-        return np.stack((np.log(ln_1p_gamma), 0.5 * ln_disp, ln_disp))
+        return h + np.stack((np.log(ln_1p_gamma), 0.5 * ln_disp, ln_disp))
 
     # the density peaks at w = ln(shape)
-    logs = _log_integral(h, policy, math.log(alpha), log_g)
+    logs = _log_integral(log_f, policy, math.log(alpha))
     return tuple(math.exp(x) for x in logs)
 
 

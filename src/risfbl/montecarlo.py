@@ -234,19 +234,22 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     return out
 
 
+def _mean_se(x):
+    """Sample mean of x and its standard error, sqrt(S / (n - 1) / n)."""
+    n = x.size
+    m = float(np.sum(x)) / n
+    return m, math.sqrt(float(np.sum((x - m) ** 2)) / (n - 1) / n)
+
+
 def empirical_stats(samples: np.ndarray) -> SampleStats:
     """Raw moments m1 = mean(x), m2 = mean(x^2) with standard errors."""
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 2:
         raise DomainError("need at least 2 samples")
-    m1 = float(np.sum(x)) / n
-    x2 = x * x
-    m2 = float(np.sum(x2)) / n
-    v1 = float(np.sum((x - m1) ** 2)) / (n - 1)
-    v2 = float(np.sum((x2 - m2) ** 2)) / (n - 1)
-    return SampleStats(n=n, m1=m1, m2=m2,
-                       m1_se=math.sqrt(v1 / n), m2_se=math.sqrt(v2 / n))
+    m1, m1_se = _mean_se(x)
+    m2, m2_se = _mean_se(x * x)
+    return SampleStats(n=n, m1=m1, m2=m2, m1_se=m1_se, m2_se=m2_se)
 
 
 def ks_distance(samples: np.ndarray, fit: GammaFit) -> float:
@@ -288,15 +291,9 @@ def mc_avg_metrics(samples: np.ndarray, packet: fbl.PacketConfig) -> McAverages:
     rlen = fbl.instantaneous_blocklength(g, packet.info_bits, packet.target_bler)
     cap = fbl.capacity(g)
     sdisp = np.sqrt(fbl.dispersion(g))
-
-    def mean_se(x):
-        m = float(np.sum(x)) / n
-        se = math.sqrt(float(np.sum((x - m) ** 2)) / (n - 1) / n)
-        return m, se
-
-    r_m, r_se = mean_se(rate)
-    b_m, b_se = mean_se(bler)
-    l_m, l_se = mean_se(rlen)
+    r_m, r_se = _mean_se(rate)
+    b_m, b_se = _mean_se(bler)
+    l_m, l_se = _mean_se(rlen)
     return McAverages(n=n, avg_rate=r_m, avg_rate_se=r_se,
                       avg_bler=b_m, avg_bler_se=b_se,
                       avg_blocklength=l_m, avg_blocklength_se=l_se,

@@ -16,14 +16,15 @@ caller knows the peak of its exponent in closed form and hands it in;
 the kernel takes as limits the first outward probes from it where the
 integrand has dropped by e^-70, and sums composite 12-point
 Gauss-Legendre panels, doubling the node count from 256 until the log
-integral moves by less than ``EvalPolicy.rel_tol``.  One call can
-integrate several integrands that share an exponent (a density times
-several functions).  The probes run once on the stack of integrands.
-All of them share one pair of limits, the outermost of their own, and
-each refinement builds one grid and evaluates the exponent and the stack
-on it once.  Grids are built on cached ramps with ``np.linspace``'s
-arithmetic, bit for bit.  All accumulation is done in the log domain so
-shape parameters in the thousands (large-N Gamma fits) do not overflow.
+integral moves by less than ``EvalPolicy.rel_tol``.  The kernel takes
+one function that returns the log integrands stacked, so one call can
+integrate several that share an exponent (a density times several
+functions).  The probes run once on the stack.  All the integrands share
+one pair of limits, the outermost of their own, and each refinement
+builds one grid and evaluates the stack on it once.  Grids are built on
+cached ramps with ``np.linspace``'s arithmetic, bit for bit.  All
+accumulation is done in the log domain so shape parameters in the
+thousands (large-N Gamma fits) do not overflow.
 """
 
 import functools
@@ -144,30 +145,25 @@ def _panel_grid(vl, vr, n_points):
     return _gl_panels(_even(vl, vr, n_panels + 1))
 
 
-def _log_integral(h, policy, v_peak, log_g=None):
-    """log int exp(h(v) + log_g(v)) dv over the real line, per integrand.
+def _log_integral(log_f, policy, v_peak):
+    """log int exp(log_f(v)) dv over the real line, per integrand.
 
-    h is a single-bump exponent shared by k integrands, with its peak at
-    ``v_peak``, which the caller knows in closed form; ``log_g(v)``
-    returns their log factors stacked, shape (k, *v.shape).  Without
-    ``log_g`` there is one integrand, exp(h) alone.  Returns the tuple of
-    the k log integrals.
+    ``log_f(v)`` returns k log integrands stacked, shape (k, *v.shape):
+    single bumps that share an exponent, whose peak ``v_peak`` the caller
+    knows in closed form.  Returns the tuple of the k log integrals.
 
     The stack is probed once, at the peak and at ``_OFFSETS`` away from
     it on either side.  Each integrand takes as its top the largest of
     its probed values and falls ``_DROP`` below it at some probe on each
     side; the call integrates all of them between the outermost of those
-    probes, so a log_g may move the bump, but not by ``_DROP`` in height
-    at the peak of h.  Each refinement builds one grid, from 256 nodes
-    doubling up to 4096, and evaluates h and ``log_g`` on it once.  An
-    integral keeps the value of the refinement at which it moved by less
-    than ``policy.rel_tol``, and the call ends when all have; raises
-    NonConvergenceError if one has not at 4096 nodes.
+    probes, so an integrand's own factor may move its bump, but not by
+    ``_DROP`` in height at ``v_peak``.  Each refinement builds one grid,
+    from 256 nodes doubling up to 4096, and evaluates ``log_f`` on it
+    once.  An integral keeps the value of the refinement at which it
+    moved by less than ``policy.rel_tol``, and the call ends when all
+    have; raises NonConvergenceError if one has not at 4096 nodes.
     """
-    def log_f(v):  # the k log integrands, stacked
-        return h(v)[None] if log_g is None else h(v) + log_g(v)
-
-    # far probes overflow exp inside h; they need only compare as small
+    # far probes overflow exp inside log_f; they need only compare as small
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         f = log_f(v_peak + _PROBE_STEPS)
     top = f.max(axis=1)
@@ -227,4 +223,4 @@ def log_gamma_kummer_u(a: float, b: float, z: float,
     p = b - 1.0 - z
     d = math.hypot(p, 2.0 * math.sqrt(a * z))
     u_peak = (p + d) / (2.0 * z) if p > 0 else 2.0 * a / (d - p)
-    return _log_integral(h, policy, math.log(u_peak))[0]
+    return _log_integral(lambda v: h(v)[None], policy, math.log(u_peak))[0]

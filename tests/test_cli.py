@@ -7,7 +7,13 @@ import pytest
 
 from risfbl.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_USAGE, main
 from risfbl.channel import Geometry, Perfect, RadioConfig, fit_snr, link_gains, snr_scale
-from risfbl.fbl import avg_rate_exact
+from risfbl.fbl import (
+    avg_bler,
+    avg_blocklength,
+    avg_rate_exact,
+    c1_avg_capacity,
+    c2_avg_sqrt_dispersion,
+)
 from risfbl.experiments import FIGURE_POLICY
 
 
@@ -113,15 +119,24 @@ class TestThinWrappers:
         assert code == EXIT_CONFIG
         assert "linearized-Q" in err
 
-    def test_rate_matches_library(self, capsys):
-        code, out, _ = run(capsys, "rate", "--N", "512", "--no-direct",
+    @pytest.mark.parametrize("command,key,library", [
+        ("rate", "avg_rate",
+         lambda fit: avg_rate_exact(fit, 300, 1e-9, FIGURE_POLICY)),
+        ("rate", "avg_sqrt_dispersion",
+         lambda fit: c2_avg_sqrt_dispersion(fit, FIGURE_POLICY)),
+        ("bler", "avg_bler", lambda fit: avg_bler(fit, 300, 240)),
+        ("blocklength", "avg_blocklength", lambda fit: avg_blocklength(
+            c1_avg_capacity(fit, FIGURE_POLICY),
+            c2_avg_sqrt_dispersion(fit, FIGURE_POLICY), 240, 1e-9)),
+    ], ids=("avg_rate", "avg_sqrt_dispersion", "avg_bler", "avg_blocklength"))
+    def test_rate_matches_library(self, capsys, command, key, library):
+        code, out, _ = run(capsys, command, "--N", "512", "--no-direct",
                            "--phase", "perfect")
         assert code == 0
         rec = csv_record(out)
         gains = link_gains(Geometry(), direct_link=False)
         fit = fit_snr(gains, 512, Perfect(), snr_scale(RadioConfig()))
-        expect = avg_rate_exact(fit, 300, 1e-9, FIGURE_POLICY)
-        assert float(rec["avg_rate"]) == expect
+        assert float(rec[key]) == library(fit)
 
     def test_fit_outputs_shape_rate(self, capsys):
         code, out, _ = run(capsys, "fit", "--N", "189", "--no-direct",

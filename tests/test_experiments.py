@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risfbl import fbl
-from risfbl.channel import Geometry, Perfect, QuantizedBits, UniformSpread
+from risfbl.channel import (
+    Geometry,
+    Perfect,
+    QuantizedBits,
+    RadioConfig,
+    UniformSpread,
+)
 from risfbl.experiments import (
     BracketError,
     D_GRID,
@@ -291,7 +297,9 @@ class TestRequiredElements:
 
     def test_unreachable_target(self):
         with pytest.raises(BracketError):
-            required_elements(1e-9, FAST, n_cap=16)
+            # avg BLER at the search cap, N = 8192, is 1.0 at 1 uW
+            required_elements(1e-9, dataclasses.replace(
+                FAST, radio=RadioConfig(tx_power=1e-6)))
 
     def test_bad_target(self):
         with pytest.raises(DomainError):

@@ -204,11 +204,11 @@ class TestSharedAverages:
         sizes = []
         kernel = fbl._log_integral
 
-        def counting(h, policy, v_peak, *log_gs):
+        def counting(log_f, policy, v_peak):
             def counted(v):
                 sizes.append(np.size(v))
-                return h(v)
-            return kernel(counted, policy, v_peak, *log_gs)
+                return log_f(v)
+            return kernel(counted, policy, v_peak)
 
         monkeypatch.setattr(fbl, "_log_integral", counting)
         fbl._gamma_averages.cache_clear()
@@ -219,29 +219,25 @@ class TestSharedAverages:
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_one_grid_per_refinement(self, monkeypatch, shape, rate):
         # the probes start at the density's peak, ln(shape); from there on
-        # h and the stacked log-integrands see the same nodes: one grid per
-        # refinement for all three averages
-        seen_h, seen_g = [], []
+        # each grid is evaluated once, for the stack of all three averages
+        seen, shapes = [], []
         kernel = fbl._log_integral
 
-        def counting(h, policy, v_peak, log_g):
-            def counted_h(v):
-                seen_h.append(np.copy(v))
-                return h(v)
-
-            def counted_g(v):
-                seen_g.append(np.copy(v))
-                return log_g(v)
-            return kernel(counted_h, policy, v_peak, counted_g)
+        def counting(log_f, policy, v_peak):
+            def counted(v):
+                seen.append(np.copy(v))
+                out = log_f(v)
+                shapes.append(out.shape)
+                return out
+            return kernel(counted, policy, v_peak)
 
         monkeypatch.setattr(fbl, "_log_integral", counting)
         fbl._gamma_averages.cache_clear()
         c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
-        assert np.array_equal(seen_h[0], math.log(shape) + specfun._PROBE_STEPS)
-        assert len(seen_h) == len(seen_g)
-        assert 2 <= len(seen_g) - 1 <= 5
-        for v_h, v_g in zip(seen_h, seen_g):
-            assert np.array_equal(v_h, v_g)
+        assert np.array_equal(seen[0], math.log(shape) + specfun._PROBE_STEPS)
+        assert 2 <= len(seen) - 1 <= 5
+        assert shapes == [(3, v.size) for v in seen]
+        assert len({v.size for v in seen[1:]}) == len(seen) - 1
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_rate_at_half_bler_is_c1(self, shape, rate):

@@ -148,14 +148,14 @@ class TestKummerU:
     @pytest.mark.parametrize("a,b,z", MPMATH_CASES + [
         (a, a + 1.0, z) for a, z in IDENTITY_CASES] + [(2000.0, 101.0, 0.01)])
     def test_integrand_calls_bounded(self, monkeypatch, a, b, z):
-        # one array call of h for the probes, then one per grid (two to five)
+        # one array call of log_f for the probes, then one per grid (two to five)
         sizes = []
         kernel = specfun._log_integral
 
-        def counting(h, policy, v_peak):
+        def counting(log_f, policy, v_peak):
             def counted(v):
                 sizes.append(np.size(v))
-                return h(v)
+                return log_f(v)
             return kernel(counted, policy, v_peak)
 
         monkeypatch.setattr(specfun, "_log_integral", counting)
@@ -169,9 +169,9 @@ class TestKummerU:
         seen = []
         kernel = specfun._log_integral
 
-        def capturing(h, policy, v_peak):
-            seen.append((h, v_peak))
-            return kernel(h, policy, v_peak)
+        def capturing(log_f, policy, v_peak):
+            seen.append((log_f, v_peak))
+            return kernel(log_f, policy, v_peak)
 
         monkeypatch.setattr(specfun, "_log_integral", capturing)
         cases = MPMATH_CASES + [(a, a + 1.0, z) for a, z in IDENTITY_CASES] + [
@@ -179,8 +179,8 @@ class TestKummerU:
         assert {b - 1.0 - z > 0 for a, b, z in cases} == {True, False}
         for a, b, z in cases:
             log_gamma_kummer_u(a, b, z)
-            h, v_peak = seen[-1]
-            left, peak, right = h(v_peak + np.array([-1e-4, 0.0, 1e-4]))
+            log_f, v_peak = seen[-1]
+            left, peak, right = log_f(v_peak + np.array([-1e-4, 0.0, 1e-4]))[0]
             assert left <= peak and right <= peak, (a, b, z)
 
     def test_domain(self):
