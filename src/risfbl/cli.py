@@ -142,6 +142,7 @@ def _metrics(**named):
 
 
 def _mc(s):
+    fit = s.fit()  # rejects a scenario without a channel before any draw
     samples = sample_snr(s.gains(), s.n_elements, s.phase, s.rho(), s.mc)
     stats = empirical_stats(samples / s.rho())
     avgs = mc_avg_metrics(samples, s.packet)
@@ -149,7 +150,7 @@ def _mc(s):
         "n_samples": stats.n,
         "m1_mc": stats.m1, "m1_se": stats.m1_se,
         "m2_mc": stats.m2, "m2_se": stats.m2_se,
-        "ks_distance": ks_distance(samples, s.fit()),
+        "ks_distance": ks_distance(samples, fit),
         "avg_rate_mc": avgs.avg_rate, "avg_bler_mc": avgs.avg_bler,
         "avg_blocklength_mc": avgs.avg_blocklength,
     }

@@ -33,9 +33,8 @@ from .specfun import (
     LOG2E,
     DomainError,
     EvalPolicy,
-    _even,
-    _gl_panels,
     _log_integral,
+    _panel_grid,
     _softplus,
     inv_q,
     q_function,
@@ -148,10 +147,13 @@ def _gamma_averages(fit: GammaFit, policy: EvalPolicy):
     lg = sp.gammaln(alpha)
 
     def log_f(w):
-        h = alpha * w - np.exp(w) - lg  # the log density
+        out = np.empty((3,) + w.shape)
         ln_1p_gamma = _softplus(w - lnb)
-        ln_disp = np.log(-np.expm1(-2.0 * ln_1p_gamma))  # ln(1 - (1+gamma)^-2)
-        return h + np.stack((np.log(ln_1p_gamma), 0.5 * ln_disp, ln_disp))
+        np.log(ln_1p_gamma, out=out[0])
+        np.log(-np.expm1(-2.0 * ln_1p_gamma), out=out[2])  # ln(1 - (1+gamma)^-2)
+        np.multiply(out[2], 0.5, out=out[1])
+        out += alpha * w - np.exp(w) - lg  # the log density
+        return out
 
     # the density peaks at w = ln(shape)
     logs = _log_integral(log_f, policy, math.log(alpha))
@@ -244,18 +246,14 @@ def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     """
     k0, k1 = lin.kappa0, lin.kappa1
     half = _STEP_SDS * fit.mean / math.sqrt(fit.shape)
+    pieces = [(k0, k1, _REF_PANELS)]
     if 2.0 * half < k1 - k0:
         mid = min(max(fit.mean, k0), k1)
         lo, hi = max(mid - half, k0), min(mid + half, k1)
-        edges = [_even(lo, hi, _REF_PANELS + 1 - (lo > k0) - (hi < k1))]
-        if lo > k0:
-            edges.insert(0, [k0])
-        if hi < k1:
-            edges.append([k1])
-        edges = np.concatenate(edges)
-    else:
-        edges = _even(k0, k1, _REF_PANELS + 1)
-    un, uw = _gl_panels(edges)
+        pieces = [(k0, lo, 1), (lo, hi, _REF_PANELS - (lo > k0) - (hi < k1)),
+                  (hi, k1, 1)]
+    un, uw = np.concatenate([_panel_grid(a, b, 12 * n)
+                             for a, b, n in pieces if b > a], axis=1)
     val = -lin.xi0 * float(np.sum(uw * sp.gammainc(fit.shape, fit.rate * un)))
     return min(val, 1.0)  # val >= 0: -xi0 > 0 and P >= 0
 

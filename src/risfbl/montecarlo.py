@@ -181,6 +181,8 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     """
     if n_elements < 0:
         raise DomainError("n_elements must be >= 0")
+    if n_elements == 0 and gains.direct <= 0:
+        raise DomainError("N = 0 requires a direct link")
     if not rho > 0:
         raise DomainError("rho must be > 0")
     if not isinstance(phase, (Perfect, UniformSpread, QuantizedBits)):

@@ -21,8 +21,8 @@ one function that returns the log integrands stacked, so one call can
 integrate several that share an exponent (a density times several
 functions).  The probes run once on the stack.  All the integrands share
 one pair of limits, the outermost of their own, and each refinement
-builds one grid and evaluates the stack on it once.  Grids are built on
-cached ramps with ``np.linspace``'s arithmetic, bit for bit.  All
+builds one grid and evaluates the stack on it once.  A grid is a cached,
+read-only pattern of panels on [0, 1], scaled onto the limits.  All
 accumulation is done in the log domain so shape parameters in the
 thousands (large-N Gamma fits) do not overflow.
 """
@@ -94,6 +94,9 @@ def inv_q(p: float) -> float:
 
 def sinc_norm(x):
     """Normalized sinc: sin(pi x) / (pi x), with sinc_norm(0) = 1."""
+    if isinstance(x, float) and math.isfinite(x):  # np.sinc's value, bit for bit
+        y = math.pi * float(x)
+        return math.sin(y) / y if y else 1.0
     out = np.sinc(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
@@ -104,29 +107,10 @@ def sinc_norm(x):
 # ---------------------------------------------------------------------------
 
 _DROP = 70.0  # integrand is followed until exp(h - h_peak) < e^-70
-_OFFSETS = 1e-3 * 1.8 ** np.arange(200)  # limit probes, outward from the peak
+_OFFSETS = 1e-3 * 1.8 ** np.arange(40)  # limit probes, out to 8.8e6 from the peak
 # the peak itself, then the probes to its left and to its right
 _PROBE_STEPS = np.concatenate(([0.0], -_OFFSETS, _OFFSETS))
 _GL12 = np.polynomial.legendre.leggauss(12)
-
-
-@functools.lru_cache(maxsize=16)  # the grids of this package use eight sizes
-def _ramp(num):
-    ramp = np.arange(float(num))
-    ramp.flags.writeable = False
-    return ramp
-
-
-def _even(start, stop, num):
-    """``np.linspace(start, stop, num)`` for num >= 2, bit for bit.
-
-    The same arithmetic on a cached 0, 1, ..., num - 1 ramp: ramp times
-    the step, plus the start, with the last point set to the stop.
-    """
-    out = _ramp(num) * ((stop - start) / (num - 1))
-    out += start
-    out[-1] = stop
-    return out
 
 
 def _gl_panels(edges):
@@ -139,10 +123,19 @@ def _gl_panels(edges):
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=16)  # the grids of this package use nine sizes
+def _unit_panels(n_panels):
+    """Read-only ``_gl_panels`` of n_panels even panels on [0, 1]."""
+    grid = _gl_panels(np.linspace(0.0, 1.0, n_panels + 1))
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
 def _panel_grid(vl, vr, n_points):
-    """Composite Gauss-Legendre grid on [vl, vr] (12-point panels)."""
-    n_panels = max(4, int(math.ceil(n_points / 12)))
-    return _gl_panels(_even(vl, vr, n_panels + 1))
+    """ceil(n_points / 12) even 12-point Gauss-Legendre panels on [vl, vr]."""
+    un, uw = _unit_panels(-(-n_points // 12))
+    return un * (vr - vl) + vl, uw * (vr - vl)
 
 
 def _log_integral(log_f, policy, v_peak):
@@ -153,7 +146,8 @@ def _log_integral(log_f, policy, v_peak):
     knows in closed form.  Returns the tuple of the k log integrals.
 
     The stack is probed once, at the peak and at ``_OFFSETS`` away from
-    it on either side.  Each integrand takes as its top the largest of
+    it on either side, 1e-3 to 8.8e6 in v: far past where ``exp`` in an
+    exponent overflows.  Each integrand takes as its top the largest of
     its probed values and falls ``_DROP`` below it at some probe on each
     side; the call integrates all of them between the outermost of those
     probes, so an integrand's own factor may move its bump, but not by

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -94,6 +95,16 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "bits" in err
         assert out == ""
+
+    def test_mc_without_channel(self, capsys):
+        # the default scenario has no direct link: rejected before any draw,
+        # with one error line and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "mc", "--N", "0")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "error: config: N = 0 requires a direct link\n"
 
     def test_missing_config_file(self, capsys):
         assert run(capsys, "validate", "--config", "/no/such.json")[0] == EXIT_CONFIG

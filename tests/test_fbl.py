@@ -30,6 +30,7 @@ from risfbl.fbl import (
 from risfbl.specfun import DEFAULT_POLICY, LOG2E, DomainError, EvalPolicy, NonConvergenceError, inv_q, q_function
 
 import oracles
+from test_specfun import probe_drops
 
 WIDE_POLICY = EvalPolicy(rel_tol=1e-9)
 
@@ -240,6 +241,21 @@ class TestSharedAverages:
         assert len({v.size for v in seen[1:]}) == len(seen) - 1
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
+    def test_probe_cap_never_binds(self, monkeypatch, shape, rate):
+        # all three averages fall by _DROP before the last limit probe
+        seen = []
+        kernel = fbl._log_integral
+
+        def capturing(log_f, policy, v_peak):
+            seen.append((log_f, v_peak))
+            return kernel(log_f, policy, v_peak)
+
+        monkeypatch.setattr(fbl, "_log_integral", capturing)
+        fbl._gamma_averages.cache_clear()
+        c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
+        assert probe_drops(*seen[0]).all()
+
+    @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_rate_at_half_bler_is_c1(self, shape, rate):
         # Q^-1(0.5) = 0 exactly, so the general formula returns C1 as is
         fit = GammaFit(shape, rate)
@@ -333,6 +349,40 @@ class TestAvgBler:
                                                             fit.rate * un)))
             assert not det.flagged, mean
             assert abs(det.reference - fine) <= 1e-9, mean
+
+    @pytest.mark.parametrize("shape,mean_at,pieces", [
+        (2.0, 0.5, 1), (1e7, 0.5, 3), (1e7, 0.0, 2), (1e7, 1.0, 2)])
+    def test_reference_panel_edges(self, monkeypatch, shape, mean_at, pieces):
+        # the even layout and the step layout, with both flat ends of the
+        # ramp and with one, keep the 54 panels on the edges np.linspace gives
+        lin = linearization_params(300, 240)
+        k0, k1 = lin.kappa0, lin.kappa1
+        fit = GammaFit(shape, shape / (k0 + mean_at * (k1 - k0)))
+        half = fbl._STEP_SDS * fit.mean / math.sqrt(fit.shape)
+        if 2.0 * half < k1 - k0:
+            mid = min(max(fit.mean, k0), k1)
+            lo, hi = max(mid - half, k0), min(mid + half, k1)
+            edges = np.concatenate((
+                [k0] * (lo > k0),
+                np.linspace(lo, hi, fbl._REF_PANELS + 1 - (lo > k0) - (hi < k1)),
+                [k1] * (hi < k1)))
+        else:
+            edges = np.linspace(k0, k1, fbl._REF_PANELS + 1)
+        ref_nodes, ref_weights = specfun._gl_panels(edges)
+        grids = []
+        build = fbl._panel_grid
+
+        def recording(*args):
+            grids.append(build(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(fbl, "_panel_grid", recording)
+        fbl._avg_bler_reference(fit, lin)
+        nodes, weights = np.concatenate(grids, axis=1)
+        assert len(grids) == pieces
+        assert nodes.size == ref_nodes.size == 12 * fbl._REF_PANELS
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15 * k1
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-15 * (k1 - k0)
 
     def test_saturates_to_one_at_low_snr(self):
         assert avg_bler(GammaFit(200.0, 800.0), 300, 240) == pytest.approx(

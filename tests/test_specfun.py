@@ -108,6 +108,54 @@ class TestSeriesCoefficients:
         assert sinc_norm(1.0) == pytest.approx(0.0, abs=1e-15)
         assert sinc_norm(0.5) == pytest.approx(2.0 / math.pi, rel=1e-14)
 
+    def test_scalar_sinc_is_numpy_sinc(self):
+        # the float path through math.sin gives np.sinc's double, bit for bit
+        xs = [0.0, -0.0, 5e-324, 0.5, 1.0, 2.0]
+        xs += np.random.default_rng(17).uniform(0.0, 2.0, 20_000).tolist()
+        for x in xs + [np.float64(0.3)]:
+            got = sinc_norm(x)
+            assert type(got) is float
+            assert got.hex() == float(np.sinc(x)).hex(), x
+
+
+def probe_drops(log_f, v_peak):
+    """Per integrand and side, whether it falls ``_DROP`` below its top at
+    some limit probe before the last one: then the kernel's limits are
+    those an unbounded run of probes would give."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f = log_f(v_peak + specfun._PROBE_STEPS)
+    top = f.max(axis=1)
+    below = f[:, 1:].reshape(len(f), 2, -1) < (top - specfun._DROP)[:, None, None]
+    return below[..., :-1].any(axis=2)
+
+
+class TestPanelGrid:
+    @pytest.mark.parametrize("vl,vr,n", [
+        (-3.2, 5.7, 256), (0.1, 0.9, 512), (-20.0, -1.0, 1024),
+        (2.0, 2e3, 2048), (-7.0, 8.0, 4096), (0.5, 3.0, 648)])
+    def test_matches_linspace_panels(self, vl, vr, n):
+        # the unit pattern scaled onto [vl, vr] against even edges from
+        # np.linspace on [vl, vr] itself, to 1e-15 of the interval's scale
+        nodes, weights = specfun._panel_grid(vl, vr, n)
+        ref_nodes, ref_weights = specfun._gl_panels(
+            np.linspace(vl, vr, math.ceil(n / 12) + 1))
+        assert nodes.size == ref_nodes.size == 12 * math.ceil(n / 12)
+        scale = max(abs(vl), abs(vr))
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15 * scale
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-15 * (vr - vl)
+
+    def test_cached_pattern_is_read_only(self):
+        for a in specfun._unit_panels(22):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        first = specfun._panel_grid(-1.0, 2.0, 256)
+        kept = [a.copy() for a in first]
+        for a in first:
+            a[:] = np.nan
+        for a, b in zip(specfun._panel_grid(-1.0, 2.0, 256), kept):
+            assert np.array_equal(a, b)
+
 
 MPMATH_CASES = [
     (1.0, 1.0, 1.0),
@@ -182,6 +230,21 @@ class TestKummerU:
             log_f, v_peak = seen[-1]
             left, peak, right = log_f(v_peak + np.array([-1e-4, 0.0, 1e-4]))[0]
             assert left <= peak and right <= peak, (a, b, z)
+
+    def test_probe_cap_never_binds(self, monkeypatch):
+        seen = []
+        kernel = specfun._log_integral
+
+        def capturing(log_f, policy, v_peak):
+            seen.append((log_f, v_peak))
+            return kernel(log_f, policy, v_peak)
+
+        monkeypatch.setattr(specfun, "_log_integral", capturing)
+        cases = MPMATH_CASES + [(a, a + 1.0, z) for a, z in IDENTITY_CASES] + [
+            (2000.0, 101.0, 0.01)]
+        for a, b, z in cases:
+            log_gamma_kummer_u(a, b, z)
+            assert probe_drops(*seen[-1]).all(), (a, b, z)
 
     def test_domain(self):
         with pytest.raises(DomainError):
