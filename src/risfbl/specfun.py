@@ -14,7 +14,8 @@ onto the real line where the integrand is a single smooth bump.  The
 same kernel integrates the Gamma averages of the rate module.  Each
 caller knows the peak of its exponent in closed form and hands it in;
 the kernel takes as limits the first outward probes from it where the
-integrand has dropped by e^-70, and sums composite 12-point
+integrand has dropped by e^-70 (and raises if no probe on a side has),
+and sums composite 12-point
 Gauss-Legendre panels, doubling the node count from 256 until the log
 integral moves by less than ``EvalPolicy.rel_tol``.  The kernel takes
 one function that returns the log integrands stacked, so one call can
@@ -92,13 +93,10 @@ def inv_q(p: float) -> float:
     return float(-sp.ndtri(p))
 
 
-def sinc_norm(x):
+def sinc_norm(x: float) -> float:
     """Normalized sinc: sin(pi x) / (pi x), with sinc_norm(0) = 1."""
-    if isinstance(x, float) and math.isfinite(x):  # np.sinc's value, bit for bit
-        y = math.pi * float(x)
-        return math.sin(y) / y if y else 1.0
-    out = np.sinc(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
+    y = math.pi * float(x)
+    return math.sin(y) / y if y else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +144,14 @@ def _log_integral(log_f, policy, v_peak):
     knows in closed form.  Returns the tuple of the k log integrals.
 
     The stack is probed once, at the peak and at ``_OFFSETS`` away from
-    it on either side, 1e-3 to 8.8e6 in v: far past where ``exp`` in an
-    exponent overflows.  Each integrand takes as its top the largest of
-    its probed values and falls ``_DROP`` below it at some probe on each
-    side; the call integrates all of them between the outermost of those
-    probes, so an integrand's own factor may move its bump, but not by
-    ``_DROP`` in height at ``v_peak``.  Each refinement builds one grid,
+    it on either side, 1e-3 to 8.8e6 in v.  To the right that is far past
+    where an exponent's ``exp`` overflows; a left tail exp(a v) falls by
+    ``_DROP`` only 70/a from the peak, past the last probe for a < 8e-6.
+    Each integrand takes as its top the largest of its probed values and
+    must fall ``_DROP`` below it at some probe on each side, or the call
+    raises NonConvergenceError; it integrates all of them between the
+    outermost of those probes, so an integrand's own factor may move its
+    bump, but not by ``_DROP`` in height at ``v_peak``.  Each refinement builds one grid,
     from 256 nodes doubling up to 4096, and evaluates ``log_f`` on it
     once.  An integral keeps the value of the refinement at which it
     moved by less than ``policy.rel_tol``, and the call ends when all
@@ -164,7 +164,8 @@ def _log_integral(log_f, policy, v_peak):
     if not np.all(np.isfinite(top)):
         raise NonConvergenceError("integrand peak is not finite")
     below = f[:, 1:].reshape(-1, 2, _OFFSETS.size) < (top - _DROP)[:, None, None]
-    below[..., -1] = True  # no drop at any probe: stop at the last one
+    if not below.any(axis=2).all():
+        raise NonConvergenceError("integrand does not drop by e^-70 within the probes")
     reach = _OFFSETS[np.argmax(below, axis=2).max(axis=0)]
     vl, vr = v_peak - reach[0], v_peak + reach[1]
 

@@ -109,13 +109,15 @@ class TestSeriesCoefficients:
         assert sinc_norm(0.5) == pytest.approx(2.0 / math.pi, rel=1e-14)
 
     def test_scalar_sinc_is_numpy_sinc(self):
-        # the float path through math.sin gives np.sinc's double, bit for bit
+        # same formula as np.sinc; libm sin and numpy's sin may differ by an ulp
         xs = [0.0, -0.0, 5e-324, 0.5, 1.0, 2.0]
         xs += np.random.default_rng(17).uniform(0.0, 2.0, 20_000).tolist()
-        for x in xs + [np.float64(0.3)]:
-            got = sinc_norm(x)
-            assert type(got) is float
-            assert got.hex() == float(np.sinc(x)).hex(), x
+        got = [sinc_norm(x) for x in xs]
+        assert all(type(g) is float for g in got)
+        assert sinc_norm(5e-324) == sinc_norm(-0.0) == 1.0
+        np.testing.assert_array_max_ulp(np.array(got), np.sinc(xs), maxulp=2)
+        assert sinc_norm(np.float64(0.3)) == sinc_norm(0.3)
+        assert type(sinc_norm(np.float64(0.3))) is float
 
 
 def probe_drops(log_f, v_peak):
@@ -245,6 +247,12 @@ class TestKummerU:
         for a, b, z in cases:
             log_gamma_kummer_u(a, b, z)
             assert probe_drops(*seen[-1]).all(), (a, b, z)
+
+    def test_tail_past_probes_raises(self):
+        # the left tail exp(a v) falls by e^-70 only 7e7 from the peak,
+        # past the last probe: no limit is taken there
+        with pytest.raises(NonConvergenceError, match="within the probes"):
+            log_gamma_kummer_u(1e-6, 1.0, 1.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
