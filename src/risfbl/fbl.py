@@ -1,15 +1,17 @@
 """
 Finite-blocklength metrics
 ==========================
-Instantaneous normal-approximation quantities (rate, block error
-probability, blocklength) and their averages over the Gamma-fitted SNR:
+Normal-approximation rate, block error probability and blocklength
+(Polyanskiy, Poor and Verdu, IEEE Trans. IT 2010), each written once in
+C and sqrt(V), both from one ln(1 + gamma) as in the Gamma averages, so
+accurate down to the smallest gamma > 0.  Averages over the Gamma fit:
 
   * exact average rate from the capacity term C1 = E[log2(1 + gamma)]
     and the dispersion term C2 = E[sqrt(V(gamma))],
   * the Jensen-type closed-form lower bound,
   * the linearized-Q closed form for the average BLER, guarded against
     cancellation by its by-parts integral over the Gamma CDF,
-  * the average blocklength as the positive root of the rate equation.
+  * the average blocklength as the positive root at C1 and C2.
 
 The paper writes C1 and C2 as infinite Kummer-U series and the lower
 bound through e^beta E_alpha(beta).  Here all three Gamma averages behind
@@ -88,39 +90,50 @@ class LinearizationParams:
 
 def capacity(gamma):
     """Shannon capacity log2(1 + gamma) in bits per channel use."""
-    return np.log2(1.0 + np.asarray(gamma, dtype=float))
+    return np.log1p(np.asarray(gamma, dtype=float)) / _LN2
 
 
 def dispersion(gamma):
     """Channel dispersion V(gamma) = (log2 e)^2 (1 - (1+gamma)^-2)."""
-    g = np.asarray(gamma, dtype=float)
-    return LOG2E ** 2 * (1.0 - 1.0 / (1.0 + g) ** 2)
+    return LOG2E ** 2 * -np.expm1(-2.0 * np.log1p(np.asarray(gamma, dtype=float)))
+
+
+def _capacity_sqrt_dispersion(gamma):
+    """(C, sqrt(V)) of gamma from one ln(1 + gamma)."""
+    ln_1p_gamma = np.log1p(np.asarray(gamma, dtype=float))
+    return ln_1p_gamma / _LN2, LOG2E * np.sqrt(-np.expm1(-2.0 * ln_1p_gamma))
+
+
+def _rate(c, sqrt_v, blocklength, target_bler):
+    return c - inv_q(target_bler) / math.sqrt(blocklength) * sqrt_v
+
+
+def _bler(c, sqrt_v, blocklength, info_bits):
+    # V = 0 only at gamma = 0, where f = -inf and Q(-inf) is exactly 1
+    with np.errstate(divide="ignore"):
+        f = math.sqrt(blocklength) * (c - info_bits / blocklength) / sqrt_v
+    return q_function(f)
+
+
+def _blocklength(c, sqrt_v, info_bits, target_bler):
+    """Positive root r of C r - Q^-1(eps) sqrt(V r) - L = 0, in closed form."""
+    qs = inv_q(target_bler) * sqrt_v
+    return ((qs + np.sqrt(qs * qs + 4.0 * c * info_bits)) / (2.0 * c)) ** 2
 
 
 def instantaneous_rate(gamma, blocklength: int, target_bler: float):
     """Normal-approximation rate C - Q^-1(eps) sqrt(V / r), O(log r / r) dropped."""
-    qinv = inv_q(target_bler)
-    return capacity(gamma) - qinv * np.sqrt(dispersion(gamma) / blocklength)
+    return _rate(*_capacity_sqrt_dispersion(gamma), blocklength, target_bler)
 
 
 def instantaneous_bler(gamma, blocklength: int, info_bits: int):
     """Decoding error probability Q(sqrt(r / V) (C(gamma) - L/r))."""
-    g = np.asarray(gamma, dtype=float)
-    # V = 0 (gamma below ~1e-16) gives f = -inf, and Q(-inf) is exactly 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.sqrt(blocklength / dispersion(g)) * (
-            capacity(g) - info_bits / blocklength)
-    return q_function(f)
+    return _bler(*_capacity_sqrt_dispersion(gamma), blocklength, info_bits)
 
 
 def instantaneous_blocklength(gamma, info_bits: int, target_bler: float):
     """Blocklength solving C r - Q^-1(eps) sqrt(V r) - L = 0 for r."""
-    g = np.asarray(gamma, dtype=float)
-    c = capacity(g)
-    v = dispersion(g)
-    qi = inv_q(target_bler)
-    root = (qi * np.sqrt(v) + np.sqrt(qi ** 2 * v + 4.0 * c * info_bits)) / (2.0 * c)
-    out = root ** 2
+    out = _blocklength(*_capacity_sqrt_dispersion(gamma), info_bits, target_bler)
     return float(out) if out.ndim == 0 else out
 
 
@@ -174,9 +187,8 @@ def c2_avg_sqrt_dispersion(fit: GammaFit,
 def avg_rate_exact(fit: GammaFit, blocklength: int, target_bler: float,
                    policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Exact average achievable rate C1 - Q^-1(eps) C2 / sqrt(r)."""
-    c1 = c1_avg_capacity(fit, policy)
-    c2 = c2_avg_sqrt_dispersion(fit, policy)
-    return c1 - inv_q(target_bler) / math.sqrt(blocklength) * c2
+    return _rate(c1_avg_capacity(fit, policy),
+                 c2_avg_sqrt_dispersion(fit, policy), blocklength, target_bler)
 
 
 def avg_rate_lower_bound(fit: GammaFit, blocklength: int,
@@ -193,7 +205,7 @@ def avg_rate_lower_bound(fit: GammaFit, blocklength: int,
     a, b = fit.shape, fit.rate
     c1_lb = math.log2(1.0 + a * a / (b * (a + 1.0)))
     c2_ub = (1.0 + _gamma_averages(fit, policy)[2]) / (2.0 * _LN2)
-    return c1_lb - inv_q(target_bler) / math.sqrt(blocklength) * c2_ub
+    return _rate(c1_lb, c2_ub, blocklength, target_bler)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +306,10 @@ def avg_bler(fit: GammaFit, blocklength: int, info_bits: int) -> float:
 
 def avg_blocklength(c1: float, c2: float, info_bits: int,
                     target_bler: float) -> float:
-    """Positive root of c1 r - Q^-1(eps) c2 sqrt(r) - L = 0.
-
-    Solved directly as the positive root; a truncated expansion of the
-    root is avoidable and less accurate at low average capacity.
-    """
+    """Positive root of c1 r - Q^-1(eps) c2 sqrt(r) - L = 0."""
     if not c1 > 0:
         raise DomainError("c1 must be > 0")
     if not c2 >= 0:
         raise DomainError("c2 must be >= 0")
-    qc = inv_q(target_bler) * c2
-    sqrt_r = (qc + math.sqrt(qc * qc + 4.0 * c1 * info_bits)) / (2.0 * c1)
-    return sqrt_r ** 2
+    return float(_blocklength(c1, c2, info_bits, target_bler))
 

@@ -276,7 +276,6 @@ class McAverages:
     avg_bler: float
     avg_bler_se: float
     avg_blocklength: float
-    avg_blocklength_se: float
     avg_capacity: float
     avg_sqrt_dispersion: float
 
@@ -284,20 +283,15 @@ class McAverages:
 def mc_avg_metrics(samples: np.ndarray, packet: fbl.PacketConfig) -> McAverages:
     """Average rate, BLER (exact Q, not the linearized surrogate) and
     blocklength over an SNR sample array."""
-    g = np.asarray(samples, dtype=float)
-    n = g.size
+    c, sqrt_v = fbl._capacity_sqrt_dispersion(samples)
+    n = c.size
     if n < 2:
         raise DomainError("need at least 2 samples")
-    rate = fbl.instantaneous_rate(g, packet.blocklength, packet.target_bler)
-    bler = fbl.instantaneous_bler(g, packet.blocklength, packet.info_bits)
-    rlen = fbl.instantaneous_blocklength(g, packet.info_bits, packet.target_bler)
-    cap = fbl.capacity(g)
-    sdisp = np.sqrt(fbl.dispersion(g))
-    r_m, r_se = _mean_se(rate)
-    b_m, b_se = _mean_se(bler)
-    l_m, l_se = _mean_se(rlen)
+    r_m, r_se = _mean_se(fbl._rate(c, sqrt_v, packet.blocklength, packet.target_bler))
+    b_m, b_se = _mean_se(fbl._bler(c, sqrt_v, packet.blocklength, packet.info_bits))
+    rlen = fbl._blocklength(c, sqrt_v, packet.info_bits, packet.target_bler)
     return McAverages(n=n, avg_rate=r_m, avg_rate_se=r_se,
                       avg_bler=b_m, avg_bler_se=b_se,
-                      avg_blocklength=l_m, avg_blocklength_se=l_se,
-                      avg_capacity=float(np.sum(cap)) / n,
-                      avg_sqrt_dispersion=float(np.sum(sdisp)) / n)
+                      avg_blocklength=float(np.sum(rlen)) / n,
+                      avg_capacity=float(np.sum(c)) / n,
+                      avg_sqrt_dispersion=float(np.sum(sqrt_v)) / n)

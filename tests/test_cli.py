@@ -178,6 +178,14 @@ class TestThinWrappers:
         assert float(rec["ks_distance"]) < 0.1
         assert int(rec["n_samples"]) == 2000
 
+    def test_mc_at_low_snr(self, capsys):
+        # SNR samples far below 1e-16, where log2(1 + gamma) reads 0
+        code, out, err = run(capsys, "mc", "--N", "1", "--set", "n_samples=2000",
+                             "--set", "tx_power_db=-120")
+        assert code == 0
+        assert math.isfinite(float(csv_record(out)["avg_blocklength_mc"]))
+        assert err == ""
+
 
 class TestConfigHandling:
     def test_config_file_plus_override(self, tmp_path, capsys):

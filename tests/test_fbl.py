@@ -82,6 +82,25 @@ class TestInstantaneous:
         r = instantaneous_blocklength(g, 240, 1e-9)
         assert np.all(np.diff(r) < 0)
 
+    @pytest.mark.parametrize("g", [1e-300, 1e-20, 1e-10, 1e-3, 1.0, 1e3])
+    def test_matches_mpmath_down_to_tiny_snr(self, g):
+        # log2(1 + gamma) rounds 1 + gamma first and reads 0 below 1.1e-16
+        import mpmath as mp
+
+        r, L, eps = 300, 240, 1e-9
+        with mp.workdps(40):
+            ln_1p = mp.log1p(mp.mpf(g))
+            c = ln_1p / mp.log(2)
+            v = -mp.expm1(-2 * ln_1p) / mp.log(2) ** 2
+            q = mp.mpf(inv_q(eps))
+            rate = c - q * mp.sqrt(v / r)
+            length = ((q * mp.sqrt(v) + mp.sqrt(q * q * v + 4 * c * L)) / (2 * c)) ** 2
+        assert capacity(g) == pytest.approx(float(c), rel=1e-14)
+        assert dispersion(g) == pytest.approx(float(v), rel=1e-14)
+        assert instantaneous_rate(g, r, eps) == pytest.approx(float(rate), rel=1e-14)
+        assert instantaneous_blocklength(g, L, eps) == pytest.approx(
+            float(length), rel=1e-14)
+
 
 class TestSeriesAverages:
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)

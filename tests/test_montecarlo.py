@@ -21,7 +21,13 @@ from risfbl.channel import (
     snr_scale,
 )
 from risfbl import montecarlo
-from risfbl.fbl import PacketConfig, instantaneous_rate
+from risfbl.fbl import (
+    PacketConfig,
+    dispersion,
+    instantaneous_bler,
+    instantaneous_blocklength,
+    instantaneous_rate,
+)
 from risfbl.montecarlo import (
     McConfig,
     empirical_stats,
@@ -270,6 +276,14 @@ class TestMetricAverages:
                                              pkt.target_bler))), rel=1e-12)
         assert m.avg_capacity == pytest.approx(
             float(np.mean(np.log2(1.0 + s))), rel=1e-12)
+        assert m.avg_bler == pytest.approx(
+            float(np.mean(instantaneous_bler(s, pkt.blocklength,
+                                             pkt.info_bits))), rel=1e-12)
+        assert m.avg_blocklength == pytest.approx(
+            float(np.mean(instantaneous_blocklength(s, pkt.info_bits,
+                                                    pkt.target_bler))), rel=1e-12)
+        assert m.avg_sqrt_dispersion == pytest.approx(
+            float(np.mean(np.sqrt(dispersion(s)))), rel=1e-12)
         assert 0.0 <= m.avg_bler <= 1.0
 
     def test_rate_tracks_analytic_mean(self):
