@@ -297,9 +297,9 @@ class _Figure(NamedTuple):
     ``pins`` are the scenario fields the figure fixes.  A case is a column
     tag plus the scenario fields it sets (phase, direct link, direct
     exponent); the rest are the scenario's.  A figure with an ``axis``
-    sweeps it, one without is an SNR CDF.  ``analytic`` and ``mc`` hold
-    (column template, metric of (fit or MC averages, cell scenario)); the
-    analytic ones are the cell metrics above.
+    sweeps it, one without is an SNR CDF.  ``analytic`` holds (column
+    template, cell metric above); ``mc`` holds (column template, name of
+    the ``McAverages`` field).
     """
 
     pins: dict
@@ -359,7 +359,7 @@ def _sweep(figure_id, spec, scenario, workers):
         samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
                              cell.rho(), _mc_cfg(cell, figure_id, tag, float(v)))
         mc = mc_avg_metrics(samples, cell.packet)
-        return row + [metric(mc, cell) for _, metric in spec.mc]
+        return row + [getattr(mc, name) for _, name in spec.mc]
 
     rows = _pmap(one, cells, workers)
     cols = {spec.axis: [float(v) for v in grid]}
@@ -368,11 +368,6 @@ def _sweep(figure_id, spec, scenario, workers):
         for m, (name, _) in enumerate(spec.analytic + spec.mc):
             cols[name.format(tag)] = [r[m] for r in rows[j::k]]
     return cols
-
-
-def _blocklength_mc(mc, s):
-    return avg_blocklength(mc.avg_capacity, mc.avg_sqrt_dispersion,
-                           s.packet.info_bits, s.packet.target_bler)
 
 
 _FIGURES = {
@@ -394,33 +389,33 @@ _FIGURES = {
         (("rate_exact", rate_exact),
          ("rate_lower_bound", rate_lower_bound),
          ("capacity_shannon", capacity_shannon)),
-        (("rate_mc", lambda mc, s: mc.avg_rate),
-         ("rate_mc_se", lambda mc, s: mc.avg_rate_se))),
+        (("rate_mc", "avg_rate"),
+         ("rate_mc_se", "avg_rate_se"))),
     "fig4": _Figure(
         {"direct_link": False}, (
             ("perfect", {"phase": Perfect()}),
             ("2bit", {"phase": QuantizedBits(2)}),
             ("1bit", {"phase": QuantizedBits(1)})), "n_elements",
         (("bler_{}", bler),),
-        (("bler_{}_mc", lambda mc, s: mc.avg_bler),)),
+        (("bler_{}_mc", "avg_bler"),)),
     "fig5": _Figure(
         {"direct_link": False, "n_elements": 512}, (
             ("perfect", {"phase": Perfect()}),
             ("2bit", {"phase": QuantizedBits(2)}),
             ("1bit", {"phase": QuantizedBits(1)})), "ris_distance_m",
         (("bler_{}", bler),),
-        (("bler_{}_mc", lambda mc, s: mc.avg_bler),)),
+        (("bler_{}_mc", "avg_bler"),)),
     "fig6a": _Figure(
         {"direct_link": True}, (
             ("_ple3.6", {"direct_exponent": 3.6}),
             ("_ple3.8", {"direct_exponent": 3.8}),
             ("_ple4", {"direct_exponent": 4.0})), "ris_distance_m",
         (("rate{}", rate_exact),),
-        (("rate{}_mc", lambda mc, s: mc.avg_rate),)),
+        (("rate{}_mc", "avg_rate"),)),
     "fig6b": _Figure(
         {"direct_link": False}, (("", {}),), "ris_distance_m",
         (("rate{}", rate_exact),),
-        (("rate{}_mc", lambda mc, s: mc.avg_rate),)),
+        (("rate{}_mc", "avg_rate"),)),
     "fig7": _Figure(
         {"direct_link": False}, (
             ("1bit", {"phase": QuantizedBits(1)}),
@@ -428,11 +423,11 @@ _FIGURES = {
             ("3bit", {"phase": QuantizedBits(3)}),
             ("perfect", {"phase": Perfect()})), "n_elements",
         (("blocklength_{}", blocklength),),
-        (("blocklength_{}_mc", _blocklength_mc),)),
+        (("blocklength_{}_mc", "avg_blocklength"),)),
     "fig8": _Figure(
         {"direct_link": False}, (("", {}),), "n_elements",
         (("sqrt_dispersion", sqrt_dispersion),),
-        (("sqrt_dispersion_mc", lambda mc, s: mc.avg_sqrt_dispersion),)),
+        (("sqrt_dispersion_mc", "avg_sqrt_dispersion"),)),
 }
 
 FIGURE_IDS = tuple(_FIGURES)

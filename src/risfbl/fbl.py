@@ -132,8 +132,11 @@ def instantaneous_bler(gamma, blocklength: int, info_bits: int):
 
 
 def instantaneous_blocklength(gamma, info_bits: int, target_bler: float):
-    """Blocklength solving C r - Q^-1(eps) sqrt(V r) - L = 0 for r."""
-    out = _blocklength(*_capacity_sqrt_dispersion(gamma), info_bits, target_bler)
+    """Blocklength solving C r - Q^-1(eps) sqrt(V r) - L = 0 for r; +inf at
+    gamma = 0, where C = 0 and no positive root exists."""
+    c, sqrt_v = _capacity_sqrt_dispersion(gamma)
+    with np.errstate(invalid="ignore"):  # the root is 0/0 at C = 0
+        out = np.where(c == 0, np.inf, _blocklength(c, sqrt_v, info_bits, target_bler))
     return float(out) if out.ndim == 0 else out
 
 

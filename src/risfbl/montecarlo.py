@@ -268,9 +268,9 @@ def ks_distance(samples: np.ndarray, fit: GammaFit) -> float:
 
 @dataclass(frozen=True)
 class McAverages:
-    """Sample means of the instantaneous FBL metrics."""
+    """Sample means of the instantaneous rate, BLER, C and sqrt(V), and the
+    average blocklength at the means of C and sqrt(V), as at C1 and C2."""
 
-    n: int
     avg_rate: float
     avg_rate_se: float
     avg_bler: float
@@ -281,17 +281,18 @@ class McAverages:
 
 
 def mc_avg_metrics(samples: np.ndarray, packet: fbl.PacketConfig) -> McAverages:
-    """Average rate, BLER (exact Q, not the linearized surrogate) and
-    blocklength over an SNR sample array."""
+    """Sample averages over an SNR array (BLER by the exact Q, not the
+    linearized surrogate) and the blocklength at the means of C and sqrt(V)."""
     c, sqrt_v = fbl._capacity_sqrt_dispersion(samples)
     n = c.size
     if n < 2:
         raise DomainError("need at least 2 samples")
     r_m, r_se = _mean_se(fbl._rate(c, sqrt_v, packet.blocklength, packet.target_bler))
     b_m, b_se = _mean_se(fbl._bler(c, sqrt_v, packet.blocklength, packet.info_bits))
-    rlen = fbl._blocklength(c, sqrt_v, packet.info_bits, packet.target_bler)
-    return McAverages(n=n, avg_rate=r_m, avg_rate_se=r_se,
+    c_m = float(np.sum(c)) / n
+    sqrt_v_m = float(np.sum(sqrt_v)) / n
+    return McAverages(avg_rate=r_m, avg_rate_se=r_se,
                       avg_bler=b_m, avg_bler_se=b_se,
-                      avg_blocklength=float(np.sum(rlen)) / n,
-                      avg_capacity=float(np.sum(c)) / n,
-                      avg_sqrt_dispersion=float(np.sum(sqrt_v)) / n)
+                      avg_blocklength=fbl.avg_blocklength(
+                          c_m, sqrt_v_m, packet.info_bits, packet.target_bler),
+                      avg_capacity=c_m, avg_sqrt_dispersion=sqrt_v_m)

@@ -186,6 +186,15 @@ class TestThinWrappers:
         assert math.isfinite(float(csv_record(out)["avg_blocklength_mc"]))
         assert err == ""
 
+    def test_mc_blocklength_tracks_closed_form(self, capsys):
+        # one element: the SNR density is positive at 0, where the per-sample
+        # root grows like 1 / gamma and its mean does not settle
+        _, out, _ = run(capsys, "mc", "--N", "1")
+        mc = float(csv_record(out)["avg_blocklength_mc"])
+        _, out, _ = run(capsys, "blocklength", "--N", "1")
+        assert mc == pytest.approx(float(csv_record(out)["avg_blocklength"]),
+                                   rel=0.10)
+
 
 class TestConfigHandling:
     def test_config_file_plus_override(self, tmp_path, capsys):

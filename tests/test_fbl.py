@@ -78,8 +78,11 @@ class TestInstantaneous:
         assert lhs == pytest.approx(0.0, abs=1e-9 * L)
 
     def test_blocklength_decreasing_in_snr(self):
-        g = np.geomspace(0.5, 100.0, 40)
+        # at gamma = 0, C = 0 and no positive root exists
+        assert instantaneous_blocklength(0.0, 240, 1e-9) == math.inf
+        g = np.concatenate(([0.0], np.geomspace(0.5, 100.0, 40)))
         r = instantaneous_blocklength(g, 240, 1e-9)
+        assert r[0] == math.inf
         assert np.all(np.diff(r) < 0)
 
     @pytest.mark.parametrize("g", [1e-300, 1e-20, 1e-10, 1e-3, 1.0, 1e3])

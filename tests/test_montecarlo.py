@@ -20,12 +20,14 @@ from risfbl.channel import (
     moments_X,
     snr_scale,
 )
-from risfbl import montecarlo
+from risfbl import experiments, montecarlo
+from risfbl.experiments import ScenarioConfig
 from risfbl.fbl import (
     PacketConfig,
+    avg_blocklength,
+    capacity,
     dispersion,
     instantaneous_bler,
-    instantaneous_blocklength,
     instantaneous_rate,
 )
 from risfbl.montecarlo import (
@@ -275,13 +277,13 @@ class TestMetricAverages:
             float(np.mean(instantaneous_rate(s, pkt.blocklength,
                                              pkt.target_bler))), rel=1e-12)
         assert m.avg_capacity == pytest.approx(
-            float(np.mean(np.log2(1.0 + s))), rel=1e-12)
+            float(np.mean(capacity(s))), rel=1e-12)
         assert m.avg_bler == pytest.approx(
             float(np.mean(instantaneous_bler(s, pkt.blocklength,
                                              pkt.info_bits))), rel=1e-12)
-        assert m.avg_blocklength == pytest.approx(
-            float(np.mean(instantaneous_blocklength(s, pkt.info_bits,
-                                                    pkt.target_bler))), rel=1e-12)
+        assert m.avg_blocklength == avg_blocklength(
+            m.avg_capacity, m.avg_sqrt_dispersion, pkt.info_bits,
+            pkt.target_bler)
         assert m.avg_sqrt_dispersion == pytest.approx(
             float(np.mean(np.sqrt(dispersion(s)))), rel=1e-12)
         assert 0.0 <= m.avg_bler <= 1.0
@@ -298,3 +300,17 @@ class TestMetricAverages:
         assert m.avg_rate == pytest.approx(ref, rel=0.05)
         assert m.avg_capacity == pytest.approx(math.log2(1.0 + fit.mean),
                                                rel=0.05)
+
+    @pytest.mark.parametrize("fields,rel", [
+        ({"n_elements": 1}, 0.10),
+        ({"n_elements": 64, "phase": UniformSpread(1.0)}, 0.10),
+        ({"n_elements": 0, "direct_link": True}, 0.01),
+    ], ids=("N1", "N64-uniform1", "N0-direct"))
+    def test_blocklength_tracks_closed_form(self, fields, rel):
+        # the SNR density is positive at 0 in all three cases, where the
+        # per-sample root grows like 1 / gamma and its mean does not settle
+        s = ScenarioConfig(**fields)
+        samples = sample_snr(s.gains(), s.n_elements, s.phase, s.rho(), s.mc)
+        m = mc_avg_metrics(samples, s.packet)
+        ref = experiments.blocklength(s.fit(), s)
+        assert m.avg_blocklength == pytest.approx(ref, rel=rel)
