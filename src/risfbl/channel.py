@@ -120,8 +120,8 @@ class GammaFit:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise DomainError("shape and rate must be > 0")
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
+            raise DomainError("shape and rate must be finite and > 0")
 
     @property
     def mean(self) -> float:

@@ -35,6 +35,7 @@ from .specfun import (
     LOG2E,
     DomainError,
     EvalPolicy,
+    NonConvergenceError,
     _log_integral,
     _panel_grid,
     _softplus,
@@ -45,7 +46,7 @@ from .specfun import log_gamma_kummer_u  # noqa: F401  traced by name (ROADMAP i
 from .channel import GammaFit
 
 _LN2 = math.log(2.0)
-_REF_PANELS = 54  # of the average-BLER reference, 648 nodes
+_REF_PANELS = (4, 8, 16, 32, 64)  # tried by the average-BLER reference
 _STEP_SDS = 12.0  # half width of the Gamma CDF's step, in sds
 
 
@@ -235,12 +236,12 @@ def linearization_params(blocklength: int, info_bits: int) -> LinearizationParam
 def _avg_bler_closed(fit: GammaFit, lin: LinearizationParams) -> float:
     a, b = fit.shape, fit.rate
     k0, k1, xi0 = lin.kappa0, lin.kappa1, lin.xi0
-    p0 = sp.gammainc(a, k0 * b)
-    p1 = sp.gammainc(a, k1 * b)
-    p0s = sp.gammainc(a + 1.0, k0 * b)
-    p1s = sp.gammainc(a + 1.0, k1 * b)
+    # Python floats: an infinite a / b times a zero difference gives nan
+    # without a warning, and the guard flags it
+    p0, p1, p0s, p1s = sp.gammainc([a, a, a + 1.0, a + 1.0],
+                                   [k0 * b, k1 * b, k0 * b, k1 * b]).tolist()
     val = xi0 * (k0 * p0 - k1 * p1 + (a / b) * (p1s - p0s))
-    return float(min(max(val, 0.0), 1.0) + 0.0)
+    return min(max(val, 0.0), 1.0) + 0.0
 
 
 def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
@@ -250,7 +251,7 @@ def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     slope xi0 < 0 between, so its Gamma average is
     -xi0 int_kappa0^kappa1 P(shape, rate u) du: one positive integral of
     the Gamma CDF, with no subtraction and no density endpoint
-    singularity at any shape.  It is summed on 54 composite 12-point
+    singularity at any shape.  It is summed on composite 12-point
     Gauss-Legendre panels, even over the ramp while P's step, mean
     +- ``_STEP_SDS`` sd (sd = mean / sqrt(shape)), is wider than the
     ramp.  A narrower step, which even panels would not resolve at
@@ -258,19 +259,36 @@ def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     ramp, centred on the mean clipped to the ramp: beyond its
     ``_STEP_SDS`` sd P is 0 or 1 to within the Gamma's tail that far
     out, below 1e-19 from shape 100 up.
+
+    The panel count doubles through ``_REF_PANELS``, 4 to 64 (48 to 768
+    nodes), until two sums agree to 1e-8 relative, with the guard's own
+    1e-300 floor; the finer one is kept.  That is 100x below the guard's
+    1e-6.  Raises NonConvergenceError if 64 panels have not settled.
     """
     k0, k1 = lin.kappa0, lin.kappa1
     half = _STEP_SDS * fit.mean / math.sqrt(fit.shape)
-    pieces = [(k0, k1, _REF_PANELS)]
+    lo, hi = k0, k1
     if 2.0 * half < k1 - k0:
         mid = min(max(fit.mean, k0), k1)
         lo, hi = max(mid - half, k0), min(mid + half, k1)
-        pieces = [(k0, lo, 1), (lo, hi, _REF_PANELS - (lo > k0) - (hi < k1)),
-                  (hi, k1, 1)]
-    un, uw = np.concatenate([_panel_grid(a, b, 12 * n)
-                             for a, b, n in pieces if b > a], axis=1)
-    val = -lin.xi0 * float(np.sum(uw * sp.gammainc(fit.shape, fit.rate * un)))
-    return min(val, 1.0)  # val >= 0: -xi0 > 0 and P >= 0
+    ends = (lo > k0) + (hi < k1)
+
+    def attempt(n):
+        pieces = ((k0, lo, 1), (lo, hi, n - ends), (hi, k1, 1))
+        un, uw = np.concatenate([_panel_grid(a, b, 12 * m)
+                                 for a, b, m in pieces if b > a], axis=1)
+        return -lin.xi0 * float(np.sum(uw * sp.gammainc(fit.shape, fit.rate * un)))
+
+    prev = attempt(_REF_PANELS[0])
+    for n in _REF_PANELS[1:]:
+        cur = attempt(n)
+        change = abs(cur - prev)
+        if change <= 1e-8 * max(cur, 1e-300):
+            return min(cur, 1.0)  # cur >= 0: -xi0 > 0 and P >= 0
+        prev = cur
+    raise NonConvergenceError(
+        f"average-BLER reference did not settle at {n} panels "
+        f"(last change {change:.3e})")
 
 
 @dataclass(frozen=True)
@@ -285,15 +303,15 @@ def avg_bler_detail(fit: GammaFit, blocklength: int,
                     info_bits: int) -> AvgBlerResult:
     """Average BLER with the closed-form / reference cancellation guard.
 
-    If the incomplete-gamma closed form and the by-parts reference
-    integral disagree by more than 1e-6 relative, the reference value
-    wins and the result is flagged.
+    If the incomplete-gamma closed form is not finite, or it and the
+    by-parts reference integral disagree by more than 1e-6 relative, the
+    reference value wins and the result is flagged.
     """
     lin = linearization_params(blocklength, info_bits)
     closed = _avg_bler_closed(fit, lin)
     ref = _avg_bler_reference(fit, lin)
     scale = max(abs(ref), 1e-300)
-    flagged = abs(closed - ref) > 1e-6 * scale
+    flagged = not abs(closed - ref) <= 1e-6 * scale  # nan: flagged
     return AvgBlerResult(value=ref if flagged else closed,
                          closed_form=closed, reference=ref, flagged=flagged)
 

@@ -121,7 +121,7 @@ def _gl_panels(edges):
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=16)  # the grids of this package use nine sizes
+@functools.lru_cache(maxsize=32)  # the grids of this package use 21 sizes
 def _unit_panels(n_panels):
     """Read-only ``_gl_panels`` of n_panels even panels on [0, 1]."""
     grid = _gl_panels(np.linspace(0.0, 1.0, n_panels + 1))

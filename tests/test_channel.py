@@ -215,6 +215,13 @@ class TestGammaFit:
         with pytest.raises(DomainError):
             gamma_fit(Moments(m1=1.0, m2=3.0), rho=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_fit_parameters(self, bad):
+        with pytest.raises(DomainError):
+            GammaFit(shape=bad, rate=1.0)
+        with pytest.raises(DomainError):
+            GammaFit(shape=1.0, rate=bad)
+
 
 class TestAsymptotics:
     def test_trend_slopes(self):

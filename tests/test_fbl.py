@@ -10,6 +10,7 @@ from scipy import special as sp
 
 from risfbl import fbl, specfun
 from risfbl.channel import GammaFit
+from risfbl.experiments import N_GRID, ScenarioConfig, phase_from_label
 from risfbl.fbl import (
     PacketConfig,
     ValidityError,
@@ -33,6 +34,33 @@ import oracles
 from test_specfun import probe_drops
 
 WIDE_POLICY = EvalPolicy(rel_tol=1e-9)
+
+
+def reference_edges(fit, lin, n_panels):
+    """Panel edges of the average-BLER reference at n_panels in all."""
+    k0, k1 = lin.kappa0, lin.kappa1
+    half = fbl._STEP_SDS * fit.mean / math.sqrt(fit.shape)
+    if 2.0 * half >= k1 - k0:
+        return np.linspace(k0, k1, n_panels + 1)
+    mid = min(max(fit.mean, k0), k1)
+    lo, hi = max(mid - half, k0), min(mid + half, k1)
+    return np.concatenate((
+        [k0] * (lo > k0),
+        np.linspace(lo, hi, n_panels + 1 - (lo > k0) - (hi < k1)),
+        [k1] * (hi < k1)))
+
+
+def record_reference_grids(monkeypatch):
+    """List that collects every grid fbl builds from here on."""
+    grids = []
+    build = specfun._panel_grid
+
+    def recording(*args):
+        grids.append(build(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(fbl, "_panel_grid", recording)
+    return grids
 
 SERIES_CASES = [
     (0.5, 0.05), (2.0, 1.0), (10.0, 10.0), (50.0, 0.05), (200.0, 10.0),
@@ -376,35 +404,61 @@ class TestAvgBler:
         (2.0, 0.5, 1), (1e7, 0.5, 3), (1e7, 0.0, 2), (1e7, 1.0, 2)])
     def test_reference_panel_edges(self, monkeypatch, shape, mean_at, pieces):
         # the even layout and the step layout, with both flat ends of the
-        # ramp and with one, keep the 54 panels on the edges np.linspace gives
+        # ramp and with one, keep every attempted size of _REF_PANELS on
+        # the edges np.linspace gives
         lin = linearization_params(300, 240)
         k0, k1 = lin.kappa0, lin.kappa1
         fit = GammaFit(shape, shape / (k0 + mean_at * (k1 - k0)))
-        half = fbl._STEP_SDS * fit.mean / math.sqrt(fit.shape)
-        if 2.0 * half < k1 - k0:
-            mid = min(max(fit.mean, k0), k1)
-            lo, hi = max(mid - half, k0), min(mid + half, k1)
-            edges = np.concatenate((
-                [k0] * (lo > k0),
-                np.linspace(lo, hi, fbl._REF_PANELS + 1 - (lo > k0) - (hi < k1)),
-                [k1] * (hi < k1)))
-        else:
-            edges = np.linspace(k0, k1, fbl._REF_PANELS + 1)
-        ref_nodes, ref_weights = specfun._gl_panels(edges)
-        grids = []
-        build = fbl._panel_grid
-
-        def recording(*args):
-            grids.append(build(*args))
-            return grids[-1]
-
-        monkeypatch.setattr(fbl, "_panel_grid", recording)
+        grids = record_reference_grids(monkeypatch)
         fbl._avg_bler_reference(fit, lin)
-        nodes, weights = np.concatenate(grids, axis=1)
-        assert len(grids) == pieces
-        assert nodes.size == ref_nodes.size == 12 * fbl._REF_PANELS
-        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15 * k1
-        assert np.max(np.abs(weights - ref_weights)) <= 1e-15 * (k1 - k0)
+        assert len(grids) % pieces == 0
+        tried = len(grids) // pieces
+        assert 2 <= tried <= len(fbl._REF_PANELS)
+        for i, n in enumerate(fbl._REF_PANELS[:tried]):
+            nodes, weights = np.concatenate(grids[i * pieces:(i + 1) * pieces],
+                                            axis=1)
+            ref_nodes, ref_weights = specfun._gl_panels(
+                reference_edges(fit, lin, n))
+            assert nodes.size == ref_nodes.size == 12 * n
+            assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15 * k1
+            assert np.max(np.abs(weights - ref_weights)) <= 1e-15 * (k1 - k0)
+
+    @pytest.mark.parametrize("phase", ["perfect", "1bit", "2bit", "3bit",
+                                       "uniform:0.25"])
+    def test_reference_settles_early_on_figure_fits(self, monkeypatch, phase):
+        # the default scenario's fits settle by 8 panels (48 + 96 nodes) on
+        # the sum the fixed 54-panel rule gave, relative above the guard's
+        # 1e-300 floor: below it P's nodes are subnormal
+        lin = linearization_params(300, 240)
+        scenario = ScenarioConfig(phase=phase_from_label(phase))
+        grids = record_reference_grids(monkeypatch)
+        for n in N_GRID:
+            fit = scenario.fit(n)
+            nodes, weights = specfun._gl_panels(reference_edges(fit, lin, 54))
+            fixed = min(-lin.xi0 * float(np.sum(
+                weights * sp.gammainc(fit.shape, fit.rate * nodes))), 1.0)
+            grids.clear()
+            ref = fbl._avg_bler_reference(fit, lin)
+            assert abs(ref - fixed) <= 1e-10 * max(fixed, 1e-300), n
+            assert sum(g[0].size for g in grids) <= 144, n
+
+    def test_reference_raises_when_unsettled(self, monkeypatch):
+        # at shape 3.16e7 with the mean just below kappa1 the 4 -> 8 panel
+        # change is 3.7e-8 relative, above the 1e-8 the doubling asks for
+        lin = linearization_params(300, 240)
+        fit = GammaFit(3.16e7, 3.16e7 / 0.8435)
+        monkeypatch.setattr(fbl, "_REF_PANELS", (4, 8))
+        with pytest.raises(NonConvergenceError):
+            fbl._avg_bler_reference(fit, lin)
+
+    def test_nonfinite_closed_form_flagged(self):
+        # mean ~ 1e320: a / b overflows and the closed form is inf * 0;
+        # the reference, 0, is returned without a RuntimeWarning
+        det = avg_bler_detail(GammaFit(1e200, 1e-120), 300, 240)
+        assert math.isnan(det.closed_form)
+        assert det.flagged
+        assert det.value == det.reference == 0.0
+        assert avg_bler(GammaFit(1e200, 1e-120), 300, 240) == 0.0
 
     def test_saturates_to_one_at_low_snr(self):
         assert avg_bler(GammaFit(200.0, 800.0), 300, 240) == pytest.approx(
