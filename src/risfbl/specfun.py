@@ -21,10 +21,13 @@ integral moves by less than ``EvalPolicy.rel_tol``.  The kernel takes
 one function that returns the log integrands stacked, so one call can
 integrate several that share an exponent (a density times several
 functions).  The probes run once on the stack.  All the integrands share
-one pair of limits, the outermost of their own, and each refinement
-builds one grid and evaluates the stack on it once.  A grid is a cached,
-read-only pattern of panels on [0, 1], scaled onto the limits.  All
-accumulation is done in the log domain so shape parameters in the
+one pair of limits, the outermost of their own.  The first refinement
+step lays the 256- and 512-node grids side by side and evaluates the
+stack once on both, since a settled sum needs two sizes; each later
+step is one grid.  A grid is a cached, read-only pattern of panels on
+[0, 1], scaled onto the limits, and each size's sum is taken from its
+own slice of the step's values, so it is the sum that size alone gives.
+All accumulation is done in the log domain so shape parameters in the
 thousands (large-N Gamma fits) do not overflow.
 """
 
@@ -108,6 +111,8 @@ _DROP = 70.0  # integrand is followed until exp(h - h_peak) < e^-70
 _OFFSETS = 1e-3 * 1.8 ** np.arange(40)  # limit probes, out to 8.8e6 from the peak
 # the peak itself, then the probes to its left and to its right
 _PROBE_STEPS = np.concatenate(([0.0], -_OFFSETS, _OFFSETS))
+# node counts of the refinements, one evaluation of the integrands per step
+_STEPS = ((256, 512), (1024,), (2048,), (4096,))
 _GL12 = np.polynomial.legendre.leggauss(12)
 
 
@@ -121,19 +126,41 @@ def _gl_panels(edges):
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=32)  # the grids of this package use 21 sizes
-def _unit_panels(n_panels):
-    """Read-only ``_gl_panels`` of n_panels even panels on [0, 1]."""
-    grid = _gl_panels(np.linspace(0.0, 1.0, n_panels + 1))
-    for a in grid:
+@functools.lru_cache(maxsize=32)  # the grids of this package use 20 keys
+def _unit_panels(*n_panels):
+    """Read-only ``_gl_panels`` of n even panels on [0, 1] for each n of
+    ``n_panels``: the nodes of all the grids, concatenated, then the
+    weights of each."""
+    grids = [_gl_panels(np.linspace(0.0, 1.0, n + 1)) for n in n_panels]
+    out = (np.concatenate([un for un, _ in grids]), *(uw for _, uw in grids))
+    for a in out:
         a.flags.writeable = False
-    return grid
+    return out
 
 
-def _panel_grid(vl, vr, n_points):
-    """ceil(n_points / 12) even 12-point Gauss-Legendre panels on [vl, vr]."""
-    un, uw = _unit_panels(-(-n_points // 12))
-    return un * (vr - vl) + vl, uw * (vr - vl)
+def _panel_grid(vl, vr, *n_points):
+    """ceil(n / 12) even 12-point Gauss-Legendre panels on [vl, vr] for
+    each n of ``n_points``: the nodes of all the grids, concatenated, then
+    the weights of each."""
+    un, *uws = _unit_panels(*(-(-n // 12) for n in n_points))
+    return (un * (vr - vl) + vl, *(uw * (vr - vl) for uw in uws))
+
+
+def _log_sums(log_f, top, vl, vr):
+    """Per refinement of ``_STEPS``, the list of the stack's log integrals
+    on [vl, vr], each summed as exp(log_f - top) and shifted back by top.
+
+    Each step evaluates ``log_f`` once, on the nodes of all its grids,
+    and each grid's sum is taken from its own slice of that evaluation.
+    """
+    shift = top[:, None]
+    for n_points in _STEPS:
+        nodes, *weights = _panel_grid(vl, vr, *n_points)
+        f = log_f(nodes)
+        end = 0
+        for w in weights:
+            yield (np.log(np.exp(f[:, end:end + w.size] - shift) @ w) + top).tolist()
+            end += w.size
 
 
 def _log_integral(log_f, policy, v_peak):
@@ -151,44 +178,45 @@ def _log_integral(log_f, policy, v_peak):
     must fall ``_DROP`` below it at some probe on each side, or the call
     raises NonConvergenceError; it integrates all of them between the
     outermost of those probes, so an integrand's own factor may move its
-    bump, but not by ``_DROP`` in height at ``v_peak``.  Each refinement builds one grid,
-    from 256 nodes doubling up to 4096, and evaluates ``log_f`` on it
-    once.  An integral keeps the value of the refinement at which it
-    moved by less than ``policy.rel_tol``, and the call ends when all
-    have; raises NonConvergenceError if one has not at 4096 nodes.
+    bump, but not by ``_DROP`` in height at ``v_peak``.  The refinements
+    run from 256 nodes doubling up to 4096 (``_log_sums``): the 256- and
+    512-node grids share one evaluation of ``log_f``, each larger grid
+    has one of its own.  An integral keeps the value of the refinement
+    at which it moved by less than ``policy.rel_tol``, and the call ends
+    when all have; raises NonConvergenceError if one has not at 4096
+    nodes.
     """
     # far probes overflow exp inside log_f; they need only compare as small
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         f = log_f(v_peak + _PROBE_STEPS)
     top = f.max(axis=1)
-    if not np.all(np.isfinite(top)):
+    if not all(map(math.isfinite, top.tolist())):
         raise NonConvergenceError("integrand peak is not finite")
-    below = f[:, 1:].reshape(-1, 2, _OFFSETS.size) < (top - _DROP)[:, None, None]
-    if not below.any(axis=2).all():
-        raise NonConvergenceError("integrand does not drop by e^-70 within the probes")
-    reach = _OFFSETS[np.argmax(below, axis=2).max(axis=0)]
-    vl, vr = v_peak - reach[0], v_peak + reach[1]
+    # per integrand, left then right side: the first probe _DROP below top
+    below = (f[:, 1:] < (top - _DROP)[:, None]).tolist()
+    n_off = _OFFSETS.size
+    try:
+        left = max(row.index(True, 0, n_off) for row in below)
+        right = max(row.index(True, n_off) for row in below) - n_off
+    except ValueError:
+        raise NonConvergenceError(
+            "integrand does not drop by e^-70 within the probes") from None
+    vl, vr = v_peak - _OFFSETS[left], v_peak + _OFFSETS[right]
 
-    def attempt(n):
-        nodes, weights = _panel_grid(vl, vr, n)
-        return np.log(np.exp(log_f(nodes) - top[:, None]) @ weights) + top
-
-    prev = attempt(256)
-    out = np.empty_like(prev)
-    todo = np.ones(prev.shape, dtype=bool)
-    for n in (512, 1024, 2048, 4096):
-        cur = attempt(n)
-        change = np.abs(cur - prev)
-        settled = todo & (change < policy.rel_tol)
-        out[settled] = cur[settled]
-        todo &= ~settled
-        if not todo.any():
-            return tuple(out.tolist())
+    out = [None] * len(top)
+    prev = None
+    for cur in _log_sums(log_f, top, vl, vr):
+        if prev is not None:
+            change = [abs(c - p) for c, p in zip(cur, prev)]
+            for i, d in enumerate(change):
+                if out[i] is None and d < policy.rel_tol:
+                    out[i] = cur[i]
+            if None not in out:
+                return tuple(out)
         prev = cur
+    last = max(d for d, o in zip(change, out) if o is None)
     raise NonConvergenceError(
-        "quadrature failed to converge after refinement "
-        f"(last change {change[todo].max():.3e})"
-    )
+        f"quadrature failed to converge after refinement (last change {last:.3e})")
 
 
 def _softplus(v):

@@ -1,5 +1,6 @@
 """Finite-blocklength metrics: instantaneous forms and Gamma averages."""
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,7 @@ from risfbl.fbl import (
 from risfbl.specfun import DEFAULT_POLICY, LOG2E, DomainError, EvalPolicy, NonConvergenceError, inv_q, q_function
 
 import oracles
-from test_specfun import probe_drops
+from test_specfun import log_sums_shared_and_alone, probe_drops
 
 WIDE_POLICY = EvalPolicy(rel_tol=1e-9)
 
@@ -51,16 +52,35 @@ def reference_edges(fit, lin, n_panels):
 
 
 def record_reference_grids(monkeypatch):
-    """List that collects every grid fbl builds from here on."""
+    """List that collects (edges, panel counts, grid) for every grid step
+    the average-BLER reference builds from here on."""
     grids = []
-    build = specfun._panel_grid
+    build = fbl._reference_grid
+
+    def recording(edges, panels):
+        grids.append((edges, panels, build(edges, panels)))
+        return grids[-1][2]
+
+    monkeypatch.setattr(fbl, "_reference_grid", recording)
+    return grids
+
+
+def reference_sums_shared_and_alone(monkeypatch, fit, lin):
+    """The (panel count, sum) pairs the reference reads with its steps, and
+    the same panel counts' pairs with each count evaluated alone."""
+    shared = []
+    sums = fbl._reference_sums
 
     def recording(*args):
-        grids.append(build(*args))
-        return grids[-1]
+        for pair in sums(*args):
+            shared.append(pair)
+            yield pair
 
-    monkeypatch.setattr(fbl, "_panel_grid", recording)
-    return grids
+    monkeypatch.setattr(fbl, "_reference_sums", recording)
+    fbl._avg_bler_reference(fit, lin)
+    monkeypatch.setattr(fbl, "_REF_STEPS", tuple(
+        (n,) for step in fbl._REF_STEPS for n in step))
+    return shared, list(itertools.islice(sums(fit, lin), len(shared)))
 
 SERIES_CASES = [
     (0.5, 0.05), (2.0, 1.0), (10.0, 10.0), (50.0, 0.05), (200.0, 10.0),
@@ -251,7 +271,7 @@ class TestSharedAverages:
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_integrand_calls_bounded(self, monkeypatch, shape, rate):
-        # the probes, then two to five grids
+        # the probes, then one to four refinement steps
         sizes = []
         kernel = fbl._log_integral
 
@@ -264,13 +284,14 @@ class TestSharedAverages:
         monkeypatch.setattr(fbl, "_log_integral", counting)
         fbl._gamma_averages.cache_clear()
         c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
-        assert len(sizes) <= 6
+        assert len(sizes) <= 1 + len(specfun._STEPS)
         assert min(sizes) > 1
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_one_grid_per_refinement(self, monkeypatch, shape, rate):
         # the probes start at the density's peak, ln(shape); from there on
-        # each grid is evaluated once, for the stack of all three averages
+        # each step is evaluated once, for the stack of all three averages,
+        # on the nodes of its grids side by side, so each grid size once
         seen, shapes = [], []
         kernel = fbl._log_integral
 
@@ -286,9 +307,27 @@ class TestSharedAverages:
         fbl._gamma_averages.cache_clear()
         c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
         assert np.array_equal(seen[0], math.log(shape) + specfun._PROBE_STEPS)
-        assert 2 <= len(seen) - 1 <= 5
+        steps = specfun._STEPS[:len(seen) - 1]
+        assert 1 <= len(steps) == len(seen) - 1
+        assert [v.size for v in seen[1:]] == [
+            sum(12 * -(-n // 12) for n in step) for step in steps]
         assert shapes == [(3, v.size) for v in seen]
-        assert len({v.size for v in seen[1:]}) == len(seen) - 1
+        sizes = [n for step in steps for n in step]
+        assert len(set(sizes)) == len(sizes) >= 2
+
+    @pytest.mark.parametrize("shape,rate", SERIES_CASES)
+    def test_shared_step_sums_equal_alone(self, monkeypatch, shape, rate):
+        # each grid's log sums from a step shared with another size are
+        # those that size gives when evaluated on its own
+        fit = GammaFit(shape, rate)
+
+        def run():
+            fbl._gamma_averages.cache_clear()
+            c1_avg_capacity(fit)
+
+        shared, alone = log_sums_shared_and_alone(monkeypatch, run)
+        assert len(shared) >= 2
+        assert shared == alone
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_probe_cap_never_binds(self, monkeypatch, shape, rate):
@@ -404,24 +443,41 @@ class TestAvgBler:
         (2.0, 0.5, 1), (1e7, 0.5, 3), (1e7, 0.0, 2), (1e7, 1.0, 2)])
     def test_reference_panel_edges(self, monkeypatch, shape, mean_at, pieces):
         # the even layout and the step layout, with both flat ends of the
-        # ramp and with one, keep every attempted size of _REF_PANELS on
+        # ramp and with one, keep every panel count of _REF_STEPS tried on
         # the edges np.linspace gives
         lin = linearization_params(300, 240)
         k0, k1 = lin.kappa0, lin.kappa1
         fit = GammaFit(shape, shape / (k0 + mean_at * (k1 - k0)))
         grids = record_reference_grids(monkeypatch)
         fbl._avg_bler_reference(fit, lin)
-        assert len(grids) % pieces == 0
-        tried = len(grids) // pieces
-        assert 2 <= tried <= len(fbl._REF_PANELS)
-        for i, n in enumerate(fbl._REF_PANELS[:tried]):
-            nodes, weights = np.concatenate(grids[i * pieces:(i + 1) * pieces],
-                                            axis=1)
-            ref_nodes, ref_weights = specfun._gl_panels(
-                reference_edges(fit, lin, n))
-            assert nodes.size == ref_nodes.size == 12 * n
-            assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15 * k1
-            assert np.max(np.abs(weights - ref_weights)) <= 1e-15 * (k1 - k0)
+        assert 1 <= len(grids) <= len(fbl._REF_STEPS)
+        for (edges, panels, (nodes, *weights)), step in zip(grids, fbl._REF_STEPS):
+            assert edges[0] == k0 and edges[3] == k1
+            assert 1 + (edges[1] > k0) + (edges[2] < k1) == pieces
+            assert panels == step and len(weights) == len(panels)
+            assert nodes.size == sum(w.size for w in weights)
+            end = 0
+            for n, w in zip(panels, weights):
+                ref_nodes, ref_weights = specfun._gl_panels(
+                    reference_edges(fit, lin, n))
+                assert w.size == ref_nodes.size == 12 * n
+                grid_nodes = nodes[end:end + w.size]
+                assert np.max(np.abs(grid_nodes - ref_nodes)) <= 1e-15 * k1
+                assert np.max(np.abs(w - ref_weights)) <= 1e-15 * (k1 - k0)
+                end += w.size
+
+    @pytest.mark.parametrize("shape,mean_at", [
+        (2.0, 0.5), (1e7, 0.5), (1e7, 0.0), (1e7, 1.0)])
+    def test_reference_shared_step_sums_equal_alone(self, monkeypatch, shape,
+                                                    mean_at):
+        # in the even layout and the step layout, each panel count's sum
+        # from a step shared with another count is the sum it gives alone
+        lin = linearization_params(300, 240)
+        k0, k1 = lin.kappa0, lin.kappa1
+        fit = GammaFit(shape, shape / (k0 + mean_at * (k1 - k0)))
+        shared, alone = reference_sums_shared_and_alone(monkeypatch, fit, lin)
+        assert [n for n, _ in shared[:2]] == [4, 8]
+        assert shared == alone
 
     @pytest.mark.parametrize("phase", ["perfect", "1bit", "2bit", "3bit",
                                        "uniform:0.25"])
@@ -440,15 +496,26 @@ class TestAvgBler:
             grids.clear()
             ref = fbl._avg_bler_reference(fit, lin)
             assert abs(ref - fixed) <= 1e-10 * max(fixed, 1e-300), n
-            assert sum(g[0].size for g in grids) <= 144, n
+            assert [panels for _, panels, _ in grids] == [(4, 8)], n
+            assert sum(grid[0].size for _, _, grid in grids) <= 144, n
 
     def test_reference_raises_when_unsettled(self, monkeypatch):
         # at shape 3.16e7 with the mean just below kappa1 the 4 -> 8 panel
         # change is 3.7e-8 relative, above the 1e-8 the doubling asks for
         lin = linearization_params(300, 240)
         fit = GammaFit(3.16e7, 3.16e7 / 0.8435)
-        monkeypatch.setattr(fbl, "_REF_PANELS", (4, 8))
-        with pytest.raises(NonConvergenceError):
+        monkeypatch.setattr(fbl, "_REF_STEPS", ((4,), (8,)))
+        with pytest.raises(NonConvergenceError, match="settle at 8 panels"):
+            fbl._avg_bler_reference(fit, lin)
+
+    @pytest.mark.parametrize("steps,last", [(((4, 8),), 8), (((4,),), 4)])
+    def test_reference_raises_at_end_of_schedule(self, monkeypatch, steps, last):
+        # the same fit on a schedule of one step, also one with no second
+        # sum to compare: NonConvergenceError names the last count tried
+        lin = linearization_params(300, 240)
+        fit = GammaFit(3.16e7, 3.16e7 / 0.8435)
+        monkeypatch.setattr(fbl, "_REF_STEPS", steps)
+        with pytest.raises(NonConvergenceError, match=f"settle at {last} panels"):
             fbl._avg_bler_reference(fit, lin)
 
     def test_nonfinite_closed_form_flagged(self):

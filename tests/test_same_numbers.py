@@ -1,0 +1,47 @@
+"""The same-numbers report of tools/same_numbers.py."""
+
+import importlib.util
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "same_numbers.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("same_numbers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_checkout_against_itself_is_byte_equal():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--against", str(ROOT), "--figures", "fig8",
+         "--n-samples", "50"],
+        capture_output=True, text=True, check=True, timeout=300)
+    *lines, last = proc.stdout.strip().splitlines()
+    summary = json.loads(last)
+    assert summary["fields"] == summary["byte_equal_fields"] == len(lines)
+    assert summary["changed_cells"] == 0 and summary["changed_fields"] == []
+    assert summary["max_rel_drift"] == 0.0
+    fig8 = [line for line in lines if line.startswith("fig8 ")]
+    assert len(fig8) == 9  # three columns under each of three scenarios
+    assert all(line.endswith("byte-equal") for line in lines)
+
+
+def test_compare_counts_changed_cells():
+    tool = load_tool()
+    mine = {"fig": {"a": [1.0, math.nan, 0.0, 2.0], "b": [1.0]},
+            "hashes": {"h": "00"}, "errors": {"error": "ValueError: x"}}
+    theirs = {"fig": {"a": [1.0, math.nan, -0.0, 2.0 + 2.0 ** -51], "b": [1.0]},
+              "hashes": {"h": "01"}, "errors": {"error": "ValueError: x"}}
+    rows = {(g, f): (cells, changed, worst)
+            for g, f, cells, changed, worst in tool.compare(mine, theirs)}
+    assert rows[("fig", "a")] == (4, 2, 2.0 ** -51 / (2.0 + 2.0 ** -51))
+    assert rows[("fig", "b")] == (1, 0, 0.0)
+    assert rows[("hashes", "h")] == (1, 1, None)
+    assert rows[("errors", "error")] == (1, 0, 0.0)

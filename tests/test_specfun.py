@@ -1,5 +1,6 @@
 """Special-function kernel tests against mpmath and scipy references."""
 
+import itertools
 import math
 import re
 
@@ -131,6 +132,27 @@ def probe_drops(log_f, v_peak):
     return below[..., :-1].any(axis=2)
 
 
+def log_sums_shared_and_alone(monkeypatch, run):
+    """The log sums of every refinement that ``run()`` reads from the
+    kernel's one call, with the default steps, and the same sizes' sums
+    with each size evaluated alone."""
+    calls = []
+    sums = specfun._log_sums
+
+    def recording(*args):
+        calls.append((args, []))
+        for cur in sums(*args):
+            calls[-1][1].append(cur)
+            yield cur
+
+    monkeypatch.setattr(specfun, "_log_sums", recording)
+    run()
+    (args, shared), = calls
+    monkeypatch.setattr(specfun, "_STEPS", tuple(
+        (n,) for step in specfun._STEPS for n in step))
+    return shared, list(itertools.islice(sums(*args), len(shared)))
+
+
 class TestPanelGrid:
     @pytest.mark.parametrize("vl,vr,n", [
         (-3.2, 5.7, 256), (0.1, 0.9, 512), (-20.0, -1.0, 1024),
@@ -145,6 +167,18 @@ class TestPanelGrid:
         scale = max(abs(vl), abs(vr))
         assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15 * scale
         assert np.max(np.abs(weights - ref_weights)) <= 1e-15 * (vr - vl)
+
+    def test_sizes_side_by_side(self):
+        # several sizes: each one's nodes in turn, then each one's weights,
+        # the same bytes as that size's own grid
+        nodes, *weights = specfun._panel_grid(-3.2, 5.7, 256, 512, 1024)
+        end = 0
+        for n, w in zip((256, 512, 1024), weights):
+            alone_nodes, alone_weights = specfun._panel_grid(-3.2, 5.7, n)
+            assert np.array_equal(nodes[end:end + w.size], alone_nodes)
+            assert np.array_equal(w, alone_weights)
+            end += w.size
+        assert end == nodes.size
 
     def test_cached_pattern_is_read_only(self):
         for a in specfun._unit_panels(22):
@@ -168,6 +202,8 @@ MPMATH_CASES = [
     (80.0, 2.0, 0.5),
 ]
 IDENTITY_CASES = [(1.5, 0.3), (4.0, 2.0), (30.0, 10.0)]
+KERNEL_CASES = MPMATH_CASES + [(a, a + 1.0, z) for a, z in IDENTITY_CASES] + [
+    (2000.0, 101.0, 0.01)]
 
 
 class TestKummerU:
@@ -195,10 +231,10 @@ class TestKummerU:
         assert match is not None
         assert float(match.group(1)) > 0.0
 
-    @pytest.mark.parametrize("a,b,z", MPMATH_CASES + [
-        (a, a + 1.0, z) for a, z in IDENTITY_CASES] + [(2000.0, 101.0, 0.01)])
+    @pytest.mark.parametrize("a,b,z", KERNEL_CASES)
     def test_integrand_calls_bounded(self, monkeypatch, a, b, z):
-        # one array call of log_f for the probes, then one per grid (two to five)
+        # one array call of log_f for the probes, then one per refinement
+        # step (one to four)
         sizes = []
         kernel = specfun._log_integral
 
@@ -210,8 +246,17 @@ class TestKummerU:
 
         monkeypatch.setattr(specfun, "_log_integral", counting)
         log_gamma_kummer_u(a, b, z)
-        assert len(sizes) <= 6
+        assert len(sizes) <= 1 + len(specfun._STEPS)
         assert min(sizes) > 1
+
+    @pytest.mark.parametrize("a,b,z", KERNEL_CASES)
+    def test_shared_step_sums_equal_alone(self, monkeypatch, a, b, z):
+        # each grid's log sum from a step shared with another size is the
+        # one that size gives when evaluated on its own
+        shared, alone = log_sums_shared_and_alone(
+            monkeypatch, lambda: log_gamma_kummer_u(a, b, z))
+        assert len(shared) >= 2
+        assert shared == alone
 
     def test_peak_is_stationary(self, monkeypatch):
         # the closed-form peak handed to the kernel is the maximum of h,
@@ -224,8 +269,7 @@ class TestKummerU:
             return kernel(log_f, policy, v_peak)
 
         monkeypatch.setattr(specfun, "_log_integral", capturing)
-        cases = MPMATH_CASES + [(a, a + 1.0, z) for a, z in IDENTITY_CASES] + [
-            (2000.0, 101.0, 0.01)]
+        cases = KERNEL_CASES
         assert {b - 1.0 - z > 0 for a, b, z in cases} == {True, False}
         for a, b, z in cases:
             log_gamma_kummer_u(a, b, z)
@@ -242,8 +286,7 @@ class TestKummerU:
             return kernel(log_f, policy, v_peak)
 
         monkeypatch.setattr(specfun, "_log_integral", capturing)
-        cases = MPMATH_CASES + [(a, a + 1.0, z) for a, z in IDENTITY_CASES] + [
-            (2000.0, 101.0, 0.01)]
+        cases = KERNEL_CASES
         for a, b, z in cases:
             log_gamma_kummer_u(a, b, z)
             assert probe_drops(*seen[-1]).all(), (a, b, z)

@@ -1,0 +1,220 @@
+"""
+Same-numbers report
+===================
+    python tools/same_numbers.py --against REF [--figures ID ...] [--n-samples N]
+
+Computes one fixed set of library outputs in this checkout and in REF,
+and reports, per column or field, whether the two trees give the same
+bytes, how many cells changed and the largest relative drift.  REF is
+a directory holding a checkout, or a git ref of this repository (such
+as ``HEAD^``), whose ``src/`` is exported with ``git archive`` into a
+temporary directory.
+
+The set:
+
+  * each figure of ``run_figure`` (all nine by default) at ``--n-samples``
+    (default 500), under the default scenario, ``--phase 2bit`` and
+    ``--phase uniform:0.5 --direct``;
+  * the closed-form values of the benchmark's ``analytic_points``;
+  * ``required_elements`` at the three anchors of the benchmark;
+  * SHA-256 hashes of ``sample_snr`` over a few (N, phase, direct) cases.
+
+The point list and anchors are read from ``bench/workloads.py`` of this
+checkout, for both trees.  Each tree is computed in its own subprocess,
+with its own ``src/`` first on the path.  A part that raises records the
+error, which is compared like a value.  The last line of stdout is one
+JSON object.  This is a report, not a gate: the exit code is 0 whatever
+the comparison shows, and non-zero only when the tool itself fails.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FIGURE_SCENARIOS = (
+    ("default", {}),
+    ("2bit", {"phase": "2bit"}),
+    ("uniform:0.5-direct", {"phase": "uniform:0.5", "direct_link": True}),
+)
+# (N, phase, direct link) of the hashed sampler runs, at SAMPLE_N samples
+SAMPLE_CASES = ((0, "perfect", True), (1, "1bit", True), (16, "perfect", False),
+                (256, "2bit", False), (1024, "uniform:0.5", True))
+SAMPLE_N = 2000
+
+
+# ---------------------------------------------------------------------------
+# Child: compute the set in one tree
+# ---------------------------------------------------------------------------
+
+def _guarded(fn):
+    try:
+        return fn()
+    except Exception:  # a part that raises is reported, not fatal
+        return {"error": traceback.format_exc(limit=0).strip()}
+
+
+def collect(src, figures, n_samples):
+    """The set, as {group: {field: value or list of values}}."""
+    import risfbl
+    if Path(risfbl.__file__).resolve().parent.parent != Path(src).resolve():
+        raise RuntimeError(f"imported {risfbl.__file__}, not the tree at {src}")
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    from risfbl import experiments, montecarlo
+
+    out = {}
+    for fig in figures or experiments.FIGURE_IDS:
+        for label, cfg in FIGURE_SCENARIOS:
+            scenario = experiments.scenario_from_dict(
+                dict(cfg, n_samples=n_samples))
+            out[f"{fig} {label}"] = _guarded(lambda: {
+                name: [float(v) for v in col] for name, col in
+                experiments.run_figure(fig, scenario).columns.items()})
+
+    def points():
+        base = experiments.ScenarioConfig()
+        rows = [workloads.eval_point(p, base)
+                for p in workloads.analytic_point_list()]
+        return {name: [float(r[j]) for r in rows]
+                for j, name in enumerate(workloads.POINT_COLUMNS)}
+
+    def anchors():
+        base = experiments.ScenarioConfig()
+        return {label: experiments.required_elements(
+                    workloads.TARGET_BLER, dataclasses.replace(base, phase=phase))
+                for label, phase, _ in workloads.ANCHORS}
+
+    def hashes():
+        out = {}
+        for n, phase, direct in SAMPLE_CASES:
+            s = experiments.scenario_from_dict(
+                {"n_elements": n, "phase": phase, "direct_link": direct,
+                 "n_samples": SAMPLE_N})
+            x = montecarlo.sample_snr(s.gains(), n, s.phase, s.rho(), s.mc)
+            out[f"N{n} {phase} {'direct' if direct else 'nodirect'}"] = (
+                hashlib.sha256(x.tobytes()).hexdigest())
+        return out
+
+    out["analytic_points"] = _guarded(points)
+    out["required_elements"] = _guarded(anchors)
+    out["sample_snr"] = _guarded(hashes)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Parent: run both trees, compare
+# ---------------------------------------------------------------------------
+
+def run_tree(src, args):
+    """The set computed in a subprocess that imports ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, __file__, "--collect", str(src),
+           "--n-samples", str(args.n_samples)]
+    if args.figures:
+        cmd += ["--figures", *args.figures]
+    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, check=True)
+    return json.loads(proc.stdout)
+
+
+def export_ref(ref, dest):
+    """``src/`` of git ref ``ref`` of this repository, unpacked in ``dest``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
+                          ref, "src"], stdout=subprocess.PIPE, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar.stdout, check=True)
+    return Path(dest) / "src"
+
+
+def _same(a, b):
+    """Byte-equal: equal and of one type, with NaN equal to NaN and 0.0
+    unequal to -0.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    return a == b
+
+
+def _drift(a, b):
+    """Relative drift of two cells that are not byte-equal; None where it
+    has no meaning."""
+    if not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
+        return None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
+
+
+def compare(mine, theirs):
+    """One row per field: (group, field, cells, changed, max drift)."""
+    rows = []
+    for group in sorted(set(mine) | set(theirs)):
+        a, b = mine.get(group, {}), theirs.get(group, {})
+        for field in sorted(set(a) | set(b)):
+            x, y = a.get(field), b.get(field)
+            if not (isinstance(x, list) and isinstance(y, list)
+                    and len(x) == len(y)):
+                x, y = [x], [y]
+            drifts = [_drift(u, v) for u, v in zip(x, y) if not _same(u, v)]
+            worst = 0.0 if not drifts else None if None in drifts else max(drifts)
+            rows.append((group, field, len(x), len(drifts), worst))
+    return rows
+
+
+def report(rows, against):
+    for group, field, cells, changed, worst in rows:
+        if not changed:
+            status = "byte-equal"
+        else:
+            drift = "n/a" if worst is None else f"{worst:.3g}"
+            status = f"{changed} of {cells} changed, max rel drift {drift}"
+        print(f"{group:32s} {field:28s} {status}")
+    drifts = [w for *_, w in rows]
+    summary = {
+        "against": against,
+        "fields": len(rows),
+        "byte_equal_fields": sum(1 for r in rows if not r[3]),
+        "cells": sum(r[2] for r in rows),
+        "changed_cells": sum(r[3] for r in rows),
+        "changed_fields": [f"{g}: {f}" for g, f, _, c, _ in rows if c],
+        "max_rel_drift": None if None in drifts else max(drifts, default=0.0),
+    }
+    print(json.dumps(summary))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(
+        description="Compare library outputs of this checkout and REF, byte for byte.")
+    ap.add_argument("--against", help="git ref or checkout directory")
+    ap.add_argument("--figures", nargs="+",
+                    help="figure ids (default: every figure of the tree)")
+    ap.add_argument("--n-samples", type=int, default=500)
+    ap.add_argument("--collect", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.collect:
+        json.dump(collect(args.collect, args.figures, args.n_samples), sys.stdout)
+        return 0
+    if not args.against:
+        ap.error("--against is required")
+    mine = run_tree(ROOT / "src", args)
+    with tempfile.TemporaryDirectory() as tmp:
+        other = Path(args.against)
+        src = (other / "src" if other.is_dir()
+               else export_ref(args.against, tmp))
+        theirs = run_tree(src, args)
+    report(compare(mine, theirs), args.against)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
