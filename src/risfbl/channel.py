@@ -70,10 +70,14 @@ class UniformSpread:
 
 @dataclass(frozen=True)
 class QuantizedBits:
-    """b-bit quantized phase shifts; analytically a uniform spread 2^-b.
+    """b-bit quantized phase shifts: residual uniform with spread 2^-b.
 
-    At most 52 bits: a float64 phase in [0, 2 pi) cannot resolve a finer
-    step.
+    The controller snaps each ideal shift to the nearest of 2^b levels,
+    2 pi 2^-b apart.  With a uniform cascade phase the ideal shift lies
+    uniformly within its level's cell, so the residual phase error is
+    uniform on (-pi 2^-b, pi 2^-b): in law, this is UniformSpread(2^-b),
+    for the moments and for the Monte Carlo sampler alike.  At most 52
+    bits: a float64 phase in [0, 2 pi) cannot resolve a finer step.
     """
 
     bits: int
@@ -85,10 +89,6 @@ class QuantizedBits:
     @property
     def spread(self) -> float:
         return 2.0 ** (-self.bits)
-
-    @property
-    def step(self) -> float:
-        return _PI / 2.0 ** (self.bits - 1)
 
 
 PhaseModel = Perfect | UniformSpread | QuantizedBits

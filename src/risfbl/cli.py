@@ -71,7 +71,7 @@ def _resolve_db(cfg):
 def _scenario_from_args(args) -> ScenarioConfig:
     cfg = {}
     if args.config:
-        with open(args.config) as f:
+        with open(args.config, encoding="utf-8") as f:
             loaded = json.load(f)
         if not isinstance(loaded, dict):
             raise DomainError("config file must hold a JSON object")
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except (DomainError, DegenerateMomentsError, ValidityError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonConvergenceError, BracketError) as exc:

@@ -1,16 +1,18 @@
 """
 Monte Carlo oracle
 ==================
-Sampling of the composite channel from its law, with per-element phase
-control applied as the controller would (perfect conjugate alignment,
-uniformly spread residuals, or snapping to the nearest quantizer
-level), then the received SNR, its empirical statistics, and sample
-averages of the instantaneous finite-blocklength metrics.
+Sampling of the composite channel from its law, with the per-element
+residual phase of the controller drawn from its law (none for perfect
+conjugate alignment, uniform for a uniform spread and for a b-bit
+quantizer, whose snap to the nearest level leaves a residual uniform
+within half a level step of 0), then the received SNR, its empirical
+statistics, and sample averages of the instantaneous finite-blocklength
+metrics.
 
 The sampler draws only uniforms: |h_d|^2, |a_n|^2 and |b_n|^2 are unit
-exponentials, taken by inverse CDF as E = -ln(1 - U), and every phase is
-uniform.  One formula in real arithmetic, in the frame rotated by the
-direct link's phase, serves every phase model.  ``tests/oracles.py``
+exponentials, taken by inverse CDF as E = -ln(1 - U), and every residual
+phase is uniform.  One formula in real arithmetic, in the frame of the
+direct link, serves every phase model.  ``tests/oracles.py``
 holds it to the literal complex controller on the same draws, and to a
 complex-Gaussian sampler in distribution.  Rows are processed in blocks
 of at most ``_BLOCK_BYTES`` (1 MiB, so that every pass over a block runs
@@ -116,8 +118,8 @@ def _rotated_sums(r, t, w, table, c, j, cos_j, sin_j):
     e^{i phi} = table[j] e^{i delta}.  sin delta comes first, so that
     cos delta can follow from it, and the two need only two contiguous
     arrays: ``c`` (float64) and ``j`` (int64) are scratch of ``r``'s shape,
-    ``j``'s memory serves as float64 once the table is gathered, and ``c``
-    may be ``t``.  ``cos_j`` and ``sin_j`` receive the gathered table
+    and ``j``'s memory serves as float64 once the table is gathered.
+    ``cos_j`` and ``sin_j`` receive the gathered table
     values (``cos_j`` first holds rint(t K) as float64) and may be ``t``
     or share its memory, which is read first.  Only ``r`` is left as it
     was.
@@ -156,17 +158,17 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     for unit exponentials E = -ln(1 - U); phases are uniform, 2 pi U.
     In the frame of h_d, with residual phase phi_n against the ideal shift,
     X = (|h_d| + amp sum r cos phi)^2 + (amp sum r sin phi)^2.  Perfect:
-    phi = 0, no rotation.  UniformSpread s: phi = s pi (2U - 1), that is
-    w (t - 1/2) with w = 2 s pi and t = U.  QuantizedBits: the ideal shift
-    theta* = arg h_d - psi_n, with arg h_d = 2 pi U_d (0 without a direct
-    link) and arg c_n = psi_n = 2 pi U_n, is snapped, so
-    phi = step * rint(x) - theta* = -step v, with x = theta* / step =
-    2^b (U_d - U) and v = x - rint(x), all exact; that is w (t - 1/2) with
-    w = -step and t = v + 1/2.  The rotation by phi is the module's table
-    step, with one cos/sin table per call.
+    phi = 0, no rotation.  Any other model: phi = spread pi (2U - 1), that
+    is w (t - 1/2) with w = 2 pi spread and t = U.  For QuantizedBits(b)
+    that is the law of the snap: with a uniform cascade phase, the ideal
+    shift lies uniformly within its quantizer cell, whatever the direct
+    link's phase, so the residual is uniform on (-pi 2^-b, pi 2^-b), and
+    the samples are those of UniformSpread(2^-b), to the byte.  The
+    rotation by phi is the module's table step, with one cos/sin table
+    per call.
 
-    A row is uniforms [E_d (direct link on only), E1[N], E2[N], U_d (direct
-    link on only), U[N] (not for Perfect)].  The whole block is mapped to
+    A row is uniforms [E_d (direct link on only), E1[N], E2[N], U[N] (not
+    for Perfect)].  The whole block is mapped to
     1 - U, which is exact for the generator's multiples of 2^-53, and its
     leading exponential columns then to -E = ln(1 - U) in place.  The
     phase columns are read as 1 - U, uniform as well; that turns every
@@ -189,15 +191,14 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
         raise DomainError(f"unknown phase model {phase!r}")
     n, d = n_elements, 1 if gains.direct > 0 else 0
     perfect = isinstance(phase, Perfect)
-    ne = d + 2 * n  # exponential columns, then d + (0 or n) uniform ones
-    width = ne + d + (0 if perfect else n)
+    ne = d + 2 * n  # exponential columns, then 0 or n phase ones
+    width = ne + (0 if perfect else n)
     rows = max(1, min(cfg.chunk, cfg.n_samples,
                       _BLOCK_BYTES // (8 * max(width, 1))))
     buf = np.empty((rows, width))
     r_buf = np.empty((rows, n))
     if not perfect:
-        quantized = isinstance(phase, QuantizedBits)
-        w = -phase.step if quantized else 2.0 * phase.spread * math.pi
+        w = 2.0 * phase.spread * math.pi
         table = _cis_table(w)
         c = np.empty((rows, n))
         j = np.empty((rows, n), dtype=np.int64)
@@ -216,19 +217,11 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
         if perfect:
             re, im = hd + amp * np.sum(r, axis=1), 0.0
         else:
-            # the block is free once t is read: the table is gathered there
+            # the block is free once its phase columns are read: the table
+            # is gathered there
             cos_j, sin_j = buf.reshape(-1)[:2 * m * n].reshape(2, m, n)
-            t = phi = u[:, ne + d:]
-            if quantized:
-                t = c[:m]
-                levels = 2.0 ** phase.bits
-                np.multiply(phi, -levels, out=t)
-                if d:
-                    t += levels * u[:, ne:ne + 1]  # x
-                np.rint(t, out=sin_j)
-                t -= sin_j  # v
-                t += 0.5
-            re, im = _rotated_sums(r, t, w, table, c[:m], j[:m], cos_j, sin_j)
+            re, im = _rotated_sums(r, u[:, ne:], w, table, c[:m], j[:m],
+                                   cos_j, sin_j)
             re = hd + amp * re
             im = amp * im
         out[lo:lo + m] = re * re + im * im

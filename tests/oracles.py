@@ -272,6 +272,11 @@ def second_moment_phase_error_expanded(gains: LinkGains, n_elements: int,
 # Literal Monte Carlo sampler
 # ---------------------------------------------------------------------------
 
+def quantizer_step(phase: QuantizedBits) -> float:
+    """Spacing of a b-bit quantizer's 2^b levels, 2 pi / 2^b = pi / 2^(b-1)."""
+    return math.pi / 2.0 ** (phase.bits - 1)
+
+
 def _literal_phase_errors(rng, theta_star, phase: PhaseModel):
     """Residual phase error actually applied on top of perfect alignment."""
     if isinstance(phase, Perfect):
@@ -281,7 +286,7 @@ def _literal_phase_errors(rng, theta_star, phase: PhaseModel):
         return rng.uniform(-s * math.pi, s * math.pi, size=theta_star.shape)
     if isinstance(phase, QuantizedBits):
         # controller snaps the ideal shift to the nearest quantizer level
-        step = phase.step
+        step = quantizer_step(phase)
         snapped = np.round(theta_star / step) * step
         return snapped - theta_star
     raise DomainError(f"unknown phase model {phase!r}")
@@ -336,35 +341,43 @@ def sample_snr_same_draws(gains: LinkGains, n_elements: int, phase: PhaseModel,
 
     Redraws the whole (n_samples, width) uniform array in one call, with
     the column layout ``risfbl.montecarlo.sample_snr`` documents, takes
-    the exponential columns as E = -log1p(-U), builds
-    h_d = |h_d| e^{j 2 pi U_d} and c_n = |a_n||b_n| e^{j psi_n}
-    (psi_n = 2 pi U_n, or 0 where no phase column is drawn), and runs the
-    controller in complex arithmetic: ideal shift arg h_d - arg c_n from
-    ``np.angle``, the residual of the phase model on top of it (the
-    phase columns' uniforms for UniformSpread, the ``np.round`` snap for
-    QuantizedBits), a complex sum and its squared modulus.
+    the exponential columns as E = -log1p(-U), builds the real, positive
+    h_d = |h_d| (the sampler's frame) and c_n = |a_n||b_n| e^{j psi_n},
+    and runs the controller in complex arithmetic: ideal shift
+    -arg c_n from ``np.angle``, the residual of the phase model on top of
+    it, a complex sum and its squared modulus.  Perfect draws no phase
+    column, so psi_n = 0.  UniformSpread takes psi_n = 2 pi U_n and the
+    residual from the same U_n.  QuantizedBits snaps the ideal shift to
+    the nearest level with ``np.round``; its cascade phase is a uniform
+    phase written as a level and a place in that level's cell,
+    psi_n = step (k_n + U_n - 1/2), with the level k_n drawn uniformly
+    from a second stream, so that the snap leaves the residual of the
+    sampler's phase column.
     """
     n = n_elements
     d = 1 if gains.direct > 0 else 0
     w = 0 if isinstance(phase, Perfect) else n
     rng = np.random.Generator(np.random.PCG64DXSM(
         np.random.SeedSequence([cfg.seed, cfg.stream_id])))
-    draws = rng.random((cfg.n_samples, 2 * d + 2 * n + w))
+    draws = rng.random((cfg.n_samples, d + 2 * n + w))
     e = -np.log1p(-draws[:, :d + 2 * n])
-    u = draws[:, 2 * d + 2 * n:]
-    if d:
-        hd = np.sqrt(gains.direct * e[:, 0]) * np.exp(2j * math.pi * draws[:, d + 2 * n])
+    u = draws[:, d + 2 * n:]
+    hd = np.sqrt(gains.direct * e[:, 0]) if d else np.zeros(cfg.n_samples)
+    if isinstance(phase, QuantizedBits):
+        step = quantizer_step(phase)
+        levels = np.random.default_rng([cfg.seed, cfg.stream_id]).integers(
+            0, 2 ** phase.bits, size=u.shape)
+        psi = step * (levels + u - 0.5)
     else:
-        hd = np.zeros(cfg.n_samples, dtype=complex)
-    psi = 2.0 * math.pi * u if w else 0.0
+        psi = 2.0 * math.pi * u if w else 0.0
     cascade = (math.sqrt(gains.ap_ris * gains.ris_ac)
                * np.sqrt(e[:, d:d + n] * e[:, d + n:]) * np.exp(1j * psi))
-    theta_star = np.angle(hd)[:, None] - np.angle(cascade)
+    theta_star = -np.angle(cascade)
     if isinstance(phase, Perfect):
         phi = 0.0
     elif isinstance(phase, UniformSpread):
         phi = phase.spread * math.pi * (2.0 * u - 1.0)
     else:
-        phi = np.round(theta_star / phase.step) * phase.step - theta_star
+        phi = np.round(theta_star / step) * step - theta_star
     total = hd + np.sum(cascade * np.exp(1j * (theta_star + phi)), axis=1)
     return rho * np.abs(total) ** 2

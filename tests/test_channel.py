@@ -84,7 +84,6 @@ class TestPhaseModels:
         assert Perfect().spread == 0.0
         assert QuantizedBits(1).spread == 0.5
         assert QuantizedBits(2).spread == 0.25
-        assert QuantizedBits(3).step == pytest.approx(math.pi / 4.0)
 
     def test_invalid_models(self):
         with pytest.raises(DomainError):

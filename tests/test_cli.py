@@ -109,6 +109,15 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert run(capsys, "validate", "--config", "/no/such.json")[0] == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag,path", [
+        ("--config", ""), ("--config", "latin1.json"), ("--output", "")],
+        ids=("config-dir", "config-not-utf8", "output-dir"))
+    def test_unreadable_file(self, capsys, tmp_path, flag, path):
+        (tmp_path / "latin1.json").write_bytes(b'{"phase": "\xe9"}')
+        code, _, err = run(capsys, "fit", flag, str(tmp_path / path))
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: config:") and err.count("\n") == 1
+
     def test_numeric_error(self, capsys):
         code, _, err = run(capsys, "rate", "--N", "2048", "--no-direct",
                            "--phase", "perfect", "--set", "rel_tol=1e-300")

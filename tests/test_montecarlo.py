@@ -68,6 +68,17 @@ class TestReproducibility:
         assert not np.array_equal(base, other_seed)
         assert not np.array_equal(base, other_stream)
 
+    @pytest.mark.parametrize("direct", [True, False])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 52])
+    def test_quantized_is_uniform_spread(self, bits, direct):
+        # a b-bit quantizer's residual is uniform with spread 2^-b, and the
+        # sampler draws it so: the same stream gives the same bytes
+        g = link_gains(Geometry(), direct_link=direct)
+        cfg = McConfig(n_samples=1234, seed=13, chunk=500)
+        a = sample_snr(g, 33, QuantizedBits(bits), RHO, cfg)
+        b = sample_snr(g, 33, UniformSpread(2.0 ** -bits), RHO, cfg)
+        assert np.array_equal(a, b)
+
     def test_chunking_invariant(self, monkeypatch):
         # rows come from one stream in order, so chunk and the block size
         # only set memory; the patched block sizes make the byte cap bind
@@ -75,7 +86,7 @@ class TestReproducibility:
         for direct in (True, False):
             g = link_gains(Geometry(), direct_link=direct)
             for phase in PHASES:
-                width = (2 if direct else 0) + (
+                width = (1 if direct else 0) + (
                     2 if isinstance(phase, Perfect) else 3) * n
                 runs = [sample_snr(g, n, phase, RHO, McConfig(
                             n_samples=n_samples, seed=5, chunk=chunk))
@@ -132,28 +143,39 @@ class TestLiteralOracle:
 class TestRotationTable:
     """The per-call cos/sin table and its Taylor step against libm."""
 
-    # phi = w (t - 1/2): w = 2 s pi for spreads 1, 1/4 and 2^-b, and
-    # w = -step for b-bit quantizers, b = 1..52
+    # phi = w (t - 1/2): w = 2 s pi for spreads 1, 1/4 and 2^-b, b = 1..52,
+    # and w = -2 pi 2^-b, whose sums are the conjugates of those at +w
     RATES = ([2.0 * s * math.pi
               for s in [1.0, 0.25] + [2.0 ** -b for b in range(1, 53)]]
-             + [-QuantizedBits(b).step for b in range(1, 53)])
+             + [-2.0 * math.pi * 2.0 ** -b for b in range(1, 53)])
+
+    @staticmethod
+    def _unit_sums(w, t):
+        # one element per row with r = 1: the row sums are cos phi and sin phi
+        return montecarlo._rotated_sums(
+            np.ones_like(t), t.copy(), w, montecarlo._cis_table(w),
+            np.empty_like(t), np.empty(t.shape, dtype=np.int64),
+            np.empty_like(t), np.empty_like(t))
 
     @pytest.mark.parametrize("w", RATES)
     def test_matches_libm(self, w):
-        # t = 0 and t = 1 are the quantizer's ties v = -1/2 and v = 1/2;
-        # grid points and midpoints between them are the extremes of delta
+        # t = 0 and t = 1 are the ends of the range; grid points and
+        # midpoints between them are the extremes of delta
         k = montecarlo._K
         t = np.concatenate(([0.0, 1.0], np.arange(k + 1) / k,
                             (np.arange(k) + 0.5) / k,
                             np.random.default_rng(3).random(20_000)))[:, None]
-        # one element per row with r = 1: the row sums are cos phi and sin phi
-        re, im = montecarlo._rotated_sums(
-            np.ones_like(t), t.copy(), w, montecarlo._cis_table(w),
-            np.empty_like(t), np.empty(t.shape, dtype=np.int64),
-            np.empty_like(t), np.empty_like(t))
+        re, im = self._unit_sums(w, t)
         phi = w * (t[:, 0] - 0.5)
         assert np.max(np.abs(re - np.cos(phi))) <= 1e-15
         assert np.max(np.abs(im - np.sin(phi))) <= 1e-15
+        if w < 0:
+            # the table is exactly symmetric: the sign of w, like reading
+            # the phase column as 1 - U, only conjugates the sums
+            re_pos, im_pos = self._unit_sums(-w, t)
+            assert np.array_equal(re, re_pos) and np.array_equal(im, -im_pos)
+            re_ref, im_ref = self._unit_sums(-w, 1.0 - t)
+            assert np.array_equal(re, re_ref) and np.array_equal(im, im_ref)
 
     @pytest.mark.parametrize("direct", [True, False])
     @pytest.mark.parametrize("phase", PHASES, ids=repr)
