@@ -21,7 +21,9 @@ w = ln(rate * gamma), in one call of the peak-tracked quadrature of
 fit.  The three share one pair of limits and one evaluation per
 refinement step, on which ln(1 + gamma) is computed once.  Integrands
 are assembled in the log domain, so shape parameters in the thousands
-do not overflow.
+do not overflow.  The by-parts BLER integral is settled by the same
+doubling Gauss-Legendre engine of ``specfun``, on pieces of its ramp;
+this module lays out the pieces and builds no grid of its own.
 """
 
 import functools
@@ -38,8 +40,8 @@ from .specfun import (
     EvalPolicy,
     NonConvergenceError,
     _log_integral,
+    _settled_sums,
     _softplus,
-    _unit_panels,
     inv_q,
     q_function,
 )
@@ -246,57 +248,6 @@ def _avg_bler_closed(fit: GammaFit, lin: LinearizationParams) -> float:
     return min(max(val, 0.0), 1.0) + 0.0
 
 
-@functools.lru_cache(maxsize=16)
-def _reference_pattern(panels, left, right):
-    """Read-only unit pattern of the reference's grids, one per panel count
-    in ``panels``, concatenated.  A grid is one panel for the ramp's left
-    flat end if ``left``, even panels for the middle, one panel for the
-    right end if ``right``.  Returns the unit nodes and weights, per node
-    the indices of its piece's width and start in the vector (left end,
-    middle, right end widths, then their starts), and each grid's slice.
-    """
-    ends = left + right
-    pieces = [piece for n in panels for piece in
-              ((0, 1),) * left + ((1, n - ends),) + ((2, 1),) * right]
-    un, *uws = _unit_panels(*(m for _, m in pieces))
-    at = np.repeat([j for j, _ in pieces], [12 * m for _, m in pieces])
-    uw, at = np.concatenate(uws), np.stack((at, at + 3))
-    uw.flags.writeable = at.flags.writeable = False
-    stops = np.cumsum([12 * n for n in panels]).tolist()
-    grids = [slice(stop - 12 * n, stop) for n, stop in zip(panels, stops)]
-    return un, uw, at, grids
-
-
-def _reference_grid(edges, panels):
-    """The reference's grids on the ramp cut at ``edges`` = (kappa0, lo,
-    hi, kappa1), one per panel count in ``panels``: the nodes of all,
-    concatenated, then the weights of each."""
-    k0, lo, hi, k1 = edges
-    un, uw, at, grids = _reference_pattern(panels, bool(lo > k0), bool(hi < k1))
-    width, start = np.array((lo - k0, hi - lo, k1 - hi, k0, lo, hi)).take(at)
-    weights = uw * width
-    return (un * width + start, *(weights[g] for g in grids))
-
-
-def _reference_sums(fit, lin):
-    """(panel count, sum) of the average-BLER reference for each panel
-    count of ``_REF_STEPS`` in turn; each step makes one gammainc call on
-    the nodes of all its grids, and each grid sums its own slice."""
-    k0, k1 = lin.kappa0, lin.kappa1
-    half = _STEP_SDS * fit.mean / math.sqrt(fit.shape)
-    lo, hi = k0, k1
-    if 2.0 * half < k1 - k0:
-        mid = min(max(fit.mean, k0), k1)
-        lo, hi = max(mid - half, k0), min(mid + half, k1)
-    for panels in _REF_STEPS:
-        nodes, *weights = _reference_grid((k0, lo, hi, k1), panels)
-        p = sp.gammainc(fit.shape, fit.rate * nodes)
-        end = 0
-        for n, w in zip(panels, weights):
-            yield n, -lin.xi0 * float(np.sum(w * p[end:end + w.size]))
-            end += w.size
-
-
 def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     """Average of the surrogate by parts, as one integral over its ramp.
 
@@ -313,24 +264,26 @@ def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     ``_STEP_SDS`` sd P is 0 or 1 to within the Gamma's tail that far
     out, below 1e-19 from shape 100 up.
 
-    The panel count doubles from 4 to 64 (48 to 768 nodes) through
-    ``_REF_STEPS`` until two sums agree to 1e-8 relative, with the
-    guard's own 1e-300 floor; the finer one is kept.  The 4- and 8-panel
-    sums, the fewest that can settle, come from one evaluation of P on
-    both grids (``_reference_sums``).  The 1e-8 is 100x below the
-    guard's 1e-6.  Raises NonConvergenceError, naming the last panel
-    count tried, if the schedule ends unsettled.
+    The panels double from 4 to 64 in all (48 to 768 nodes) through
+    ``_REF_STEPS`` until the sum settles by ``specfun._settled_sums`` to
+    1e-8 relative, 100x below the guard's 1e-6; the 4- and 8-panel
+    grids, the fewest that can settle, share one evaluation of P.
+    Raises NonConvergenceError, naming the last panel count tried, if
+    the schedule ends unsettled.
     """
-    prev, change = None, math.inf
-    for n, cur in _reference_sums(fit, lin):
-        if prev is not None:
-            change = abs(cur - prev)
-            if change <= 1e-8 * max(cur, 1e-300):
-                return min(cur, 1.0)  # cur >= 0: -xi0 > 0 and P >= 0
-        prev = cur
-    raise NonConvergenceError(
-        f"average-BLER reference did not settle at {n} panels "
-        f"(last change {change:.3e})")
+    k0, k1 = lin.kappa0, lin.kappa1
+    half = _STEP_SDS * fit.mean / math.sqrt(fit.shape)
+    lo, hi = k0, k1
+    if 2.0 * half < k1 - k0:
+        mid = min(max(fit.mean, k0), k1)
+        lo, hi = max(mid - half, k0), min(mid + half, k1)
+    left, right = int(lo > k0), int(hi < k1)
+    edges = (k0,) * left + (lo, hi) + (k1,) * right
+    steps = (tuple((1,) * left + (n - left - right,) + (1,) * right for n in step)
+             for step in _REF_STEPS)
+    (total,) = _settled_sums(lambda u: sp.gammainc(fit.shape, fit.rate * u)[None],
+                             edges, steps, 1e-8, "average-BLER reference")
+    return min(-lin.xi0 * total, 1.0)  # >= 0: -xi0 > 0 and P >= 0
 
 
 @dataclass(frozen=True)

@@ -14,21 +14,25 @@ onto the real line where the integrand is a single smooth bump.  The
 same kernel integrates the Gamma averages of the rate module.  Each
 caller knows the peak of its exponent in closed form and hands it in;
 the kernel takes as limits the first outward probes from it where the
-integrand has dropped by e^-70 (and raises if no probe on a side has),
-and sums composite 12-point
-Gauss-Legendre panels, doubling the node count from 256 until the log
-integral moves by less than ``EvalPolicy.rel_tol``.  The kernel takes
-one function that returns the log integrands stacked, so one call can
-integrate several that share an exponent (a density times several
-functions).  The probes run once on the stack.  All the integrands share
-one pair of limits, the outermost of their own.  The first refinement
-step lays the 256- and 512-node grids side by side and evaluates the
-stack once on both, since a settled sum needs two sizes; each later
-step is one grid.  A grid is a cached, read-only pattern of panels on
-[0, 1], scaled onto the limits, and each size's sum is taken from its
-own slice of the step's values, so it is the sum that size alone gives.
-All accumulation is done in the log domain so shape parameters in the
-thousands (large-N Gamma fits) do not overflow.
+integrand has dropped by e^-70 (and raises if no probe on a side has).
+The kernel takes one function that returns the log integrands stacked,
+so one call can integrate several that share an exponent (a density
+times several functions).  The probes run once on the stack.  All the
+integrands share one pair of limits, the outermost of their own.
+
+This module is the only one that knows the quadrature rule, composite
+12-point Gauss-Legendre.  ``_settled_sums`` doubles the panels through
+a schedule of steps until each sum is within a relative tolerance of
+the previous grid's; the kernel runs it on exp(log integrand - top) and
+takes the log of the settled sums, and ``fbl``'s average-BLER reference
+runs it on the Gamma CDF over pieces of its ramp.  A step evaluates the
+integrands once, on the nodes of all its grids side by side, and each
+grid's sum is taken from its own slice, so it is the sum that grid
+alone gives.  A grid is one cached, read-only unit pattern per tuple of
+per-piece panel counts, scaled onto the pieces between float edges.
+Integrands are assembled in the log domain and summed below their top,
+so shape parameters in the thousands (large-N Gamma fits) do not
+overflow.
 """
 
 import functools
@@ -51,8 +55,10 @@ class NonConvergenceError(RuntimeError):
 class EvalPolicy:
     """Tolerance of the peak-tracked quadrature behind Kummer U and C1/C2.
 
-    The node count starts at 256 and is doubled until the log integral
-    moves by less than ``rel_tol``.
+    The even panels start at 22 (256 nodes) and double up to 342 (4096
+    nodes) until each sum, of the integrand over its top, changes by at
+    most ``rel_tol`` relative to the new sum; that is about the change of
+    the log integral.
     """
 
     rel_tol: float = 1e-10
@@ -111,8 +117,9 @@ _DROP = 70.0  # integrand is followed until exp(h - h_peak) < e^-70
 _OFFSETS = 1e-3 * 1.8 ** np.arange(40)  # limit probes, out to 8.8e6 from the peak
 # the peak itself, then the probes to its left and to its right
 _PROBE_STEPS = np.concatenate(([0.0], -_OFFSETS, _OFFSETS))
-# node counts of the refinements, one evaluation of the integrands per step
-_STEPS = ((256, 512), (1024,), (2048,), (4096,))
+# panels of the refinements, ceil(n / 12) for n = 256 nodes doubling to
+# 4096, one evaluation of the integrands per step
+_STEPS = (((22,), (43,)), ((86,),), ((171,),), ((342,),))
 _GL12 = np.polynomial.legendre.leggauss(12)
 
 
@@ -126,41 +133,88 @@ def _gl_panels(edges):
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=32)  # the grids of this package use 20 keys
-def _unit_panels(*n_panels):
-    """Read-only ``_gl_panels`` of n even panels on [0, 1] for each n of
-    ``n_panels``: the nodes of all the grids, concatenated, then the
-    weights of each."""
-    grids = [_gl_panels(np.linspace(0.0, 1.0, n + 1)) for n in n_panels]
-    out = (np.concatenate([un for un, _ in grids]), *(uw for _, uw in grids))
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def _panel_grid(vl, vr, *n_points):
-    """ceil(n / 12) even 12-point Gauss-Legendre panels on [vl, vr] for
-    each n of ``n_points``: the nodes of all the grids, concatenated, then
-    the weights of each."""
-    un, *uws = _unit_panels(*(-(-n // 12) for n in n_points))
-    return (un * (vr - vl) + vl, *(uw * (vr - vl) for uw in uws))
-
-
-def _log_sums(log_f, top, vl, vr):
-    """Per refinement of ``_STEPS``, the list of the stack's log integrals
-    on [vl, vr], each summed as exp(log_f - top) and shifted back by top.
-
-    Each step evaluates ``log_f`` once, on the nodes of all its grids,
-    and each grid's sum is taken from its own slice of that evaluation.
+# the package asks for 20 keys: the 4 steps of _STEPS, and the 4 steps of
+# the average-BLER reference in each of its 4 piece layouts
+@functools.lru_cache(maxsize=32)
+def _unit_pattern(*counts):
+    """Read-only unit pattern of one grid per tuple of ``counts``, whose
+    entries are the even panels of each piece of [0, 1] in turn: the
+    ``_gl_panels`` nodes and weights of all the grids, concatenated, per
+    node the indices of its piece's width and start (None for one
+    piece), and each grid's slice.
     """
-    shift = top[:, None]
-    for n_points in _STEPS:
-        nodes, *weights = _panel_grid(vl, vr, *n_points)
-        f = log_f(nodes)
+    pieces = [(j, m) for c in counts for j, m in enumerate(c)]
+    un, uw = map(np.concatenate, zip(*(
+        _gl_panels(np.linspace(0.0, 1.0, m + 1)) for _, m in pieces)))
+    k = len(counts[0])
+    at = np.repeat([j for j, _ in pieces], [12 * m for _, m in pieces])
+    at = np.stack((at, at + k)) if k > 1 else None
+    stops = np.cumsum([12 * sum(c) for c in counts]).tolist()
+    for arr in (un, uw, at):
+        if arr is not None:
+            arr.flags.writeable = False
+    return un, uw, at, [slice(stop - 12 * sum(c), stop)
+                        for c, stop in zip(counts, stops)]
+
+
+def _panel_grid(edges, *counts):
+    """Composite 12-point Gauss-Legendre grids on the pieces between
+    ``edges``, one per tuple of ``counts``, which gives the even panels
+    of each piece in turn: the nodes of all the grids, concatenated,
+    then the weights of each."""
+    un, uw, at, slices = _unit_pattern(*counts)
+    if at is None:
+        lo, hi = edges
+        width, start = hi - lo, lo
+    else:
+        width, start = np.array(
+            [b - a for a, b in zip(edges, edges[1:])] + list(edges[:-1])).take(at)
+    weights = uw * width
+    return (un * width + start, *(weights[s] for s in slices))
+
+
+def _step_sums(integrand, edges, steps):
+    """(panels, list of the stack's sums) of each grid of ``steps`` in
+    turn, on the pieces between ``edges``.
+
+    ``integrand(x)`` returns k integrands stacked, shape (k, x.size).  A
+    step is a tuple of grids (``_panel_grid`` counts); it evaluates the
+    stack once, on the nodes of all its grids, and each grid's sums are
+    taken from its own slice of that evaluation.
+    """
+    for counts in steps:
+        nodes, *weights = _panel_grid(edges, *counts)
+        f = integrand(nodes)
         end = 0
-        for w in weights:
-            yield (np.log(np.exp(f[:, end:end + w.size] - shift) @ w) + top).tolist()
+        for c, w in zip(counts, weights):
+            yield sum(c), (f[:, end:end + w.size] @ w).tolist()
             end += w.size
+
+
+def _settled_sums(integrand, edges, steps, tol, what):
+    """The stack's integrals on the pieces between ``edges``, doubling the
+    panels through ``steps`` (see ``_step_sums``) until they settle.
+
+    Each integral keeps the first sum within ``tol`` relative of the
+    previous grid's, with the scale floored at 1e-300, and the call ends
+    when all have; raises NonConvergenceError, naming the last panel
+    count and the largest last change of an unsettled sum, if one has
+    not when ``steps`` ends.
+    """
+    prev, last = None, math.inf
+    for n, cur in _step_sums(integrand, edges, steps):
+        if prev is None:
+            out = [None] * len(cur)
+        else:
+            change = [abs(c - p) / max(abs(c), 1e-300) for c, p in zip(cur, prev)]
+            out = [c if o is None and d <= tol else o
+                   for o, c, d in zip(out, cur, change)]
+            if None not in out:
+                return out
+            last = max(d for d, o in zip(change, out) if o is None)
+        prev = cur
+    raise NonConvergenceError(
+        f"{what} did not settle at {n} panels (last change {last:.3e})")
 
 
 def _log_integral(log_f, policy, v_peak):
@@ -178,13 +232,12 @@ def _log_integral(log_f, policy, v_peak):
     must fall ``_DROP`` below it at some probe on each side, or the call
     raises NonConvergenceError; it integrates all of them between the
     outermost of those probes, so an integrand's own factor may move its
-    bump, but not by ``_DROP`` in height at ``v_peak``.  The refinements
-    run from 256 nodes doubling up to 4096 (``_log_sums``): the 256- and
-    512-node grids share one evaluation of ``log_f``, each larger grid
-    has one of its own.  An integral keeps the value of the refinement
-    at which it moved by less than ``policy.rel_tol``, and the call ends
-    when all have; raises NonConvergenceError if one has not at 4096
-    nodes.
+    bump, but not by ``_DROP`` in height at ``v_peak``.  The sums of
+    exp(log_f - top) settle by ``_settled_sums`` through ``_STEPS``, 22
+    even panels (256 nodes) doubling to 342 (4096 nodes), to
+    ``policy.rel_tol``; the 22- and 43-panel grids share one evaluation
+    of ``log_f``, each larger grid has one of its own.  The log is taken
+    of the settled sums and shifted back by top.
     """
     # far probes overflow exp inside log_f; they need only compare as small
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -201,22 +254,11 @@ def _log_integral(log_f, policy, v_peak):
     except ValueError:
         raise NonConvergenceError(
             "integrand does not drop by e^-70 within the probes") from None
-    vl, vr = v_peak - _OFFSETS[left], v_peak + _OFFSETS[right]
-
-    out = [None] * len(top)
-    prev = None
-    for cur in _log_sums(log_f, top, vl, vr):
-        if prev is not None:
-            change = [abs(c - p) for c, p in zip(cur, prev)]
-            for i, d in enumerate(change):
-                if out[i] is None and d < policy.rel_tol:
-                    out[i] = cur[i]
-            if None not in out:
-                return tuple(out)
-        prev = cur
-    last = max(d for d, o in zip(change, out) if o is None)
-    raise NonConvergenceError(
-        f"quadrature failed to converge after refinement (last change {last:.3e})")
+    edges = (v_peak - _OFFSETS[left], v_peak + _OFFSETS[right])
+    shift = top[:, None]
+    sums = _settled_sums(lambda v: np.exp(log_f(v) - shift), edges, _STEPS,
+                         policy.rel_tol, "quadrature")
+    return tuple((np.log(sums) + top).tolist())
 
 
 def _softplus(v):

@@ -1,9 +1,10 @@
 """Finite-blocklength metrics: instantaneous forms and Gamma averages."""
 
-import itertools
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from scipy import special as sp
 
 from risfbl import fbl, specfun
 from risfbl.channel import GammaFit
-from risfbl.experiments import N_GRID, ScenarioConfig, phase_from_label
+from risfbl.experiments import (
+    N_GRID,
+    ScenarioConfig,
+    phase_from_label,
+    required_elements,
+)
 from risfbl.fbl import (
     PacketConfig,
     ValidityError,
@@ -32,7 +38,7 @@ from risfbl.fbl import (
 from risfbl.specfun import DEFAULT_POLICY, LOG2E, DomainError, EvalPolicy, NonConvergenceError, inv_q, q_function
 
 import oracles
-from test_specfun import log_sums_shared_and_alone, probe_drops
+from test_specfun import KERNEL_CASES, probe_drops, step_sums_shared_and_alone
 
 WIDE_POLICY = EvalPolicy(rel_tol=1e-9)
 
@@ -50,37 +56,6 @@ def reference_edges(fit, lin, n_panels):
         np.linspace(lo, hi, n_panels + 1 - (lo > k0) - (hi < k1)),
         [k1] * (hi < k1)))
 
-
-def record_reference_grids(monkeypatch):
-    """List that collects (edges, panel counts, grid) for every grid step
-    the average-BLER reference builds from here on."""
-    grids = []
-    build = fbl._reference_grid
-
-    def recording(edges, panels):
-        grids.append((edges, panels, build(edges, panels)))
-        return grids[-1][2]
-
-    monkeypatch.setattr(fbl, "_reference_grid", recording)
-    return grids
-
-
-def reference_sums_shared_and_alone(monkeypatch, fit, lin):
-    """The (panel count, sum) pairs the reference reads with its steps, and
-    the same panel counts' pairs with each count evaluated alone."""
-    shared = []
-    sums = fbl._reference_sums
-
-    def recording(*args):
-        for pair in sums(*args):
-            shared.append(pair)
-            yield pair
-
-    monkeypatch.setattr(fbl, "_reference_sums", recording)
-    fbl._avg_bler_reference(fit, lin)
-    monkeypatch.setattr(fbl, "_REF_STEPS", tuple(
-        (n,) for step in fbl._REF_STEPS for n in step))
-    return shared, list(itertools.islice(sums(fit, lin), len(shared)))
 
 SERIES_CASES = [
     (0.5, 0.05), (2.0, 1.0), (10.0, 10.0), (50.0, 0.05), (200.0, 10.0),
@@ -310,23 +285,23 @@ class TestSharedAverages:
         steps = specfun._STEPS[:len(seen) - 1]
         assert 1 <= len(steps) == len(seen) - 1
         assert [v.size for v in seen[1:]] == [
-            sum(12 * -(-n // 12) for n in step) for step in steps]
+            sum(12 * sum(c) for c in step) for step in steps]
         assert shapes == [(3, v.size) for v in seen]
-        sizes = [n for step in steps for n in step]
+        sizes = [c for step in steps for c in step]
         assert len(set(sizes)) == len(sizes) >= 2
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_shared_step_sums_equal_alone(self, monkeypatch, shape, rate):
-        # each grid's log sums from a step shared with another size are
-        # those that size gives when evaluated on its own
+        # each grid's sums from a step shared with another grid are those
+        # that grid gives when evaluated on its own
         fit = GammaFit(shape, rate)
 
         def run():
             fbl._gamma_averages.cache_clear()
             c1_avg_capacity(fit)
 
-        shared, alone = log_sums_shared_and_alone(monkeypatch, run)
-        assert len(shared) >= 2
+        _, shared, alone = step_sums_shared_and_alone(monkeypatch, run)
+        assert [n for n, _ in shared[:2]] == [22, 43]
         assert shared == alone
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
@@ -430,7 +405,7 @@ class TestAvgBler:
         # at shape 1e7 the step of P(shape, rate u), sd = mean / sqrt(shape)
         # ~ 2e-4 wide, is a fraction of an even panel of the ramp (~4e-3)
         lin = linearization_params(300, 240)
-        un, uw = specfun._panel_grid(lin.kappa0, lin.kappa1, 24_000)
+        un, uw = specfun._panel_grid((lin.kappa0, lin.kappa1), (2000,))
         for mean in np.linspace(lin.kappa0, lin.kappa1, 20):
             fit = GammaFit(1e7, 1e7 / mean)
             det = avg_bler_detail(fit, 300, 240)
@@ -448,23 +423,20 @@ class TestAvgBler:
         lin = linearization_params(300, 240)
         k0, k1 = lin.kappa0, lin.kappa1
         fit = GammaFit(shape, shape / (k0 + mean_at * (k1 - k0)))
-        grids = record_reference_grids(monkeypatch)
-        fbl._avg_bler_reference(fit, lin)
-        assert 1 <= len(grids) <= len(fbl._REF_STEPS)
-        for (edges, panels, (nodes, *weights)), step in zip(grids, fbl._REF_STEPS):
-            assert edges[0] == k0 and edges[3] == k1
-            assert 1 + (edges[1] > k0) + (edges[2] < k1) == pieces
-            assert panels == step and len(weights) == len(panels)
-            assert nodes.size == sum(w.size for w in weights)
-            end = 0
-            for n, w in zip(panels, weights):
-                ref_nodes, ref_weights = specfun._gl_panels(
-                    reference_edges(fit, lin, n))
-                assert w.size == ref_nodes.size == 12 * n
-                grid_nodes = nodes[end:end + w.size]
-                assert np.max(np.abs(grid_nodes - ref_nodes)) <= 1e-15 * k1
-                assert np.max(np.abs(w - ref_weights)) <= 1e-15 * (k1 - k0)
-                end += w.size
+        (_, edges, steps), shared, _ = step_sums_shared_and_alone(
+            monkeypatch, lambda: fbl._avg_bler_reference(fit, lin))
+        assert edges[0] == k0 and edges[-1] == k1 and len(edges) == pieces + 1
+        assert [tuple(map(sum, step)) for step in steps] == list(fbl._REF_STEPS)
+        assert 2 <= len(shared) <= sum(map(len, steps))
+        for n, counts in zip((n for n, _ in shared),
+                             (c for step in steps for c in step)):
+            assert len(counts) == pieces and sum(counts) == n
+            nodes, weights = specfun._panel_grid(edges, counts)
+            ref_nodes, ref_weights = specfun._gl_panels(
+                reference_edges(fit, lin, n))
+            assert weights.size == ref_nodes.size == 12 * n
+            assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15 * k1
+            assert np.max(np.abs(weights - ref_weights)) <= 1e-15 * (k1 - k0)
 
     @pytest.mark.parametrize("shape,mean_at", [
         (2.0, 0.5), (1e7, 0.5), (1e7, 0.0), (1e7, 1.0)])
@@ -475,7 +447,8 @@ class TestAvgBler:
         lin = linearization_params(300, 240)
         k0, k1 = lin.kappa0, lin.kappa1
         fit = GammaFit(shape, shape / (k0 + mean_at * (k1 - k0)))
-        shared, alone = reference_sums_shared_and_alone(monkeypatch, fit, lin)
+        _, shared, alone = step_sums_shared_and_alone(
+            monkeypatch, lambda: fbl._avg_bler_reference(fit, lin))
         assert [n for n, _ in shared[:2]] == [4, 8]
         assert shared == alone
 
@@ -487,17 +460,19 @@ class TestAvgBler:
         # 1e-300 floor: below it P's nodes are subnormal
         lin = linearization_params(300, 240)
         scenario = ScenarioConfig(phase=phase_from_label(phase))
-        grids = record_reference_grids(monkeypatch)
         for n in N_GRID:
             fit = scenario.fit(n)
             nodes, weights = specfun._gl_panels(reference_edges(fit, lin, 54))
             fixed = min(-lin.xi0 * float(np.sum(
                 weights * sp.gammainc(fit.shape, fit.rate * nodes))), 1.0)
-            grids.clear()
-            ref = fbl._avg_bler_reference(fit, lin)
+            got = []
+            (_, _, steps), shared, _ = step_sums_shared_and_alone(
+                monkeypatch, lambda: got.append(fbl._avg_bler_reference(fit, lin)))
+            ref, = got
             assert abs(ref - fixed) <= 1e-10 * max(fixed, 1e-300), n
-            assert [panels for _, panels, _ in grids] == [(4, 8)], n
-            assert sum(grid[0].size for _, _, grid in grids) <= 144, n
+            # the sums of the first step's two grids, one evaluation of P
+            assert [panels for panels, _ in shared] == [4, 8], n
+            assert sum(12 * sum(c) for c in steps[0]) == 144, n
 
     def test_reference_raises_when_unsettled(self, monkeypatch):
         # at shape 3.16e7 with the mean just below kappa1 the 4 -> 8 panel
@@ -535,6 +510,28 @@ class TestAvgBler:
         for shape, rate in ((0.5, 1e-4), (1.0, 5.0), (100.0, 1.0)):
             v = avg_bler(GammaFit(shape, rate), 300, 240)
             assert 0.0 <= v <= 1.0
+
+
+class TestUnitPatternCache:
+    def test_bench_pass_never_evicts(self, monkeypatch):
+        # the benchmark's analytic points and anchors and the Kummer cases
+        # ask for fewer unit patterns than the cache holds: every miss is
+        # still cached at the end
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+        specfun._unit_pattern.cache_clear()
+        fbl._gamma_averages.cache_clear()
+        base = ScenarioConfig()
+        for p in workloads.analytic_point_list():
+            workloads.eval_point(p, base)
+        for _, phase, _ in workloads.ANCHORS:
+            required_elements(workloads.TARGET_BLER,
+                              dataclasses.replace(base, phase=phase))
+        for a, b, z in KERNEL_CASES:
+            specfun.log_gamma_kummer_u(a, b, z)
+        info = specfun._unit_pattern.cache_info()
+        assert info.misses == info.currsize <= info.maxsize
+        assert info.hits > 0
 
 
 class TestAvgBlocklength:

@@ -30,6 +30,11 @@ def test_checkout_against_itself_is_byte_equal():
     assert summary["max_rel_drift"] == 0.0
     fig8 = [line for line in lines if line.startswith("fig8 ")]
     assert len(fig8) == 9  # three columns under each of three scenarios
+    groups = [line.split()[0] for line in lines]
+    assert groups.count("avg_bler_detail") == 2  # reference, flagged
+    tool = load_tool()
+    assert groups.count("cli_records") == (
+        len(tool.RECORD_COMMANDS) * len(tool.RECORD_CASES))
     assert all(line.endswith("byte-equal") for line in lines)
 
 

@@ -132,25 +132,29 @@ def probe_drops(log_f, v_peak):
     return below[..., :-1].any(axis=2)
 
 
-def log_sums_shared_and_alone(monkeypatch, run):
-    """The log sums of every refinement that ``run()`` reads from the
-    kernel's one call, with the default steps, and the same sizes' sums
-    with each size evaluated alone."""
+def step_sums_shared_and_alone(monkeypatch, run):
+    """Run ``run()``, which makes one call of the kernel's step evaluator,
+    ``_step_sums``.  Returns that call's (integrand, edges, steps), the
+    (panels, sums) pairs it read with its steps, and the same grids'
+    pairs with each grid evaluated alone."""
     calls = []
-    sums = specfun._log_sums
+    sums = specfun._step_sums
 
-    def recording(*args):
-        calls.append((args, []))
-        for cur in sums(*args):
-            calls[-1][1].append(cur)
-            yield cur
+    def recording(integrand, edges, steps):
+        steps = tuple(steps)
+        calls.append(((integrand, edges, steps), []))
+        for pair in sums(integrand, edges, steps):
+            calls[-1][1].append(pair)
+            yield pair
 
-    monkeypatch.setattr(specfun, "_log_sums", recording)
-    run()
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_step_sums", recording)
+        run()
     (args, shared), = calls
-    monkeypatch.setattr(specfun, "_STEPS", tuple(
-        (n,) for step in specfun._STEPS for n in step))
-    return shared, list(itertools.islice(sums(*args), len(shared)))
+    integrand, edges, steps = args
+    alone = tuple((counts,) for step in steps for counts in step)
+    return args, shared, list(itertools.islice(
+        sums(integrand, edges, alone), len(shared)))
 
 
 class TestPanelGrid:
@@ -158,39 +162,68 @@ class TestPanelGrid:
         (-3.2, 5.7, 256), (0.1, 0.9, 512), (-20.0, -1.0, 1024),
         (2.0, 2e3, 2048), (-7.0, 8.0, 4096), (0.5, 3.0, 648)])
     def test_matches_linspace_panels(self, vl, vr, n):
-        # the unit pattern scaled onto [vl, vr] against even edges from
-        # np.linspace on [vl, vr] itself, to 1e-15 of the interval's scale
-        nodes, weights = specfun._panel_grid(vl, vr, n)
+        # ceil(n / 12) panels of the unit pattern scaled onto [vl, vr]
+        # against even edges from np.linspace on [vl, vr] itself, to 1e-15
+        # of the interval's scale
+        panels = math.ceil(n / 12)
+        nodes, weights = specfun._panel_grid((vl, vr), (panels,))
         ref_nodes, ref_weights = specfun._gl_panels(
-            np.linspace(vl, vr, math.ceil(n / 12) + 1))
-        assert nodes.size == ref_nodes.size == 12 * math.ceil(n / 12)
+            np.linspace(vl, vr, panels + 1))
+        assert nodes.size == ref_nodes.size == 12 * panels
         scale = max(abs(vl), abs(vr))
         assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15 * scale
         assert np.max(np.abs(weights - ref_weights)) <= 1e-15 * (vr - vl)
 
     def test_sizes_side_by_side(self):
-        # several sizes: each one's nodes in turn, then each one's weights,
-        # the same bytes as that size's own grid
-        nodes, *weights = specfun._panel_grid(-3.2, 5.7, 256, 512, 1024)
-        end = 0
-        for n, w in zip((256, 512, 1024), weights):
-            alone_nodes, alone_weights = specfun._panel_grid(-3.2, 5.7, n)
-            assert np.array_equal(nodes[end:end + w.size], alone_nodes)
-            assert np.array_equal(w, alone_weights)
-            end += w.size
-        assert end == nodes.size
+        # several grids, on one piece, three and two: each one's nodes in
+        # turn, then each one's weights, the same bytes as that grid's own
+        for edges, counts in (
+                ((-3.2, 5.7), ((22,), (43,), (86,))),
+                ((0.3, 0.31, 0.5, 0.9), ((1, 2, 1), (1, 6, 1))),
+                ((0.3, 0.5, 0.9), ((3, 1), (7, 1), (15, 1)))):
+            nodes, *weights = specfun._panel_grid(edges, *counts)
+            end = 0
+            for c, w in zip(counts, weights):
+                alone_nodes, alone_weights = specfun._panel_grid(edges, c)
+                assert np.array_equal(nodes[end:end + w.size], alone_nodes)
+                assert np.array_equal(w, alone_weights)
+                end += w.size
+            assert end == nodes.size
+
+    @given(st.floats(0.1, 5.0),
+           st.lists(st.tuples(st.floats(0.1, 3.0), st.integers(1, 5)),
+                    min_size=1, max_size=4),
+           st.integers(0, 23))
+    @settings(max_examples=100, deadline=None)
+    def test_pieces_integrate_polynomials(self, start, pieces, k):
+        # 12-point Gauss-Legendre is exact to degree 23: each piece of a
+        # grid integrates x^k over itself to rounding
+        edges = list(itertools.accumulate([start] + [gap for gap, _ in pieces]))
+        counts = tuple(m for _, m in pieces)
+        nodes, weights = specfun._panel_grid(tuple(edges), counts)
+        assert nodes.size == weights.size == 12 * sum(counts)
+        for a, b in zip(edges, edges[1:]):
+            inside = (nodes > a) & (nodes < b)
+            got = float(weights[inside] @ nodes[inside] ** k)
+            # (b^(k+1) - a^(k+1)) / (k+1), as a sum of positive terms
+            want = (b - a) * sum(a ** j * b ** (k - j)
+                                 for j in range(k + 1)) / (k + 1)
+            assert got == pytest.approx(want, rel=1e-13), (a, b)
 
     def test_cached_pattern_is_read_only(self):
-        for a in specfun._unit_panels(22):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0.0
-        first = specfun._panel_grid(-1.0, 2.0, 256)
-        kept = [a.copy() for a in first]
-        for a in first:
-            a[:] = np.nan
-        for a, b in zip(specfun._panel_grid(-1.0, 2.0, 256), kept):
-            assert np.array_equal(a, b)
+        for counts in (((22,),), ((1, 6, 1), (1, 14, 1))):
+            un, uw, at, _ = specfun._unit_pattern(*counts)
+            for a in (un, uw) + ((at,) if at is not None else ()):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a.flat[0] = 0
+        for edges, counts in (((-1.0, 2.0), (22,)), ((-1.0, 0.5, 2.0), (3, 5))):
+            first = specfun._panel_grid(edges, counts)
+            kept = [a.copy() for a in first]
+            for a in first:
+                a[:] = np.nan
+            for a, b in zip(specfun._panel_grid(edges, counts), kept):
+                assert np.array_equal(a, b)
 
 
 MPMATH_CASES = [
@@ -220,6 +253,7 @@ class TestKummerU:
     def test_log_form_large_shape(self):
         # shape far beyond Gamma overflow
         got = log_gamma_kummer_u(2000.0, 101.0, 0.01)
+        assert type(got) is float
         assert got == pytest.approx(
             oracles.log_gamma_u_ref(2000.0, 101.0, 0.01, dps=60), rel=1e-12)
 
@@ -227,9 +261,18 @@ class TestKummerU:
         # no refinement can move the log integral by less than 1e-300
         with pytest.raises(NonConvergenceError) as info:
             log_gamma_kummer_u(2e6, 101.0, 1.0, EvalPolicy(rel_tol=1e-300))
-        match = re.search(r"last change ([0-9.e+-]+)\)", str(info.value))
+        match = re.search(r"did not settle at 342 panels \(last change "
+                          r"([0-9.e+-]+)\)", str(info.value))
         assert match is not None
         assert float(match.group(1)) > 0.0
+
+    def test_log_integral_returns_python_floats(self):
+        # a tuple of floats, one per integrand of the stack
+        logs = specfun._log_integral(
+            lambda v: np.stack((-v * v, -2.0 * v * v)), DEFAULT_POLICY, 0.0)
+        assert type(logs) is tuple and [type(x) for x in logs] == [float, float]
+        assert logs[0] == pytest.approx(0.5 * math.log(math.pi), rel=1e-12)
+        assert logs[1] == pytest.approx(0.5 * math.log(math.pi / 2.0), rel=1e-12)
 
     @pytest.mark.parametrize("a,b,z", KERNEL_CASES)
     def test_integrand_calls_bounded(self, monkeypatch, a, b, z):
@@ -251,11 +294,11 @@ class TestKummerU:
 
     @pytest.mark.parametrize("a,b,z", KERNEL_CASES)
     def test_shared_step_sums_equal_alone(self, monkeypatch, a, b, z):
-        # each grid's log sum from a step shared with another size is the
-        # one that size gives when evaluated on its own
-        shared, alone = log_sums_shared_and_alone(
+        # each grid's sum from a step shared with another grid is the one
+        # that grid gives when evaluated on its own
+        _, shared, alone = step_sums_shared_and_alone(
             monkeypatch, lambda: log_gamma_kummer_u(a, b, z))
-        assert len(shared) >= 2
+        assert [n for n, _ in shared[:2]] == [22, 43]
         assert shared == alone
 
     def test_peak_is_stationary(self, monkeypatch):

@@ -16,8 +16,12 @@ The set:
     (default 500), under the default scenario, ``--phase 2bit`` and
     ``--phase uniform:0.5 --direct``;
   * the closed-form values of the benchmark's ``analytic_points``;
+  * the ``avg_bler_detail`` reference and guard flag at those points;
   * ``required_elements`` at the three anchors of the benchmark;
-  * SHA-256 hashes of ``sample_snr`` over a few (N, phase, direct) cases.
+  * SHA-256 hashes of ``sample_snr`` over a few (N, phase, direct) cases;
+  * the one-row records of ``risfbl fit|rate|bler|blocklength|mc`` (the
+    last at ``n_samples`` = RECORD_N) over a few (N, phase, direct) cases,
+    each field the record's values in its column order.
 
 The point list and anchors are read from ``bench/workloads.py`` of this
 checkout, for both trees.  Each tree is computed in its own subprocess,
@@ -50,6 +54,12 @@ FIGURE_SCENARIOS = (
 SAMPLE_CASES = ((0, "perfect", True), (1, "1bit", True), (16, "perfect", False),
                 (256, "2bit", False), (1024, "uniform:0.5", True))
 SAMPLE_N = 2000
+# (N, phase, direct link) of the CLI records; Gamma(301.5, 12.9) at N=768
+# 2bit has a subnormal average BLER
+RECORD_CASES = ((16, "perfect", False), (256, "1bit", True),
+                (768, "2bit", False), (1024, "uniform:0.5", True))
+RECORD_COMMANDS = ("fit", "rate", "bler", "blocklength", "mc")
+RECORD_N = 500
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +80,7 @@ def collect(src, figures, n_samples):
         raise RuntimeError(f"imported {risfbl.__file__}, not the tree at {src}")
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
-    from risfbl import experiments, montecarlo
+    from risfbl import channel, cli, experiments, fbl, montecarlo
 
     out = {}
     for fig in figures or experiments.FIGURE_IDS:
@@ -87,6 +97,16 @@ def collect(src, figures, n_samples):
                 for p in workloads.analytic_point_list()]
         return {name: [float(r[j]) for r in rows]
                 for j, name in enumerate(workloads.POINT_COLUMNS)}
+
+    def details():
+        base = experiments.ScenarioConfig()
+        pkt = base.packet
+        rows = [fbl.avg_bler_detail(
+                    channel.fit_snr(p.gains, p.n, p.phase, base.rho()),
+                    pkt.blocklength, pkt.info_bits)
+                for p in workloads.analytic_point_list()]
+        return {"reference": [r.reference for r in rows],
+                "flagged": [r.flagged for r in rows]}
 
     def anchors():
         base = experiments.ScenarioConfig()
@@ -105,9 +125,20 @@ def collect(src, figures, n_samples):
                 hashlib.sha256(x.tobytes()).hexdigest())
         return out
 
+    def record(command, n, phase, direct):
+        s = experiments.scenario_from_dict(
+            {"n_elements": n, "phase": phase, "direct_link": direct,
+             "n_samples": RECORD_N})
+        return list(cli._RECORDS[command](s).values())
+
     out["analytic_points"] = _guarded(points)
+    out["avg_bler_detail"] = _guarded(details)
     out["required_elements"] = _guarded(anchors)
     out["sample_snr"] = _guarded(hashes)
+    out["cli_records"] = {
+        f"{command} N{n} {phase} {'direct' if direct else 'nodirect'}":
+            _guarded(lambda: record(command, n, phase, direct))
+        for command in RECORD_COMMANDS for n, phase, direct in RECORD_CASES}
     return out
 
 
