@@ -26,11 +26,13 @@ import hashlib
 import io
 import json
 import math
+import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from .specfun import DomainError, EvalPolicy, gamma_cdf
 from .channel import (
@@ -227,6 +229,11 @@ class ResultTable:
         sidecar = dict(self.meta)
         sidecar["figure_id"] = self.figure_id
         sidecar["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        # the table's bytes can differ across these (numpy's SIMD sin may
+        # differ from libm by an ulp), so the sidecar names them
+        sidecar["versions"] = {"python": platform.python_version(),
+                               "numpy": np.__version__,
+                               "scipy": scipy.__version__}
         with open(str(csv_path) + ".json", "w") as f:
             json.dump(sidecar, f, indent=2, sort_keys=True)
             f.write("\n")

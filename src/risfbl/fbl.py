@@ -39,6 +39,7 @@ from .specfun import (
     DomainError,
     EvalPolicy,
     NonConvergenceError,
+    _check_gammainc_shape,
     _log_integral,
     _settled_sums,
     _softplus,
@@ -50,7 +51,7 @@ from .channel import GammaFit
 
 _LN2 = math.log(2.0)
 # panel counts of the average-BLER reference, one gammainc call per step
-_REF_STEPS = ((4, 8), (16,), (32,), (64,))
+_REF_STEPS = ((3, 6), (12,), (24,), (48,), (96,))
 _STEP_SDS = 12.0  # half width of the Gamma CDF's step, in sds
 
 
@@ -264,10 +265,11 @@ def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     ``_STEP_SDS`` sd P is 0 or 1 to within the Gamma's tail that far
     out, below 1e-19 from shape 100 up.
 
-    The panels double from 4 to 64 in all (48 to 768 nodes) through
+    The panels double from 3 to 96 in all (36 to 1152 nodes) through
     ``_REF_STEPS`` until the sum settles by ``specfun._settled_sums`` to
-    1e-8 relative, 100x below the guard's 1e-6; the 4- and 8-panel
-    grids, the fewest that can settle, share one evaluation of P.
+    1e-8 relative, 100x below the guard's 1e-6; the 3- and 6-panel
+    grids share one evaluation of P (108 nodes).  Three is the fewest
+    that gives each piece of the three-piece layout one panel.
     Raises NonConvergenceError, naming the last panel count tried, if
     the schedule ends unsettled.
     """
@@ -300,9 +302,11 @@ def avg_bler_detail(fit: GammaFit, blocklength: int,
 
     If the incomplete-gamma closed form is not finite, or it and the
     by-parts reference integral disagree by more than 1e-6 relative, the
-    reference value wins and the result is flagged.
+    reference value wins and the result is flagged.  Both forms use the
+    incomplete gamma function, so the fit's shape must be at most 1e5.
     """
     lin = linearization_params(blocklength, info_bits)
+    _check_gammainc_shape(fit.shape)
     closed = _avg_bler_closed(fit, lin)
     ref = _avg_bler_reference(fit, lin)
     scale = max(abs(ref), 1e-300)

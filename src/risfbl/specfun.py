@@ -55,7 +55,7 @@ class NonConvergenceError(RuntimeError):
 class EvalPolicy:
     """Tolerance of the peak-tracked quadrature behind Kummer U and C1/C2.
 
-    The even panels start at 22 (256 nodes) and double up to 342 (4096
+    The even panels start at 11 (132 nodes) and double up to 342 (4104
     nodes) until each sum, of the integrand over its top, changes by at
     most ``rel_tol`` relative to the new sum; that is about the change of
     the log integral.
@@ -74,10 +74,26 @@ LOG2E = math.log2(math.e)
 _SQRT2 = math.sqrt(2.0)
 
 
+# scipy's gammainc (1.17) jumps at x = a - 4.5 sqrt(a) from shape ~2.1e5
+# up and is too small below that point: scanned against mpmath at
+# x = a (1 + t / sqrt(a)), t in -14..14, it is 1e-13 off at shape 2.1e5,
+# 2.6e-12 at 2.5e5 and 1e-5 at 1e6, and within 5e-14 from 3e3 to 2e5
+_GAMMAINC_MAX_SHAPE = 1e5
+
+
+def _check_gammainc_shape(shape: float) -> None:
+    """Raise DomainError above the shapes where P(shape, x) is trusted."""
+    if not shape <= _GAMMAINC_MAX_SHAPE:
+        raise DomainError(f"the incomplete gamma function needs shape <= "
+                          f"{_GAMMAINC_MAX_SHAPE:g}, got {shape}")
+
+
 def gamma_cdf(shape: float, rate: float, x) -> float:
-    """CDF of Gamma(shape, rate) at x; vectorizes over x."""
+    """CDF of Gamma(shape, rate) at x, for shapes up to 1e5; vectorizes
+    over x."""
     if not (shape > 0 and rate > 0):
         raise DomainError(f"gamma_cdf requires shape, rate > 0, got {shape}, {rate}")
+    _check_gammainc_shape(shape)
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0):
         raise DomainError("gamma_cdf requires x >= 0")
@@ -117,9 +133,11 @@ _DROP = 70.0  # integrand is followed until exp(h - h_peak) < e^-70
 _OFFSETS = 1e-3 * 1.8 ** np.arange(40)  # limit probes, out to 8.8e6 from the peak
 # the peak itself, then the probes to its left and to its right
 _PROBE_STEPS = np.concatenate(([0.0], -_OFFSETS, _OFFSETS))
-# panels of the refinements, ceil(n / 12) for n = 256 nodes doubling to
-# 4096, one evaluation of the integrands per step
-_STEPS = (((22,), (43,)), ((86,),), ((171,),), ((342,),))
+# panels of the refinements, 11 doubling to 342 (132 to 4104 nodes), one
+# evaluation of the integrands per step; the first step's 11 and 22 panels
+# settle every bench fit, and every figure fit but fig6a's direct-link
+# cells and 1-bit N=16
+_STEPS = (((11,), (22,)), ((43,),), ((86,),), ((171,),), ((342,),))
 _GL12 = np.polynomial.legendre.leggauss(12)
 
 
@@ -133,7 +151,7 @@ def _gl_panels(edges):
     return nodes, weights
 
 
-# the package asks for 20 keys: the 4 steps of _STEPS, and the 4 steps of
+# the package asks for 25 keys: the 5 steps of _STEPS, and the 5 steps of
 # the average-BLER reference in each of its 4 piece layouts
 @functools.lru_cache(maxsize=32)
 def _unit_pattern(*counts):
@@ -233,11 +251,11 @@ def _log_integral(log_f, policy, v_peak):
     raises NonConvergenceError; it integrates all of them between the
     outermost of those probes, so an integrand's own factor may move its
     bump, but not by ``_DROP`` in height at ``v_peak``.  The sums of
-    exp(log_f - top) settle by ``_settled_sums`` through ``_STEPS``, 22
-    even panels (256 nodes) doubling to 342 (4096 nodes), to
-    ``policy.rel_tol``; the 22- and 43-panel grids share one evaluation
-    of ``log_f``, each larger grid has one of its own.  The log is taken
-    of the settled sums and shifted back by top.
+    exp(log_f - top) settle by ``_settled_sums`` through ``_STEPS``, 11
+    even panels (132 nodes) doubling to 342 (4104 nodes), to
+    ``policy.rel_tol``; the 11- and 22-panel grids share one evaluation
+    of ``log_f`` (396 nodes), each larger grid has one of its own.  The
+    log is taken of the settled sums and shifted back by top.
     """
     # far probes overflow exp inside log_f; they need only compare as small
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -3,9 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,6 +188,10 @@ class TestResultTable:
         assert side["sha256"] == hashlib.sha256(text.encode()).hexdigest()
         assert side["figure_id"] == "fig8"
         assert side["seed"] == FAST.mc.seed
+        # the versions the bytes came from, outside the hashed table
+        assert side["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__,
+                                    "scipy": scipy.__version__}
         assert side["scenario"]["n_samples"] == 500
         # the sidecar rebuilds the scenario the figure ran, with its pins
         assert side["scenario"]["phase"] == "uniform:0.30000000000000004"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from risfbl import fbl, specfun
+from risfbl import experiments, fbl, specfun
 from risfbl.channel import GammaFit
 from risfbl.experiments import (
     N_GRID,
@@ -301,7 +301,7 @@ class TestSharedAverages:
             c1_avg_capacity(fit)
 
         _, shared, alone = step_sums_shared_and_alone(monkeypatch, run)
-        assert [n for n, _ in shared[:2]] == [22, 43]
+        assert [n for n, _ in shared[:2]] == [sum(c) for c in specfun._STEPS[0]]
         assert shared == alone
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
@@ -402,12 +402,14 @@ class TestAvgBler:
                 shape, rate)
 
     def test_narrow_step_resolved(self):
-        # at shape 1e7 the step of P(shape, rate u), sd = mean / sqrt(shape)
-        # ~ 2e-4 wide, is a fraction of an even panel of the ramp (~4e-3)
+        # at shape 1e5, the largest the incomplete gamma path accepts, the
+        # step of P(shape, rate u), mean +- 12 sd (sd = mean / sqrt(shape)
+        # ~ 2.3e-3), is a quarter of the ramp (~0.21) and narrower than an
+        # even panel of the first grid (~0.07)
         lin = linearization_params(300, 240)
         un, uw = specfun._panel_grid((lin.kappa0, lin.kappa1), (2000,))
         for mean in np.linspace(lin.kappa0, lin.kappa1, 20):
-            fit = GammaFit(1e7, 1e7 / mean)
+            fit = GammaFit(1e5, 1e5 / mean)
             det = avg_bler_detail(fit, 300, 240)
             fine = -lin.xi0 * float(np.sum(uw * sp.gammainc(fit.shape,
                                                             fit.rate * un)))
@@ -449,15 +451,15 @@ class TestAvgBler:
         fit = GammaFit(shape, shape / (k0 + mean_at * (k1 - k0)))
         _, shared, alone = step_sums_shared_and_alone(
             monkeypatch, lambda: fbl._avg_bler_reference(fit, lin))
-        assert [n for n, _ in shared[:2]] == [4, 8]
+        assert [n for n, _ in shared[:2]] == list(fbl._REF_STEPS[0])
         assert shared == alone
 
     @pytest.mark.parametrize("phase", ["perfect", "1bit", "2bit", "3bit",
                                        "uniform:0.25"])
     def test_reference_settles_early_on_figure_fits(self, monkeypatch, phase):
-        # the default scenario's fits settle by 8 panels (48 + 96 nodes) on
-        # the sum the fixed 54-panel rule gave, relative above the guard's
-        # 1e-300 floor: below it P's nodes are subnormal
+        # the default scenario's fits settle on the first step's two grids
+        # on the sum the fixed 54-panel rule gave, relative above the
+        # guard's 1e-300 floor: below it P's nodes are subnormal
         lin = linearization_params(300, 240)
         scenario = ScenarioConfig(phase=phase_from_label(phase))
         for n in N_GRID:
@@ -471,14 +473,15 @@ class TestAvgBler:
             ref, = got
             assert abs(ref - fixed) <= 1e-10 * max(fixed, 1e-300), n
             # the sums of the first step's two grids, one evaluation of P
-            assert [panels for panels, _ in shared] == [4, 8], n
-            assert sum(12 * sum(c) for c in steps[0]) == 144, n
+            assert [panels for panels, _ in shared] == list(fbl._REF_STEPS[0]), n
+            assert sum(12 * sum(c) for c in steps[0]) == 12 * sum(fbl._REF_STEPS[0]), n
 
     def test_reference_raises_when_unsettled(self, monkeypatch):
-        # at shape 3.16e7 with the mean just below kappa1 the 4 -> 8 panel
-        # change is 3.7e-8 relative, above the 1e-8 the doubling asks for
+        # at shape 1e4 with the mean mid-ramp, where the step is narrower
+        # than the ramp, the 4 -> 8 panel change is 7.9e-8 relative, above
+        # the 1e-8 the doubling asks for
         lin = linearization_params(300, 240)
-        fit = GammaFit(3.16e7, 3.16e7 / 0.8435)
+        fit = GammaFit(1e4, 1e4 / 0.75)
         monkeypatch.setattr(fbl, "_REF_STEPS", ((4,), (8,)))
         with pytest.raises(NonConvergenceError, match="settle at 8 panels"):
             fbl._avg_bler_reference(fit, lin)
@@ -488,19 +491,29 @@ class TestAvgBler:
         # the same fit on a schedule of one step, also one with no second
         # sum to compare: NonConvergenceError names the last count tried
         lin = linearization_params(300, 240)
-        fit = GammaFit(3.16e7, 3.16e7 / 0.8435)
+        fit = GammaFit(1e4, 1e4 / 0.75)
         monkeypatch.setattr(fbl, "_REF_STEPS", steps)
         with pytest.raises(NonConvergenceError, match=f"settle at {last} panels"):
             fbl._avg_bler_reference(fit, lin)
 
     def test_nonfinite_closed_form_flagged(self):
-        # mean ~ 1e320: a / b overflows and the closed form is inf * 0;
+        # mean ~ 1e309: a / b overflows and the closed form is inf * 0;
         # the reference, 0, is returned without a RuntimeWarning
-        det = avg_bler_detail(GammaFit(1e200, 1e-120), 300, 240)
+        det = avg_bler_detail(GammaFit(1e5, 1e-304), 300, 240)
         assert math.isnan(det.closed_form)
         assert det.flagged
         assert det.value == det.reference == 0.0
-        assert avg_bler(GammaFit(1e200, 1e-120), 300, 240) == 0.0
+        assert avg_bler(GammaFit(1e5, 1e-304), 300, 240) == 0.0
+
+    def test_shape_limit(self):
+        # both BLER forms take scipy's incomplete gamma, trusted up to the
+        # shape gamma_cdf accepts
+        limit = specfun._GAMMAINC_MAX_SHAPE
+        assert 0.0 < avg_bler(GammaFit(limit, limit / 0.75), 300, 240) < 1.0
+        above = math.nextafter(limit, math.inf)
+        for fn in (avg_bler, avg_bler_detail):
+            with pytest.raises(DomainError, match="shape <= 100000"):
+                fn(GammaFit(above, above / 0.75), 300, 240)
 
     def test_saturates_to_one_at_low_snr(self):
         assert avg_bler(GammaFit(200.0, 800.0), 300, 240) == pytest.approx(
@@ -510,6 +523,54 @@ class TestAvgBler:
         for shape, rate in ((0.5, 1e-4), (1.0, 5.0), (100.0, 1.0)):
             v = avg_bler(GammaFit(shape, rate), 300, 240)
             assert 0.0 <= v <= 1.0
+
+
+def figure_cells(figure_id):
+    """(case tag, axis value, cell scenario) of each default-scenario cell
+    of a swept figure."""
+    spec = experiments._FIGURES[figure_id]
+    base = dataclasses.replace(ScenarioConfig(), **spec.pins)
+    grid, place = experiments._AXES[spec.axis]
+    return [(tag, v, place(dataclasses.replace(base, **fields), v))
+            for v in grid for tag, fields in spec.cases]
+
+
+class TestSettleDepth:
+    @pytest.mark.parametrize("figure_id", ["fig4", "fig5", "fig8"])
+    def test_figure_cells_settle_at_first_step(self, monkeypatch, figure_id):
+        # after the probes, the Gamma averages of every default-scenario
+        # cell settle on the first step's 11- and 22-panel grids, one
+        # 396-node evaluation, and the average-BLER reference in one
+        # 108-node gammainc call; only the 1-bit N=16 fit (shape 4.13)
+        # also needs the 43-panel grid (516 nodes)
+        gamma, ref = [], []
+        kernel, settled = fbl._log_integral, fbl._settled_sums
+
+        def counting_kernel(log_f, policy, v_peak):
+            def counted(v):
+                gamma.append(v.size)
+                return log_f(v)
+            return kernel(counted, policy, v_peak)
+
+        def counting_settled(integrand, edges, steps, tol, what):
+            def counted(u):
+                ref.append(u.size)
+                return integrand(u)
+            return settled(counted, edges, steps, tol, what)
+
+        monkeypatch.setattr(fbl, "_log_integral", counting_kernel)
+        monkeypatch.setattr(fbl, "_settled_sums", counting_settled)
+        probes = specfun._PROBE_STEPS.size
+        for tag, v, cell in figure_cells(figure_id):
+            gamma.clear()
+            ref.clear()
+            fit = cell.fit()
+            fbl._gamma_averages.cache_clear()
+            c1_avg_capacity(fit)
+            avg_bler(fit, cell.packet.blocklength, cell.packet.info_bits)
+            late = [516] if (tag, v) == ("1bit", 16) else []
+            assert gamma == [probes, 396] + late, (tag, v, fit.shape)
+            assert ref == [108], (tag, v)
 
 
 class TestUnitPatternCache:

@@ -74,6 +74,27 @@ class TestBasicFunctions:
         with pytest.raises(DomainError):
             gamma_cdf(1.0, 1.0, -2.0)
 
+    def test_gamma_cdf_shape_limit(self):
+        limit = specfun._GAMMAINC_MAX_SHAPE
+        assert 0.0 < gamma_cdf(limit, 1.0, limit) < 1.0
+        with pytest.raises(DomainError, match="shape <= 100000"):
+            gamma_cdf(math.nextafter(limit, math.inf), 1.0, limit)
+
+    def test_gammainc_trusted_at_shape_limit(self):
+        # scipy's P agrees with a 40-digit series over the Gamma's bulk
+        # and both tails, x = a (1 + t / sqrt(a)), t in -14..14, at the
+        # largest shape gamma_cdf and the average-BLER path accept
+        import mpmath as mp
+        a = specfun._GAMMAINC_MAX_SHAPE
+        with mp.workdps(40):
+            for t in np.arange(-14.0, 14.5, 0.5):
+                x = a * (1.0 + t / math.sqrt(a))
+                ma, mx = mp.mpf(a), mp.mpf(x)
+                ref = mp.exp(ma * mp.log(mx) - mx - mp.loggamma(ma + 1)) * mp.hyp1f1(
+                    1, ma + 1, mx)
+                assert float(sp.gammainc(a, x)) == pytest.approx(
+                    float(ref), rel=1e-12), t
+
 
 class TestQFunction:
     def test_known_values(self):
@@ -298,7 +319,7 @@ class TestKummerU:
         # that grid gives when evaluated on its own
         _, shared, alone = step_sums_shared_and_alone(
             monkeypatch, lambda: log_gamma_kummer_u(a, b, z))
-        assert [n for n, _ in shared[:2]] == [22, 43]
+        assert [n for n, _ in shared[:2]] == [sum(c) for c in specfun._STEPS[0]]
         assert shared == alone
 
     def test_peak_is_stationary(self, monkeypatch):
