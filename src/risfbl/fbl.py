@@ -16,14 +16,15 @@ accurate down to the smallest gamma > 0.  Averages over the Gamma fit:
 The paper writes C1 and C2 as infinite Kummer-U series and the lower
 bound through e^beta E_alpha(beta).  Here all three Gamma averages behind
 them are integrated directly against the Gamma density in
-w = ln(rate * gamma), in one call of the peak-tracked quadrature of
+t = ln(gamma / mean), in one call of the peak-tracked quadrature of
 ``specfun`` (the kernel that also evaluates Kummer U), and cached per
 fit.  The three share one pair of limits and one evaluation per
-refinement step, on which ln(1 + gamma) is computed once.  Integrands
-are assembled in the log domain, so shape parameters in the thousands
-do not overflow.  The by-parts BLER integral is settled by the same
-doubling Gauss-Legendre engine of ``specfun``, on pieces of its ramp;
-this module lays out the pieces and builds no grid of its own.
+refinement, on which ln(1 + gamma) is computed once.  Integrands are
+assembled in the log domain, so shape parameters in the thousands do
+not overflow.  The by-parts BLER integral is settled by the same nested
+trapezoidal rule of ``specfun``, after a tanh-sinh map of its ramp
+(Takahasi and Mori, Publ. RIMS 1974); this module builds no grid of its
+own.
 """
 
 import functools
@@ -50,9 +51,7 @@ from .specfun import log_gamma_kummer_u  # noqa: F401  traced by name (ROADMAP i
 from .channel import GammaFit
 
 _LN2 = math.log(2.0)
-# panel counts of the average-BLER reference, one gammainc call per step
-_REF_STEPS = ((3, 6), (12,), (24,), (48,), (96,))
-_STEP_SDS = 12.0  # half width of the Gamma CDF's step, in sds
+_TANH_SINH_T = 3.5  # the average-BLER reference's range in t
 
 
 class ValidityError(ValueError):
@@ -150,35 +149,56 @@ def instantaneous_blocklength(gamma, info_bits: int, target_bler: float):
 # Gamma averages C1 / C2
 # ---------------------------------------------------------------------------
 
+# Binet's series of lnGamma(a) - ((a - 1/2) ln a - a + ln(2 pi) / 2), whose
+# terms B_2k / (2k (2k - 1) a^(2k-1)) fall below 1e-15 from a = 10 up
+_BINET = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _log_density_peak(alpha: float) -> float:
+    """c(alpha) = alpha ln alpha - alpha - lnGamma(alpha), the log of the
+    Gamma density in t = ln(gamma / mean) at its peak t = 0.
+
+    From shape 10 up it is taken as ln(alpha / 2 pi) / 2 minus Binet's
+    series, without the three terms of size alpha ln alpha that cancel.
+    """
+    if alpha < 10.0:
+        return alpha * math.log(alpha) - alpha - math.lgamma(alpha)
+    x = 1.0 / (alpha * alpha)
+    binet = 0.0
+    for coeff in reversed(_BINET):
+        binet = binet * x + coeff
+    return 0.5 * math.log(alpha / (2.0 * math.pi)) - binet / alpha
+
+
 @functools.lru_cache(maxsize=32)
 def _gamma_averages(fit: GammaFit, policy: EvalPolicy):
     """(E[ln(1 + gamma)], E[sqrt(1 - (1+gamma)^-2)], E[1 - (1+gamma)^-2]).
 
-    gamma ~ Gamma(shape, rate).  In w = ln(rate * gamma) the density is
-    exp(shape w - e^w - lnGamma(shape)) dw, and the three log-integrands,
-    stacked from one softplus(w - ln rate) = ln(1 + gamma) per grid, are
-    integrated against it in one kernel call.  The last few fits are
-    cached, so C1, C2 and the lower bound of one fit cost one quadrature.
-    The third average is taken as 1 - (1+gamma)^-2 rather than
-    (1+gamma)^-2, whose integrand keeps the density's left tail: at
-    shape 0.05 that tail spans thousands in w and 4096 nodes do not
-    settle it.
+    gamma ~ Gamma(shape, rate).  In t = ln(gamma / mean) the density is
+    exp(shape (t - expm1 t) + c(shape)) dt, peaked at t = 0 (see
+    ``_log_density_peak``), so no node carries a rounding error that
+    grows with the shape.  The three log-integrands, stacked from one
+    softplus(t + ln mean) = ln(1 + gamma) per grid, are integrated
+    against it in one kernel call.  The last few fits are cached, so C1,
+    C2 and the lower bound of one fit cost one quadrature.  The third
+    average is taken as 1 - (1+gamma)^-2 rather than (1+gamma)^-2, whose
+    integrand keeps the density's left tail: at shape 0.05 that tail
+    spans 1400 in t, and at mean 0.01 6144 intervals do not settle it.
     """
     alpha = fit.shape
-    lnb = math.log(fit.rate)
-    lg = sp.gammaln(alpha)
+    ln_mean = math.log(alpha) - math.log(fit.rate)
+    c = _log_density_peak(alpha)
 
-    def log_f(w):
-        out = np.empty((3,) + w.shape)
-        ln_1p_gamma = _softplus(w - lnb)
+    def log_f(t):
+        out = np.empty((3,) + t.shape)
+        ln_1p_gamma = _softplus(t + ln_mean)
         np.log(ln_1p_gamma, out=out[0])
         np.log(-np.expm1(-2.0 * ln_1p_gamma), out=out[2])  # ln(1 - (1+gamma)^-2)
         np.multiply(out[2], 0.5, out=out[1])
-        out += alpha * w - np.exp(w) - lg  # the log density
+        out += alpha * (t - np.expm1(t)) + c  # the log density
         return out
 
-    # the density peaks at w = ln(shape)
-    logs = _log_integral(log_f, policy, math.log(alpha))
+    logs = _log_integral(log_f, policy, 0.0)
     return tuple(math.exp(x) for x in logs)
 
 
@@ -256,35 +276,24 @@ def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     slope xi0 < 0 between, so its Gamma average is
     -xi0 int_kappa0^kappa1 P(shape, rate u) du: one positive integral of
     the Gamma CDF, with no subtraction and no density endpoint
-    singularity at any shape.  It is summed on composite 12-point
-    Gauss-Legendre panels, even over the ramp while P's step, mean
-    +- ``_STEP_SDS`` sd (sd = mean / sqrt(shape)), is wider than the
-    ramp.  A narrower step, which even panels would not resolve at
-    large shape, gets all the panels but one for each flat end of the
-    ramp, centred on the mean clipped to the ramp: beyond its
-    ``_STEP_SDS`` sd P is 0 or 1 to within the Gamma's tail that far
-    out, below 1e-19 from shape 100 up.
-
-    The panels double from 3 to 96 in all (36 to 1152 nodes) through
-    ``_REF_STEPS`` until the sum settles by ``specfun._settled_sums`` to
-    1e-8 relative, 100x below the guard's 1e-6; the 3- and 6-panel
-    grids share one evaluation of P (108 nodes).  Three is the fewest
-    that gives each piece of the three-piece layout one panel.
-    Raises NonConvergenceError, naming the last panel count tried, if
-    the schedule ends unsettled.
+    singularity at any shape.  The ramp is mapped by tanh-sinh,
+    u = mid + half tanh((pi/2) sinh t) for t in [-3.5, 3.5], past which
+    the map's weight is below 2e-21 of its peak, and the integral in t is
+    settled by ``specfun._settled_sums`` to 1e-8 relative, 100x below
+    the guard's 1e-6.  Raises NonConvergenceError, naming the last
+    interval count tried, if it has not settled at the finest grid.
     """
-    k0, k1 = lin.kappa0, lin.kappa1
-    half = _STEP_SDS * fit.mean / math.sqrt(fit.shape)
-    lo, hi = k0, k1
-    if 2.0 * half < k1 - k0:
-        mid = min(max(fit.mean, k0), k1)
-        lo, hi = max(mid - half, k0), min(mid + half, k1)
-    left, right = int(lo > k0), int(hi < k1)
-    edges = (k0,) * left + (lo, hi) + (k1,) * right
-    steps = (tuple((1,) * left + (n - left - right,) + (1,) * right for n in step)
-             for step in _REF_STEPS)
-    (total,) = _settled_sums(lambda u: sp.gammainc(fit.shape, fit.rate * u)[None],
-                             edges, steps, 1e-8, "average-BLER reference")
+    mid = 0.5 * (lin.kappa0 + lin.kappa1)
+    half = 0.5 * (lin.kappa1 - lin.kappa0)
+    a, b = fit.shape, fit.rate
+
+    def integrand(t):
+        s = (0.5 * math.pi) * np.sinh(t)
+        du = (0.5 * math.pi * half) * np.cosh(t) / np.cosh(s) ** 2
+        return (sp.gammainc(a, b * mid + (b * half) * np.tanh(s)) * du)[None]
+
+    (total,) = _settled_sums(integrand, -_TANH_SINH_T, _TANH_SINH_T, 1e-8,
+                             "average-BLER reference")
     return min(-lin.xi0 * total, 1.0)  # >= 0: -xi0 > 0 and P >= 0
 
 

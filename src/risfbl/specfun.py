@@ -20,22 +20,20 @@ so one call can integrate several that share an exponent (a density
 times several functions).  The probes run once on the stack.  All the
 integrands share one pair of limits, the outermost of their own.
 
-This module is the only one that knows the quadrature rule, composite
-12-point Gauss-Legendre.  ``_settled_sums`` doubles the panels through
-a schedule of steps until each sum is within a relative tolerance of
-the previous grid's; the kernel runs it on exp(log integrand - top) and
-takes the log of the settled sums, and ``fbl``'s average-BLER reference
-runs it on the Gamma CDF over pieces of its ramp.  A step evaluates the
-integrands once, on the nodes of all its grids side by side, and each
-grid's sum is taken from its own slice, so it is the sum that grid
-alone gives.  A grid is one cached, read-only unit pattern per tuple of
-per-piece panel counts, scaled onto the pieces between float edges.
-Integrands are assembled in the log domain and summed below their top,
+This module is the only one that knows the quadrature rule, the nested
+trapezoidal rule.  ``_settled_sums`` halves its step until each sum is
+within a relative tolerance of the previous one; each halving evaluates
+only the new midpoints, as the coarse grid's nodes are the fine grid's
+even ones.  On a smooth integrand that has vanished at both limits the
+rule converges exponentially (Trefethen and Weideman, SIAM Review
+2014).  The kernel runs it on exp(log integrand - top) and takes the
+log of the settled sums, and ``fbl``'s average-BLER reference runs it
+on the Gamma CDF over its ramp after a tanh-sinh map.  Integrands are
+assembled in the log domain and summed below their top,
 so shape parameters in the thousands (large-N Gamma fits) do not
 overflow.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -55,10 +53,10 @@ class NonConvergenceError(RuntimeError):
 class EvalPolicy:
     """Tolerance of the peak-tracked quadrature behind Kummer U and C1/C2.
 
-    The even panels start at 11 (132 nodes) and double up to 342 (4104
-    nodes) until each sum, of the integrand over its top, changes by at
-    most ``rel_tol`` relative to the new sum; that is about the change of
-    the log integral.
+    The trapezoidal sums start at 48 and 96 intervals (97 nodes) and halve
+    the step up to 6144 intervals until each sum, of the integrand over its
+    top, changes by at most ``rel_tol`` relative to the new sum; that is
+    about the change of the log integral.
     """
 
     rel_tol: float = 1e-10
@@ -133,106 +131,52 @@ _DROP = 70.0  # integrand is followed until exp(h - h_peak) < e^-70
 _OFFSETS = 1e-3 * 1.8 ** np.arange(40)  # limit probes, out to 8.8e6 from the peak
 # the peak itself, then the probes to its left and to its right
 _PROBE_STEPS = np.concatenate(([0.0], -_OFFSETS, _OFFSETS))
-# panels of the refinements, 11 doubling to 342 (132 to 4104 nodes), one
-# evaluation of the integrands per step; the first step's 11 and 22 panels
-# settle every bench fit, and every figure fit but fig6a's direct-link
-# cells and 1-bit N=16
-_STEPS = (((11,), (22,)), ((43,),), ((86,),), ((171,),), ((342,),))
-_GL12 = np.polynomial.legendre.leggauss(12)
+# intervals of the first call's grid (97 nodes), whose even nodes give the
+# sum at _N0 / 2; each later call halves the step, up to _N_MAX intervals
+_N0 = 96
+_N_MAX = 6144
+# the first grid on [0, 1], and its trapezoidal weights at _N0 / 2 and _N0
+# intervals, one column each
+_UNIT = np.linspace(0.0, 1.0, _N0 + 1)
+_UNIT_WEIGHTS = np.zeros((_N0 + 1, 2))
+_UNIT_WEIGHTS[::2, 0] = 2.0 / _N0
+_UNIT_WEIGHTS[:, 1] = 1.0 / _N0
+_UNIT_WEIGHTS[[0, -1]] *= 0.5
 
 
-def _gl_panels(edges):
-    """Composite 12-point Gauss-Legendre nodes and weights on panel edges."""
-    x, w = _GL12
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+def _settled_sums(integrand, lo, hi, tol, what):
+    """The stack's integrals over [lo, hi] by the nested trapezoidal rule.
 
-
-# the package asks for 25 keys: the 5 steps of _STEPS, and the 5 steps of
-# the average-BLER reference in each of its 4 piece layouts
-@functools.lru_cache(maxsize=32)
-def _unit_pattern(*counts):
-    """Read-only unit pattern of one grid per tuple of ``counts``, whose
-    entries are the even panels of each piece of [0, 1] in turn: the
-    ``_gl_panels`` nodes and weights of all the grids, concatenated, per
-    node the indices of its piece's width and start (None for one
-    piece), and each grid's slice.
+    ``integrand(x)`` returns k integrands stacked, shape (k, x.size).  The
+    first call evaluates them on the ``_N0 + 1`` even nodes, which give
+    the sums at ``_N0 / 2`` and ``_N0`` intervals; each later call
+    evaluates only the midpoints of the last grid and halves its step, up
+    to ``_N_MAX`` intervals, so every node is evaluated once.  Each
+    integral keeps the first sum within ``tol`` relative of the previous
+    one, with the scale floored at 1e-300, and the call ends when all
+    have; raises NonConvergenceError, naming the last interval count and
+    the largest last change of an unsettled sum, if one has not at
+    ``_N_MAX`` intervals.
     """
-    pieces = [(j, m) for c in counts for j, m in enumerate(c)]
-    un, uw = map(np.concatenate, zip(*(
-        _gl_panels(np.linspace(0.0, 1.0, m + 1)) for _, m in pieces)))
-    k = len(counts[0])
-    at = np.repeat([j for j, _ in pieces], [12 * m for _, m in pieces])
-    at = np.stack((at, at + k)) if k > 1 else None
-    stops = np.cumsum([12 * sum(c) for c in counts]).tolist()
-    for arr in (un, uw, at):
-        if arr is not None:
-            arr.flags.writeable = False
-    return un, uw, at, [slice(stop - 12 * sum(c), stop)
-                        for c, stop in zip(counts, stops)]
-
-
-def _panel_grid(edges, *counts):
-    """Composite 12-point Gauss-Legendre grids on the pieces between
-    ``edges``, one per tuple of ``counts``, which gives the even panels
-    of each piece in turn: the nodes of all the grids, concatenated,
-    then the weights of each."""
-    un, uw, at, slices = _unit_pattern(*counts)
-    if at is None:
-        lo, hi = edges
-        width, start = hi - lo, lo
-    else:
-        width, start = np.array(
-            [b - a for a, b in zip(edges, edges[1:])] + list(edges[:-1])).take(at)
-    weights = uw * width
-    return (un * width + start, *(weights[s] for s in slices))
-
-
-def _step_sums(integrand, edges, steps):
-    """(panels, list of the stack's sums) of each grid of ``steps`` in
-    turn, on the pieces between ``edges``.
-
-    ``integrand(x)`` returns k integrands stacked, shape (k, x.size).  A
-    step is a tuple of grids (``_panel_grid`` counts); it evaluates the
-    stack once, on the nodes of all its grids, and each grid's sums are
-    taken from its own slice of that evaluation.
-    """
-    for counts in steps:
-        nodes, *weights = _panel_grid(edges, *counts)
-        f = integrand(nodes)
-        end = 0
-        for c, w in zip(counts, weights):
-            yield sum(c), (f[:, end:end + w.size] @ w).tolist()
-            end += w.size
-
-
-def _settled_sums(integrand, edges, steps, tol, what):
-    """The stack's integrals on the pieces between ``edges``, doubling the
-    panels through ``steps`` (see ``_step_sums``) until they settle.
-
-    Each integral keeps the first sum within ``tol`` relative of the
-    previous grid's, with the scale floored at 1e-300, and the call ends
-    when all have; raises NonConvergenceError, naming the last panel
-    count and the largest last change of an unsettled sum, if one has
-    not when ``steps`` ends.
-    """
-    prev, last = None, math.inf
-    for n, cur in _step_sums(integrand, edges, steps):
-        if prev is None:
-            out = [None] * len(cur)
-        else:
-            change = [abs(c - p) / max(abs(c), 1e-300) for c, p in zip(cur, prev)]
-            out = [c if o is None and d <= tol else o
-                   for o, c, d in zip(out, cur, change)]
-            if None not in out:
-                return out
+    width = hi - lo
+    sums = integrand(lo + width * _UNIT) @ _UNIT_WEIGHTS * width
+    prev, cur = sums.T.tolist()
+    out = [None] * len(cur)
+    n, h, fine = _N0, width / _N0, sums[:, 1]
+    while True:
+        change = [abs(c - p) / max(abs(c), 1e-300) for c, p in zip(cur, prev)]
+        out = [c if o is None and d <= tol else o
+               for o, c, d in zip(out, cur, change)]
+        if None not in out:
+            return out
+        if 2 * n > _N_MAX:
             last = max(d for d, o in zip(change, out) if o is None)
-        prev = cur
-    raise NonConvergenceError(
-        f"{what} did not settle at {n} panels (last change {last:.3e})")
+            raise NonConvergenceError(
+                f"{what} did not settle at {n} intervals (last change {last:.3e})")
+        mid = integrand(lo + h * (np.arange(n) + 0.5)).sum(axis=1)
+        n, h = 2 * n, 0.5 * h
+        fine = 0.5 * fine + h * mid
+        prev, cur = cur, fine.tolist()
 
 
 def _log_integral(log_f, policy, v_peak):
@@ -251,11 +195,9 @@ def _log_integral(log_f, policy, v_peak):
     raises NonConvergenceError; it integrates all of them between the
     outermost of those probes, so an integrand's own factor may move its
     bump, but not by ``_DROP`` in height at ``v_peak``.  The sums of
-    exp(log_f - top) settle by ``_settled_sums`` through ``_STEPS``, 11
-    even panels (132 nodes) doubling to 342 (4104 nodes), to
-    ``policy.rel_tol``; the 11- and 22-panel grids share one evaluation
-    of ``log_f`` (396 nodes), each larger grid has one of its own.  The
-    log is taken of the settled sums and shifted back by top.
+    exp(log_f - top) between those limits settle by ``_settled_sums`` to
+    ``policy.rel_tol``; the log is taken of the settled sums and shifted
+    back by top.
     """
     # far probes overflow exp inside log_f; they need only compare as small
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -272,9 +214,9 @@ def _log_integral(log_f, policy, v_peak):
     except ValueError:
         raise NonConvergenceError(
             "integrand does not drop by e^-70 within the probes") from None
-    edges = (v_peak - _OFFSETS[left], v_peak + _OFFSETS[right])
     shift = top[:, None]
-    sums = _settled_sums(lambda v: np.exp(log_f(v) - shift), edges, _STEPS,
+    sums = _settled_sums(lambda v: np.exp(log_f(v) - shift),
+                         v_peak - _OFFSETS[left], v_peak + _OFFSETS[right],
                          policy.rel_tol, "quadrature")
     return tuple((np.log(sums) + top).tolist())
 

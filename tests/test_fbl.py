@@ -4,7 +4,6 @@ import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from risfbl.experiments import (
     N_GRID,
     ScenarioConfig,
     phase_from_label,
-    required_elements,
 )
 from risfbl.fbl import (
     PacketConfig,
@@ -38,23 +36,35 @@ from risfbl.fbl import (
 from risfbl.specfun import DEFAULT_POLICY, LOG2E, DomainError, EvalPolicy, NonConvergenceError, inv_q, q_function
 
 import oracles
-from test_specfun import KERNEL_CASES, probe_drops, step_sums_shared_and_alone
+from test_specfun import probe_drops, settled_and_alone
 
 WIDE_POLICY = EvalPolicy(rel_tol=1e-9)
 
 
-def reference_edges(fit, lin, n_panels):
-    """Panel edges of the average-BLER reference at n_panels in all."""
-    k0, k1 = lin.kappa0, lin.kappa1
-    half = fbl._STEP_SDS * fit.mean / math.sqrt(fit.shape)
-    if 2.0 * half >= k1 - k0:
-        return np.linspace(k0, k1, n_panels + 1)
-    mid = min(max(fit.mean, k0), k1)
-    lo, hi = max(mid - half, k0), min(mid + half, k1)
-    return np.concatenate((
-        [k0] * (lo > k0),
-        np.linspace(lo, hi, n_panels + 1 - (lo > k0) - (hi < k1)),
-        [k1] * (hi < k1)))
+def gl_reference(fit, lin, panels):
+    """The average-BLER reference's integral on ``panels`` even 12-point
+    Gauss-Legendre panels of the ramp, apart from the library's rule."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    edges = np.linspace(lin.kappa0, lin.kappa1, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * x).ravel()
+    return -lin.xi0 * float((half * w).ravel() @ sp.gammainc(
+        fit.shape, fit.rate * nodes))
+
+
+def gamma_averages_ref(shape, mean, dps=40):
+    """The three Gamma averages of ``fbl._gamma_averages`` by mpmath, in
+    t = ln(gamma / mean) with breakpoints every 2 sd out to 40 sd."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        a, m = mp.mpf(shape), mp.mpf(mean)
+        c = a * mp.log(a) - a - mp.loggamma(a)
+        pts = [k / mp.sqrt(a) for k in range(-40, 41, 2)]
+        fs = (lambda g: mp.log1p(g), lambda g: mp.sqrt(1 - 1 / (1 + g) ** 2),
+              lambda g: 1 - 1 / (1 + g) ** 2)
+        return [float(mp.quad(
+            lambda t: f(m * mp.exp(t)) * mp.exp(a * (t - mp.expm1(t)) + c), pts))
+            for f in fs]
 
 
 SERIES_CASES = [
@@ -150,11 +160,21 @@ class TestSeriesAverages:
             c2 = c2_avg_sqrt_dispersion(GammaFit(shape, rate), WIDE_POLICY)
             assert 0.0 <= c2 <= LOG2E
 
-    def test_nonconvergence_raises(self):
-        # refinement cannot settle the log integral to within 1e-300
+    def test_nonconvergence_raises(self, monkeypatch):
+        # the 48- and 96-interval sums differ by more than 1e-300
+        monkeypatch.setattr(specfun, "_N_MAX", specfun._N0)
+        fbl._gamma_averages.cache_clear()
         tight = EvalPolicy(rel_tol=1e-300)
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError, match="settle at 96 intervals"):
             c1_avg_capacity(GammaFit(100.0, 0.01), tight)
+
+    @pytest.mark.parametrize("shape", [3e3, 3e5, 3e6])
+    def test_large_shape_at_tight_tolerance(self, shape):
+        # the log density about its peak carries no rounding error of size
+        # shape ln(shape) 1e-16, so rel_tol 1e-14 settles on the truth
+        fbl._gamma_averages.cache_clear()
+        got = fbl._gamma_averages(GammaFit(shape, shape), EvalPolicy(1e-14))
+        assert got == pytest.approx(gamma_averages_ref(shape, 1.0), rel=2e-14)
 
     def test_rate_assembly(self):
         fit = GammaFit(50.0, 0.5)
@@ -246,7 +266,7 @@ class TestSharedAverages:
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_integrand_calls_bounded(self, monkeypatch, shape, rate):
-        # the probes, then one to four refinement steps
+        # the probes, the first grid, then at most one call per halving
         sizes = []
         kernel = fbl._log_integral
 
@@ -259,14 +279,14 @@ class TestSharedAverages:
         monkeypatch.setattr(fbl, "_log_integral", counting)
         fbl._gamma_averages.cache_clear()
         c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
-        assert len(sizes) <= 1 + len(specfun._STEPS)
+        assert len(sizes) <= 2 + math.log2(specfun._N_MAX // specfun._N0)
         assert min(sizes) > 1
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_one_grid_per_refinement(self, monkeypatch, shape, rate):
-        # the probes start at the density's peak, ln(shape); from there on
-        # each step is evaluated once, for the stack of all three averages,
-        # on the nodes of its grids side by side, so each grid size once
+        # the probes start at the density's peak, t = 0; from there on each
+        # refinement is evaluated once, for the stack of all three
+        # averages, on the nodes it adds: no node twice
         seen, shapes = [], []
         kernel = fbl._log_integral
 
@@ -281,28 +301,26 @@ class TestSharedAverages:
         monkeypatch.setattr(fbl, "_log_integral", counting)
         fbl._gamma_averages.cache_clear()
         c1_avg_capacity(GammaFit(shape, rate), WIDE_POLICY)
-        assert np.array_equal(seen[0], math.log(shape) + specfun._PROBE_STEPS)
-        steps = specfun._STEPS[:len(seen) - 1]
-        assert 1 <= len(steps) == len(seen) - 1
-        assert [v.size for v in seen[1:]] == [
-            sum(12 * sum(c) for c in step) for step in steps]
+        assert np.array_equal(seen[0], specfun._PROBE_STEPS)
+        n0 = specfun._N0
+        assert [v.size for v in seen[1:]] == [n0 + 1] + [
+            n0 * 2 ** k for k in range(len(seen) - 2)]
         assert shapes == [(3, v.size) for v in seen]
-        sizes = [c for step in steps for c in step]
-        assert len(set(sizes)) == len(sizes) >= 2
+        nodes = np.concatenate(seen[1:])
+        assert np.unique(nodes).size == nodes.size
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_shared_step_sums_equal_alone(self, monkeypatch, shape, rate):
-        # each grid's sums from a step shared with another grid are those
-        # that grid gives when evaluated on its own
+        # the settled sums, built from the nodes of all the calls, are
+        # those the last refinement's grid gives when evaluated on its own
         fit = GammaFit(shape, rate)
 
         def run():
             fbl._gamma_averages.cache_clear()
             c1_avg_capacity(fit)
 
-        _, shared, alone = step_sums_shared_and_alone(monkeypatch, run)
-        assert [n for n, _ in shared[:2]] == [sum(c) for c in specfun._STEPS[0]]
-        assert shared == alone
+        settled, alone = settled_and_alone(monkeypatch, run)
+        assert settled == pytest.approx(alone, rel=1e-14)
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_probe_cap_never_binds(self, monkeypatch, shape, rate):
@@ -404,96 +422,71 @@ class TestAvgBler:
     def test_narrow_step_resolved(self):
         # at shape 1e5, the largest the incomplete gamma path accepts, the
         # step of P(shape, rate u), mean +- 12 sd (sd = mean / sqrt(shape)
-        # ~ 2.3e-3), is a quarter of the ramp (~0.21) and narrower than an
-        # even panel of the first grid (~0.07)
+        # ~ 2.3e-3), is a quarter of the ramp (~0.21)
         lin = linearization_params(300, 240)
-        un, uw = specfun._panel_grid((lin.kappa0, lin.kappa1), (2000,))
         for mean in np.linspace(lin.kappa0, lin.kappa1, 20):
             fit = GammaFit(1e5, 1e5 / mean)
             det = avg_bler_detail(fit, 300, 240)
-            fine = -lin.xi0 * float(np.sum(uw * sp.gammainc(fit.shape,
-                                                            fit.rate * un)))
             assert not det.flagged, mean
-            assert abs(det.reference - fine) <= 1e-9, mean
-
-    @pytest.mark.parametrize("shape,mean_at,pieces", [
-        (2.0, 0.5, 1), (1e7, 0.5, 3), (1e7, 0.0, 2), (1e7, 1.0, 2)])
-    def test_reference_panel_edges(self, monkeypatch, shape, mean_at, pieces):
-        # the even layout and the step layout, with both flat ends of the
-        # ramp and with one, keep every panel count of _REF_STEPS tried on
-        # the edges np.linspace gives
-        lin = linearization_params(300, 240)
-        k0, k1 = lin.kappa0, lin.kappa1
-        fit = GammaFit(shape, shape / (k0 + mean_at * (k1 - k0)))
-        (_, edges, steps), shared, _ = step_sums_shared_and_alone(
-            monkeypatch, lambda: fbl._avg_bler_reference(fit, lin))
-        assert edges[0] == k0 and edges[-1] == k1 and len(edges) == pieces + 1
-        assert [tuple(map(sum, step)) for step in steps] == list(fbl._REF_STEPS)
-        assert 2 <= len(shared) <= sum(map(len, steps))
-        for n, counts in zip((n for n, _ in shared),
-                             (c for step in steps for c in step)):
-            assert len(counts) == pieces and sum(counts) == n
-            nodes, weights = specfun._panel_grid(edges, counts)
-            ref_nodes, ref_weights = specfun._gl_panels(
-                reference_edges(fit, lin, n))
-            assert weights.size == ref_nodes.size == 12 * n
-            assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15 * k1
-            assert np.max(np.abs(weights - ref_weights)) <= 1e-15 * (k1 - k0)
+            assert abs(det.reference - gl_reference(fit, lin, 2000)) <= 1e-9, mean
 
     @pytest.mark.parametrize("shape,mean_at", [
         (2.0, 0.5), (1e7, 0.5), (1e7, 0.0), (1e7, 1.0)])
     def test_reference_shared_step_sums_equal_alone(self, monkeypatch, shape,
                                                     mean_at):
-        # in the even layout and the step layout, each panel count's sum
-        # from a step shared with another count is the sum it gives alone
+        # with the step wide and narrow, mid-ramp and at either end, the
+        # settled sum in t is the one its last grid gives on its own
         lin = linearization_params(300, 240)
         k0, k1 = lin.kappa0, lin.kappa1
         fit = GammaFit(shape, shape / (k0 + mean_at * (k1 - k0)))
-        _, shared, alone = step_sums_shared_and_alone(
+        settled, alone = settled_and_alone(
             monkeypatch, lambda: fbl._avg_bler_reference(fit, lin))
-        assert [n for n, _ in shared[:2]] == list(fbl._REF_STEPS[0])
-        assert shared == alone
+        assert settled == pytest.approx(alone, rel=1e-14)
 
     @pytest.mark.parametrize("phase", ["perfect", "1bit", "2bit", "3bit",
                                        "uniform:0.25"])
     def test_reference_settles_early_on_figure_fits(self, monkeypatch, phase):
-        # the default scenario's fits settle on the first step's two grids
-        # on the sum the fixed 54-panel rule gave, relative above the
-        # guard's 1e-300 floor: below it P's nodes are subnormal
+        # the default scenario's fits settle in the first call, one
+        # 97-node gammainc evaluation, on the sum 200 Gauss-Legendre
+        # panels give, relative above the guard's 1e-300 floor: below it
+        # P's nodes are subnormal
         lin = linearization_params(300, 240)
         scenario = ScenarioConfig(phase=phase_from_label(phase))
+        settled, sizes = fbl._settled_sums, []
+
+        def counting(integrand, lo, hi, tol, what):
+            def counted(t):
+                sizes.append(t.size)
+                return integrand(t)
+            return settled(counted, lo, hi, tol, what)
+
+        monkeypatch.setattr(fbl, "_settled_sums", counting)
         for n in N_GRID:
             fit = scenario.fit(n)
-            nodes, weights = specfun._gl_panels(reference_edges(fit, lin, 54))
-            fixed = min(-lin.xi0 * float(np.sum(
-                weights * sp.gammainc(fit.shape, fit.rate * nodes))), 1.0)
-            got = []
-            (_, _, steps), shared, _ = step_sums_shared_and_alone(
-                monkeypatch, lambda: got.append(fbl._avg_bler_reference(fit, lin)))
-            ref, = got
-            assert abs(ref - fixed) <= 1e-10 * max(fixed, 1e-300), n
-            # the sums of the first step's two grids, one evaluation of P
-            assert [panels for panels, _ in shared] == list(fbl._REF_STEPS[0]), n
-            assert sum(12 * sum(c) for c in steps[0]) == 12 * sum(fbl._REF_STEPS[0]), n
+            sizes.clear()
+            ref = fbl._avg_bler_reference(fit, lin)
+            fine = min(gl_reference(fit, lin, 200), 1.0)
+            assert abs(ref - fine) <= 1e-10 * max(fine, 1e-300), n
+            assert sizes == [specfun._N0 + 1], n
 
     def test_reference_raises_when_unsettled(self, monkeypatch):
         # at shape 1e4 with the mean mid-ramp, where the step is narrower
-        # than the ramp, the 4 -> 8 panel change is 7.9e-8 relative, above
-        # the 1e-8 the doubling asks for
+        # than the ramp, the 96 -> 192 interval change is 1.7e-5 relative,
+        # above the 1e-8 the halving asks for
         lin = linearization_params(300, 240)
         fit = GammaFit(1e4, 1e4 / 0.75)
-        monkeypatch.setattr(fbl, "_REF_STEPS", ((4,), (8,)))
-        with pytest.raises(NonConvergenceError, match="settle at 8 panels"):
+        monkeypatch.setattr(specfun, "_N_MAX", 2 * specfun._N0)
+        with pytest.raises(NonConvergenceError, match="settle at 192 intervals"):
             fbl._avg_bler_reference(fit, lin)
 
-    @pytest.mark.parametrize("steps,last", [(((4, 8),), 8), (((4,),), 4)])
-    def test_reference_raises_at_end_of_schedule(self, monkeypatch, steps, last):
-        # the same fit on a schedule of one step, also one with no second
-        # sum to compare: NonConvergenceError names the last count tried
+    @pytest.mark.parametrize("n_max", [96, 192])
+    def test_reference_raises_at_end_of_schedule(self, monkeypatch, n_max):
+        # the same fit with the finest grid at the first call's, and one
+        # halving past it: NonConvergenceError names the last count tried
         lin = linearization_params(300, 240)
         fit = GammaFit(1e4, 1e4 / 0.75)
-        monkeypatch.setattr(fbl, "_REF_STEPS", steps)
-        with pytest.raises(NonConvergenceError, match=f"settle at {last} panels"):
+        monkeypatch.setattr(specfun, "_N_MAX", n_max)
+        with pytest.raises(NonConvergenceError, match=f"settle at {n_max} intervals"):
             fbl._avg_bler_reference(fit, lin)
 
     def test_nonfinite_closed_form_flagged(self):
@@ -536,13 +529,20 @@ def figure_cells(figure_id):
 
 
 class TestSettleDepth:
+    # cells whose Gamma averages take a second call of 96 midpoints
+    LATE = {
+        "fig4": {("perfect", 16), ("2bit", 16), ("1bit", 16), ("perfect", 24),
+                 ("2bit", 24), ("1bit", 24), ("1bit", 32), ("1bit", 96)},
+        "fig5": set(),
+        "fig8": {("", 16), ("", 24)},
+    }
+
     @pytest.mark.parametrize("figure_id", ["fig4", "fig5", "fig8"])
     def test_figure_cells_settle_at_first_step(self, monkeypatch, figure_id):
         # after the probes, the Gamma averages of every default-scenario
-        # cell settle on the first step's 11- and 22-panel grids, one
-        # 396-node evaluation, and the average-BLER reference in one
-        # 108-node gammainc call; only the 1-bit N=16 fit (shape 4.13)
-        # also needs the 43-panel grid (516 nodes)
+        # cell, at the cell's policy, settle in the first 97-node call of
+        # the stack or in one more of 96 midpoints, and the average-BLER
+        # reference in one 97-node gammainc call
         gamma, ref = [], []
         kernel, settled = fbl._log_integral, fbl._settled_sums
 
@@ -552,11 +552,11 @@ class TestSettleDepth:
                 return log_f(v)
             return kernel(counted, policy, v_peak)
 
-        def counting_settled(integrand, edges, steps, tol, what):
+        def counting_settled(integrand, lo, hi, tol, what):
             def counted(u):
                 ref.append(u.size)
                 return integrand(u)
-            return settled(counted, edges, steps, tol, what)
+            return settled(counted, lo, hi, tol, what)
 
         monkeypatch.setattr(fbl, "_log_integral", counting_kernel)
         monkeypatch.setattr(fbl, "_settled_sums", counting_settled)
@@ -566,33 +566,11 @@ class TestSettleDepth:
             ref.clear()
             fit = cell.fit()
             fbl._gamma_averages.cache_clear()
-            c1_avg_capacity(fit)
+            c1_avg_capacity(fit, cell.policy)
             avg_bler(fit, cell.packet.blocklength, cell.packet.info_bits)
-            late = [516] if (tag, v) == ("1bit", 16) else []
-            assert gamma == [probes, 396] + late, (tag, v, fit.shape)
-            assert ref == [108], (tag, v)
-
-
-class TestUnitPatternCache:
-    def test_bench_pass_never_evicts(self, monkeypatch):
-        # the benchmark's analytic points and anchors and the Kummer cases
-        # ask for fewer unit patterns than the cache holds: every miss is
-        # still cached at the end
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-        import workloads
-        specfun._unit_pattern.cache_clear()
-        fbl._gamma_averages.cache_clear()
-        base = ScenarioConfig()
-        for p in workloads.analytic_point_list():
-            workloads.eval_point(p, base)
-        for _, phase, _ in workloads.ANCHORS:
-            required_elements(workloads.TARGET_BLER,
-                              dataclasses.replace(base, phase=phase))
-        for a, b, z in KERNEL_CASES:
-            specfun.log_gamma_kummer_u(a, b, z)
-        info = specfun._unit_pattern.cache_info()
-        assert info.misses == info.currsize <= info.maxsize
-        assert info.hits > 0
+            late = [96] if (tag, v) in self.LATE[figure_id] else []
+            assert gamma == [probes, 97] + late, (tag, v, fit.shape)
+            assert ref == [97], (tag, v)
 
 
 class TestAvgBlocklength:

@@ -1,6 +1,5 @@
 """Special-function kernel tests against mpmath and scipy references."""
 
-import itertools
 import math
 import re
 
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from risfbl import specfun
+from risfbl import fbl, specfun
 from risfbl.specfun import (
     DEFAULT_POLICY,
     DomainError,
@@ -153,98 +152,98 @@ def probe_drops(log_f, v_peak):
     return below[..., :-1].any(axis=2)
 
 
-def step_sums_shared_and_alone(monkeypatch, run):
-    """Run ``run()``, which makes one call of the kernel's step evaluator,
-    ``_step_sums``.  Returns that call's (integrand, edges, steps), the
-    (panels, sums) pairs it read with its steps, and the same grids'
-    pairs with each grid evaluated alone."""
-    calls = []
-    sums = specfun._step_sums
+def trapezoid_alone(integrand, lo, hi, n):
+    """The stack's trapezoidal sums on n even intervals of [lo, hi], from
+    one evaluation of its own grid."""
+    w = np.full(n + 1, (hi - lo) / n)
+    w[[0, -1]] *= 0.5
+    return (integrand(np.linspace(lo, hi, n + 1)) @ w).tolist()
 
-    def recording(integrand, edges, steps):
-        steps = tuple(steps)
-        calls.append(((integrand, edges, steps), []))
-        for pair in sums(integrand, edges, steps):
-            calls[-1][1].append(pair)
-            yield pair
+
+def settled_and_alone(monkeypatch, run):
+    """Run ``run()``, which makes one call of the nested trapezoidal rule,
+    ``_settled_sums``.  Returns the sums that call settled on, and the
+    sums the grid of its last refinement gives alone."""
+    calls = []
+    settled = specfun._settled_sums
+
+    def recording(integrand, lo, hi, tol, what):
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return integrand(x)
+
+        sums = settled(counted, lo, hi, tol, what)
+        calls.append((sums, integrand, lo, hi, sum(sizes) - 1))
+        return sums
 
     with monkeypatch.context() as m:
-        m.setattr(specfun, "_step_sums", recording)
+        # fbl imports the name; the kernel reads specfun's global
+        m.setattr(specfun, "_settled_sums", recording)
+        m.setattr(fbl, "_settled_sums", recording)
         run()
-    (args, shared), = calls
-    integrand, edges, steps = args
-    alone = tuple((counts,) for step in steps for counts in step)
-    return args, shared, list(itertools.islice(
-        sums(integrand, edges, alone), len(shared)))
+    (sums, integrand, lo, hi, n), = calls
+    return sums, trapezoid_alone(integrand, lo, hi, n)
 
 
 class TestPanelGrid:
+    """The nested trapezoidal rule's grids: even panels (intervals) of the
+    limits, each refinement adding the midpoints of the last."""
+
+    @staticmethod
+    def _unsettled(monkeypatch, lo, hi, n_max):
+        # x^2 + 1: every halving changes the sum by (hi - lo) h^2 / 8 > 0,
+        # so no sum settles and every grid up to n_max panels is evaluated
+        calls = []
+
+        def integrand(x):
+            calls.append(np.copy(x))
+            return (x * x + 1.0)[None]
+
+        monkeypatch.setattr(specfun, "_N_MAX", n_max)
+        with pytest.raises(NonConvergenceError) as info:
+            specfun._settled_sums(integrand, lo, hi, 1e-300, "test")
+        return calls, str(info.value)
+
     @pytest.mark.parametrize("vl,vr,n", [
         (-3.2, 5.7, 256), (0.1, 0.9, 512), (-20.0, -1.0, 1024),
         (2.0, 2e3, 2048), (-7.0, 8.0, 4096), (0.5, 3.0, 648)])
-    def test_matches_linspace_panels(self, vl, vr, n):
-        # ceil(n / 12) panels of the unit pattern scaled onto [vl, vr]
-        # against even edges from np.linspace on [vl, vr] itself, to 1e-15
-        # of the interval's scale
-        panels = math.ceil(n / 12)
-        nodes, weights = specfun._panel_grid((vl, vr), (panels,))
-        ref_nodes, ref_weights = specfun._gl_panels(
-            np.linspace(vl, vr, panels + 1))
-        assert nodes.size == ref_nodes.size == 12 * panels
-        scale = max(abs(vl), abs(vr))
-        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15 * scale
-        assert np.max(np.abs(weights - ref_weights)) <= 1e-15 * (vr - vl)
+    def test_matches_linspace_panels(self, monkeypatch, vl, vr, n):
+        # refined up to at most n panels, the nodes of all the calls are,
+        # once each, those of np.linspace on [vl, vr], to 1e-15 of scale
+        calls, message = self._unsettled(monkeypatch, vl, vr, n)
+        panels = specfun._N0 * 2 ** int(math.log2(n / specfun._N0))
+        assert f"did not settle at {panels} intervals" in message
+        nodes = np.concatenate(calls)
+        assert nodes.size == panels + 1 == np.unique(nodes).size
+        ref = np.linspace(vl, vr, panels + 1)
+        assert np.max(np.abs(np.sort(nodes) - ref)) <= 1e-15 * max(abs(vl), abs(vr))
 
-    def test_sizes_side_by_side(self):
-        # several grids, on one piece, three and two: each one's nodes in
-        # turn, then each one's weights, the same bytes as that grid's own
-        for edges, counts in (
-                ((-3.2, 5.7), ((22,), (43,), (86,))),
-                ((0.3, 0.31, 0.5, 0.9), ((1, 2, 1), (1, 6, 1))),
-                ((0.3, 0.5, 0.9), ((3, 1), (7, 1), (15, 1)))):
-            nodes, *weights = specfun._panel_grid(edges, *counts)
-            end = 0
-            for c, w in zip(counts, weights):
-                alone_nodes, alone_weights = specfun._panel_grid(edges, c)
-                assert np.array_equal(nodes[end:end + w.size], alone_nodes)
-                assert np.array_equal(w, alone_weights)
-                end += w.size
-            assert end == nodes.size
+    def test_sizes_side_by_side(self, monkeypatch):
+        # the first call evaluates the _N0 + 1 even nodes, which give the
+        # sums at _N0 / 2 and _N0 panels, each later call the midpoints
+        n0 = specfun._N0
+        calls, _ = self._unsettled(monkeypatch, -3.2, 5.7, 4 * n0)
+        assert [x.size for x in calls] == [n0 + 1, n0, 2 * n0]
+        np.testing.assert_allclose(calls[0], np.linspace(-3.2, 5.7, n0 + 1),
+                                   rtol=0.0, atol=1e-15 * 5.7)
+        # the first call's change is that of the two grids alone
+        _, message = self._unsettled(monkeypatch, -3.2, 5.7, n0)
+        coarse, fine = (trapezoid_alone(lambda x: (x * x + 1.0)[None],
+                                        -3.2, 5.7, n)[0] for n in (n0 // 2, n0))
+        shown = float(message.rpartition("last change ")[2].rstrip(")"))
+        assert shown == pytest.approx(abs(fine - coarse) / fine, rel=1e-3)
 
-    @given(st.floats(0.1, 5.0),
-           st.lists(st.tuples(st.floats(0.1, 3.0), st.integers(1, 5)),
-                    min_size=1, max_size=4),
-           st.integers(0, 23))
-    @settings(max_examples=100, deadline=None)
-    def test_pieces_integrate_polynomials(self, start, pieces, k):
-        # 12-point Gauss-Legendre is exact to degree 23: each piece of a
-        # grid integrates x^k over itself to rounding
-        edges = list(itertools.accumulate([start] + [gap for gap, _ in pieces]))
-        counts = tuple(m for _, m in pieces)
-        nodes, weights = specfun._panel_grid(tuple(edges), counts)
-        assert nodes.size == weights.size == 12 * sum(counts)
-        for a, b in zip(edges, edges[1:]):
-            inside = (nodes > a) & (nodes < b)
-            got = float(weights[inside] @ nodes[inside] ** k)
-            # (b^(k+1) - a^(k+1)) / (k+1), as a sum of positive terms
-            want = (b - a) * sum(a ** j * b ** (k - j)
-                                 for j in range(k + 1)) / (k + 1)
-            assert got == pytest.approx(want, rel=1e-13), (a, b)
-
-    def test_cached_pattern_is_read_only(self):
-        for counts in (((22,),), ((1, 6, 1), (1, 14, 1))):
-            un, uw, at, _ = specfun._unit_pattern(*counts)
-            for a in (un, uw) + ((at,) if at is not None else ()):
-                assert not a.flags.writeable
-                with pytest.raises(ValueError):
-                    a.flat[0] = 0
-        for edges, counts in (((-1.0, 2.0), (22,)), ((-1.0, 0.5, 2.0), (3, 5))):
-            first = specfun._panel_grid(edges, counts)
-            kept = [a.copy() for a in first]
-            for a in first:
-                a[:] = np.nan
-            for a, b in zip(specfun._panel_grid(edges, counts), kept):
-                assert np.array_equal(a, b)
+    @pytest.mark.parametrize("integrand,exact", [
+        (lambda x: np.exp(-x * x), math.sqrt(math.pi)),
+        (lambda x: 1.0 / np.cosh(x) ** 2, 2.0)])
+    def test_exact_on_smooth_bumps(self, integrand, exact):
+        # the trapezoidal rule converges exponentially on a smooth bump that
+        # has vanished at both limits: a Gaussian and sech^2 over [-40, 40]
+        (got,) = specfun._settled_sums(lambda x: integrand(x)[None], -40.0, 40.0,
+                                       1e-15, "test")
+        assert got == pytest.approx(exact, rel=1e-15)
 
 
 MPMATH_CASES = [
@@ -278,14 +277,22 @@ class TestKummerU:
         assert got == pytest.approx(
             oracles.log_gamma_u_ref(2000.0, 101.0, 0.01, dps=60), rel=1e-12)
 
-    def test_nonconvergence_reports_last_change(self):
-        # no refinement can move the log integral by less than 1e-300
+    def test_nonconvergence_reports_last_change(self, monkeypatch):
+        # no sum settles to 1e-300 by 192 intervals at this shape
+        monkeypatch.setattr(specfun, "_N_MAX", 2 * specfun._N0)
         with pytest.raises(NonConvergenceError) as info:
             log_gamma_kummer_u(2e6, 101.0, 1.0, EvalPolicy(rel_tol=1e-300))
-        match = re.search(r"did not settle at 342 panels \(last change "
+        match = re.search(r"did not settle at 192 intervals \(last change "
                           r"([0-9.e+-]+)\)", str(info.value))
         assert match is not None
         assert float(match.group(1)) > 0.0
+
+    @pytest.mark.parametrize("b,z", [(0.5, 1.0), (-5.0, 10.0), (2.0, 0.1)])
+    def test_small_a_settles(self, b, z):
+        # at a = 0.06 the left tail exp(a v) falls by e^-70 only ~1200 in v
+        # from the peak, so the bump fills a small part of the limits
+        assert log_gamma_kummer_u(0.06, b, z) == pytest.approx(
+            oracles.log_gamma_u_ref(0.06, b, z), rel=1e-14)
 
     def test_log_integral_returns_python_floats(self):
         # a tuple of floats, one per integrand of the stack
@@ -297,8 +304,8 @@ class TestKummerU:
 
     @pytest.mark.parametrize("a,b,z", KERNEL_CASES)
     def test_integrand_calls_bounded(self, monkeypatch, a, b, z):
-        # one array call of log_f for the probes, then one per refinement
-        # step (one to four)
+        # one array call of log_f for the probes, then the first grid and
+        # at most one call per halving up to _N_MAX intervals
         sizes = []
         kernel = specfun._log_integral
 
@@ -310,17 +317,16 @@ class TestKummerU:
 
         monkeypatch.setattr(specfun, "_log_integral", counting)
         log_gamma_kummer_u(a, b, z)
-        assert len(sizes) <= 1 + len(specfun._STEPS)
+        assert len(sizes) <= 2 + math.log2(specfun._N_MAX // specfun._N0)
         assert min(sizes) > 1
 
     @pytest.mark.parametrize("a,b,z", KERNEL_CASES)
     def test_shared_step_sums_equal_alone(self, monkeypatch, a, b, z):
-        # each grid's sum from a step shared with another grid is the one
-        # that grid gives when evaluated on its own
-        _, shared, alone = step_sums_shared_and_alone(
+        # the settled sum, built from the nodes of all the calls, is the
+        # one the last refinement's grid gives when evaluated on its own
+        settled, alone = settled_and_alone(
             monkeypatch, lambda: log_gamma_kummer_u(a, b, z))
-        assert [n for n, _ in shared[:2]] == [sum(c) for c in specfun._STEPS[0]]
-        assert shared == alone
+        assert settled == pytest.approx(alone, rel=1e-14)
 
     def test_peak_is_stationary(self, monkeypatch):
         # the closed-form peak handed to the kernel is the maximum of h,
