@@ -6,9 +6,9 @@ second raw moments of the composite channel power under perfect,
 uniformly-spread, and quantized phase control, and the Gamma
 moment-matching of the received SNR.
 
-The moments are assembled from the structural double/triple/quadruple
-sums over the per-element phase factors with the cosine expectations
-substituted.
+The moments are formed from the law of one reflecting element: its
+joint moments are closed-form, and those of the element sum follow by
+counting how a product's factors fall on distinct elements.
 """
 
 import math
@@ -215,37 +215,22 @@ def snr_scale(radio: RadioConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Phase-error expectations and composite-channel moments
+# Composite-channel moments from one element's law
 # ---------------------------------------------------------------------------
-
-def phase_expectations(spread: float):
-    """The six cosine expectations for phase error uniform on (-s*pi, s*pi).
-
-    Returns (E[cos phi], E[cos^2 phi], E[cos(phi_n - phi_m)],
-    E[cos^2(phi_n - phi_m)], E[cos phi_n cos(phi_n - phi_m)],
-    E[cos(phi_n - phi_m) cos(phi_n' - phi_n)]) for distinct n, m, n'.
-    """
-    if not 0.0 <= spread <= 1.0:
-        raise DomainError(f"spread must lie in [0, 1], got {spread}")
-    s1 = sinc_norm(spread)
-    s2 = sinc_norm(2.0 * spread)
-    return (
-        s1,
-        0.5 + 0.5 * s2,
-        s1 * s1,
-        0.5 + 0.5 * s2 * s2,
-        s1 * (0.5 + 0.5 * s2),
-        0.5 * (1.0 + s2) * s1 * s1,
-    )
-
 
 def moments_X(gains: LinkGains, n_elements: int, phase: PhaseModel) -> Moments:
     """Exact raw moments of the composite channel power X.
 
-    X = | |h_d| + sum_n |a_n||b_n| e^{j phi_n} |^2 with Rayleigh amplitudes
-    and i.i.d. phase errors given by the phase model.  Assembled from the
-    structural sums with the cosine expectations substituted; the Perfect
-    model is the spread -> 0 specialization of the same formulas.
+    In the frame of h_d, X = H^2 + 2 a H Re S + a^2 |S|^2, with H = |h_d|
+    Rayleigh of power direct, a^2 = ap_ris * ris_ac, and S the sum of N
+    i.i.d. elements c = r e^{j phi}: r the product of two unit-power
+    Rayleigh amplitudes, phi the residual phase error of the model.  An
+    element's moments are E[c^p conj(c)^q] = Gamma(1 + (p+q)/2)^2
+    sinc((p - q) s), and each moment of S sums them over the partitions
+    of its factors into distinct elements, counted by the falling
+    factorials N_2, N_3, N_4.  Perfect is spread 0, where sinc is 1.
+    So E[c |c|^2] = 2.25 E[c], and E[H^k] = Gamma(1 + k/2) direct^(k/2)
+    gives E[H^3] = 1.5 direct E[H].
     """
     if n_elements < 0:
         raise DomainError("n_elements must be >= 0")
@@ -253,40 +238,27 @@ def moments_X(gains: LinkGains, n_elements: int, phase: PhaseModel) -> Moments:
         raise DomainError("N = 0 requires a direct link")
 
     v = gains.direct
-    r = gains.ap_ris
-    t = gains.ris_ac
-    N = float(n_elements)
-    e1, e2, e3, e4, e5, e6 = phase_expectations(phase.spread)
-    pi = _PI
+    a2 = gains.ap_ris * gains.ris_ac
+    a = math.sqrt(a2)
+    h = 0.5 * math.sqrt(_PI * v)                       # E[H]
+    n = float(n_elements)
+    n2 = n * (n - 1.0)
+    n3 = n2 * (n - 2.0)
+    n4 = n3 * (n - 3.0)
+    mu = 0.25 * _PI * sinc_norm(phase.spread)          # E[c]
+    sg = sinc_norm(2.0 * phase.spread)                 # E[c^2]
+    mu2 = mu * mu
 
-    m1 = (
-        v
-        + N * r * t
-        + (pi ** 2 / 16.0) * r * t * N * (N - 1) * e3
-        + (pi / 4.0) * math.sqrt(pi * v * r * t) * N * e1
-    )
+    s1 = n * mu                                        # E[S]
+    s2 = n * sg + n2 * mu2                             # E[S^2]
+    p2 = n + n2 * mu2                                  # E|S|^2
+    s3 = 2.25 * n * mu + n2 * mu * (sg + 2.0) + n3 * mu * mu2      # E[S |S|^2]
+    p4 = (4.0 * n + n2 * (9.0 * mu2 + sg * sg + 2.0)              # E|S|^4
+          + n3 * mu2 * (2.0 * sg + 4.0) + n4 * mu2 * mu2)
 
-    m2 = (
-        2.0 * v ** 2
-        + v * r * t * (
-            2.0 * N
-            + 4.0 * N * e2
-            + (pi ** 2 / 8.0) * N * (N - 1) * (e3 + 2.0 * e1 * e1)
-        )
-        + (3.0 * pi / 4.0) * math.sqrt(pi * v ** 3 * r * t) * N * e1
-        + r ** 2 * t ** 2 * (
-            N * (N + 3.0)
-            + (pi ** 2 * (2.0 * N + 5.0) / 16.0) * N * (N - 1) * e3
-            + 2.0 * N * (N - 1) * e4
-            + 2.0 * (pi ** 2 / 8.0) * N * (N - 1) * (N - 2) * e6
-            + (pi ** 4 / 256.0) * N * (N - 1) * (N - 2) * (N - 3) * e3 * e3
-        )
-        + math.sqrt(v * r ** 3 * t ** 3) * pi ** 1.5 * (
-            ((4.0 * N + 5.0) / 8.0) * N * e1
-            + N * (N - 1) * e5
-            + (pi ** 2 / 32.0) * N * (N - 1) * (N - 2) * e3 * e1
-        )
-    )
+    m1 = v + 2.0 * a * h * s1 + a2 * p2
+    m2 = (2.0 * v * v + 2.0 * a2 * v * (s2 + 2.0 * p2) + 6.0 * a * v * h * s1
+          + a2 * a2 * p4 + 4.0 * a2 * a * h * s3)
     return Moments(m1=m1, m2=m2)
 
 

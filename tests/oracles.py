@@ -7,10 +7,12 @@ peak-normalized quadrature (values are O(1) relative to the integrand
 peak, so mpmath's relative stopping criterion applies even when the
 result underflows double precision by hundreds of orders).
 
-The last sections hold alternative forms (expanded moment formulas,
-the Taylor rate, the linearized-Q surrogate, Kummer U, incomplete-gamma
-and exponential-integral wrappers) that only the tests use as cross-checks,
-and two Monte Carlo references for ``risfbl.montecarlo.sample_snr``:
+The last sections hold alternative forms (the moments of the channel
+power from the structural sums in mpmath and as expanded formulas, the
+Taylor rate, the linearized-Q surrogate, Kummer U, incomplete-gamma and
+exponential-integral wrappers) that only the tests use as cross-checks,
+the exact K-distribution of the spread-1 reflector's SNR, and two Monte
+Carlo references for ``risfbl.montecarlo.sample_snr``:
 the literal controller in complex arithmetic on the sampler's own
 exponential draws, and the complex-Gaussian sampler it must match in
 distribution.
@@ -238,12 +240,58 @@ def moments_X_perfect_expanded(gains: LinkGains, n_elements: int) -> Moments:
     return Moments(m1=m1, m2=m2)
 
 
+def moments_X_structural(gains: LinkGains, n_elements: int, spread: float,
+                         dps=50):
+    """(m1, m2) of X from the structural sums, in mpmath at ``dps`` digits.
+
+    The double, triple and quadruple sums over the elements' phase
+    factors, with the six cosine expectations of a phase error uniform
+    on (-s pi, s pi) substituted: E[cos phi], E[cos^2 phi],
+    E[cos(phi_n - phi_m)], E[cos^2(phi_n - phi_m)],
+    E[cos phi_n cos(phi_n - phi_m)] and
+    E[cos(phi_n - phi_m) cos(phi_n' - phi_n)], for distinct n, m, n'.
+    The gains and the spread are taken as exact binary values.
+    """
+    with mp.workdps(dps):
+        v, r, t = (mp.mpf(x) for x in (gains.direct, gains.ap_ris, gains.ris_ac))
+        N = mp.mpf(n_elements)
+        s = mp.mpf(spread)
+        pi = mp.pi
+        s1 = mp.sincpi(s)
+        s2 = mp.sincpi(2 * s)
+        e1 = s1
+        e2 = (1 + s2) / 2
+        e3 = s1 * s1
+        e4 = (1 + s2 * s2) / 2
+        e5 = s1 * (1 + s2) / 2
+        e6 = (1 + s2) * s1 * s1 / 2
+        m1 = (v + N * r * t + pi ** 2 / 16 * r * t * N * (N - 1) * e3
+              + pi / 4 * mp.sqrt(pi * v * r * t) * N * e1)
+        m2 = (
+            2 * v ** 2
+            + v * r * t * (2 * N + 4 * N * e2
+                           + pi ** 2 / 8 * N * (N - 1) * (e3 + 2 * e1 * e1))
+            + 3 * pi / 4 * mp.sqrt(pi * v ** 3 * r * t) * N * e1
+            + r ** 2 * t ** 2 * (
+                N * (N + 3)
+                + pi ** 2 * (2 * N + 5) / 16 * N * (N - 1) * e3
+                + 2 * N * (N - 1) * e4
+                + pi ** 2 / 4 * N * (N - 1) * (N - 2) * e6
+                + pi ** 4 / 256 * N * (N - 1) * (N - 2) * (N - 3) * e3 * e3)
+            + mp.sqrt(v * r ** 3 * t ** 3) * pi ** 1.5 * (
+                (4 * N + 5) / 8 * N * e1
+                + N * (N - 1) * e5
+                + pi ** 2 / 32 * N * (N - 1) * (N - 2) * e3 * e1)
+        )
+        return m1, m2
+
+
 def second_moment_phase_error_expanded(gains: LinkGains, n_elements: int,
                                       spread: float) -> float:
     """E[X^2] in its long single-expansion form.
 
-    Kept for cross-checking only: relative to the structural sums it is
-    missing an N(N-1) * (ap_ris * ris_ac)^2 term.
+    Kept for cross-checking only: relative to ``moments_X_structural``
+    it is missing an N(N-1) * (ap_ris * ris_ac)^2 term.
     """
     v, r, t = gains.direct, gains.ap_ris, gains.ris_ac
     N = float(n_elements)
@@ -266,6 +314,31 @@ def second_moment_phase_error_expanded(gains: LinkGains, n_elements: int,
             + (N - 1) / 2.0 * (s2 + (N - 2) * pi ** 2 / 16.0 * s1 ** 2)
         )
     )
+
+
+def k_distribution_cdf(gamma, n_elements: int, scale: float):
+    """P(gamma_s <= gamma) for the spread-1 reflector with no direct link.
+
+    Each element's term is isotropic, so the element sum is sqrt(G) Z with
+    G ~ Gamma(N, 1) and Z ~ CN(0, 1), and gamma_s = scale * G * E with
+    E ~ Exp(1), scale = rho * ap_ris * ris_ac: the K-distribution,
+    1 - 2 y^(N/2) K_N(2 sqrt(y)) / Gamma(N) at y = gamma / scale.  The
+    second term is formed in logs, with K_N(z) = kve(N, z) e^-z.
+    """
+    y = np.asarray(gamma, dtype=float) / scale
+    z = 2.0 * np.sqrt(y)
+    n = float(n_elements)
+    log_tail = (math.log(2.0) + 0.5 * n * np.log(y) + np.log(sp.kve(n, z)) - z
+                - sp.gammaln(n))
+    return -np.expm1(log_tail)
+
+
+def k_distribution_cdf_ref(y, n_elements: int, dps=40):
+    """mpmath reference for ``k_distribution_cdf`` at y = gamma / scale."""
+    with mp.workdps(dps):
+        y = mp.mpf(y)
+        return float(1 - 2 * y ** (mp.mpf(n_elements) / 2)
+                     * mp.besselk(n_elements, 2 * mp.sqrt(y)) / mp.gamma(n_elements))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Link budget, phase-error expectations and moment matching."""
+"""Link budget, composite-channel moments, the spread-1 exact law and
+moment matching."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from risfbl.channel import (
     DegenerateMomentsError,
@@ -23,12 +26,11 @@ from risfbl.channel import (
     link_gains,
     moments_X,
     path_loss_gain,
-    phase_expectations,
     snr_scale,
 )
 from risfbl.experiments import ScenarioConfig
 from risfbl.fbl import avg_blocklength
-from risfbl.montecarlo import sample_snr
+from risfbl.montecarlo import McConfig, sample_snr
 from risfbl.specfun import DomainError, gamma_cdf, log_gamma_kummer_u
 
 import oracles
@@ -97,26 +99,6 @@ class TestPhaseModels:
         with pytest.raises(DomainError):
             QuantizedBits(53)
 
-    def test_expectations_perfect_limit(self):
-        assert phase_expectations(0.0) == (1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-
-    def test_expectations_full_spread(self):
-        e1, e2, e3, e4, e5, e6 = phase_expectations(1.0)
-        assert e1 == pytest.approx(0.0, abs=1e-15)
-        assert e2 == pytest.approx(0.5, abs=1e-15)
-        assert e3 == pytest.approx(0.0, abs=1e-15)
-        assert e4 == pytest.approx(0.5, abs=1e-15)
-
-    def test_expectations_match_direct_integrals(self):
-        # E[cos phi] and E[cos^2 phi] by brute quadrature
-        s = 0.37
-        phi = np.linspace(-s * math.pi, s * math.pi, 200001)
-        e1, e2, *_ = phase_expectations(s)
-        assert e1 == pytest.approx(float(np.trapezoid(np.cos(phi), phi))
-                                   / (2 * s * math.pi), rel=1e-9)
-        assert e2 == pytest.approx(float(np.trapezoid(np.cos(phi) ** 2, phi))
-                                   / (2 * s * math.pi), rel=1e-9)
-
 
 class TestMoments:
     def test_single_element_uniform_formula(self):
@@ -165,6 +147,24 @@ class TestMoments:
         missing = n * (n - 1) * (g.ap_ris * g.ris_ac) ** 2
         assert full - expanded == pytest.approx(missing, rel=1e-6)
 
+    @pytest.mark.parametrize("direct", [True, False], ids=["direct", "no-direct"])
+    @pytest.mark.parametrize("phase", [
+        Perfect(), QuantizedBits(1), QuantizedBits(2), QuantizedBits(3),
+        UniformSpread(0.25), UniformSpread(1.0)],
+        ids=["perfect", "1bit", "2bit", "3bit", "uniform:0.25", "uniform:1"])
+    def test_moments_match_structural_reference(self, phase, direct):
+        # against the structural sums in 50-digit mpmath, to a few ulp;
+        # the variance cancels about log10(N) digits at perfect phase
+        g = link_gains(Geometry(), direct_link=direct)
+        for n in (1, 2, 3, 4, 16, 256, 2048, 8192):
+            m = moments_X(g, n, phase)
+            r1, r2 = oracles.moments_X_structural(g, n, phase.spread)
+            with mpmath.workdps(50):
+                assert abs(m.m1 - r1) <= 2e-15 * r1, n
+                assert abs(m.m2 - r2) <= 2e-15 * r2, n
+                var = r2 - r1 * r1
+                assert abs(m.variance - var) <= 2e-12 * var, n
+
     def test_quantizer_matches_uniform_spread(self):
         # analytically a b-bit quantizer is a residual spread of 2^-b
         g = default_gains()
@@ -177,6 +177,36 @@ class TestMoments:
             Moments(m1=1.0, m2=0.5)
         with pytest.raises(DegenerateMomentsError):
             Moments(m1=0.0, m2=1.0)
+
+
+class TestSpreadOneExactLaw:
+    """Spread 1 makes every element isotropic: with no direct link the SNR
+    is K-distributed, so the sampler's rotation path has an exact law."""
+
+    @pytest.mark.parametrize("n,y", [(1, 0.01), (4, 2.0), (64, 70.0)])
+    def test_cdf_matches_mpmath(self, n, y):
+        assert float(oracles.k_distribution_cdf(y, n, 1.0)) == pytest.approx(
+            oracles.k_distribution_cdf_ref(y, n), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_sampler_ks_against_exact_cdf(self, n):
+        g = default_gains()
+        rho = snr_scale(RadioConfig())
+        cfg = McConfig(n_samples=10_000, seed=11)
+        x = sample_snr(g, n, UniformSpread(1.0), rho, cfg)
+        scale = rho * g.ap_ris * g.ris_ac
+        ks = stats.kstest(x, lambda t: oracles.k_distribution_cdf(t, n, scale))
+        # 0.1% critical value of the KS statistic
+        assert ks.statistic < 1.95 / math.sqrt(cfg.n_samples)
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 64, 1024])
+    def test_moments_of_the_exact_law(self, n):
+        # E[G E] = N and E[(G E)^2] = 2 N (N + 1)
+        g = default_gains()
+        a2 = g.ap_ris * g.ris_ac
+        m = moments_X(g, n, UniformSpread(1.0))
+        assert m.m1 == pytest.approx(a2 * n, rel=1e-15)
+        assert m.m2 == pytest.approx(2.0 * n * (n + 1) * a2 * a2, rel=1e-15)
 
 
 class TestGammaFit:
