@@ -404,25 +404,29 @@ _FIGURES = {
             ("2bit", {"phase": QuantizedBits(2)}),
             ("1bit", {"phase": QuantizedBits(1)})), "n_elements",
         (("bler_{}", bler),),
-        (("bler_{}_mc", "avg_bler"),)),
+        (("bler_{}_mc", "avg_bler"),
+         ("bler_{}_mc_se", "avg_bler_se"))),
     "fig5": _Figure(
         {"direct_link": False, "n_elements": 512}, (
             ("perfect", {"phase": Perfect()}),
             ("2bit", {"phase": QuantizedBits(2)}),
             ("1bit", {"phase": QuantizedBits(1)})), "ris_distance_m",
         (("bler_{}", bler),),
-        (("bler_{}_mc", "avg_bler"),)),
+        (("bler_{}_mc", "avg_bler"),
+         ("bler_{}_mc_se", "avg_bler_se"))),
     "fig6a": _Figure(
         {"direct_link": True}, (
             ("_ple3.6", {"direct_exponent": 3.6}),
             ("_ple3.8", {"direct_exponent": 3.8}),
             ("_ple4", {"direct_exponent": 4.0})), "ris_distance_m",
         (("rate{}", rate_exact),),
-        (("rate{}_mc", "avg_rate"),)),
+        (("rate{}_mc", "avg_rate"),
+         ("rate{}_mc_se", "avg_rate_se"))),
     "fig6b": _Figure(
         {"direct_link": False}, (("", {}),), "ris_distance_m",
         (("rate{}", rate_exact),),
-        (("rate{}_mc", "avg_rate"),)),
+        (("rate{}_mc", "avg_rate"),
+         ("rate{}_mc_se", "avg_rate_se"))),
     "fig7": _Figure(
         {"direct_link": False}, (
             ("1bit", {"phase": QuantizedBits(1)}),

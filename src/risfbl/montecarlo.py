@@ -23,23 +23,29 @@ with t in [0, 1], and each call tabulates cos and sin once, at the
 ``_K`` + 1 grid points w (i / K - 1/2) (P. T. P. Tang, "Table-lookup
 algorithms for elementary functions and their error analysis", ARITH
 1991).  An element rotates by its nearest grid point, j = rint(t K), and
-by the remainder delta = (t K - j) w / K, |delta| <= pi / K, through
-short Taylor steps: s = sin delta ~ delta (1 - delta^2/6) and
-cos delta = sqrt(1 - s^2) ~ 1 - s^2/2 - s^4/8, whose truncation errors
-are below 3e-18.  Against libm cos and sin of the same phi the rotation
-is within 1e-15 absolute.  A block's working set grows by one float64
-and one int64 array of its rows x N; the gathered table values go to
-the block's own buffer, which is free by then.
+by the remainder delta = h f, with h = w / K and f = t K - j, so
+|delta| <= pi / K, through short Taylor steps in f:
+sin delta ~ h f (1 - h^2 f^2 / 6) and
+cos delta ~ 1 - h^2 f^2 / 2 + h^4 f^4 / 24, whose truncation errors are
+below 3e-18; h multiplies the row sums of the sine part, not each
+element.  Against libm cos and
+sin of the same phi the rotation is within 1e-15 absolute.  A block's
+working set grows by one float64 and one int64 array of its rows x N;
+the gathered table values go to the block's exponential columns, which
+are free by then.
 
-Every pass over an element runs on contiguous memory where it can: 1 - U
-on the whole block, r = sqrt(E1 E2) into its own rows x N scratch, and
-the rotation on the scratch arrays and the block's contiguous front.
-Only ln(1 - U) runs on the exponential columns alone.
+The magnitudes and the phases come from two streams, so each lands in
+its own contiguous block: 1 - U and ln(1 - U) run on the whole
+exponential block, r = sqrt(E1 E2) goes into its own rows x N scratch,
+and the rotation runs on the scratch arrays, the phase block and the
+exponential block's front.
 
-The generator is PCG64DXSM seeded by (seed, stream id), rows are drawn
-from it in order whatever the block size, and the reductions use a
-fixed order, so every statistic here is byte-reproducible for a given
-seed and stream id.
+The magnitude generator is PCG64DXSM seeded by (seed, stream id), and
+the phase generator is PCG64DXSM seeded by that seed sequence's first
+child, so every phase model on one (seed, stream id) reads the same
+magnitudes.  Rows are drawn from each in order whatever the block size,
+and the reductions use a fixed order, so every statistic here is
+byte-reproducible for a given seed and stream id.
 """
 
 import math
@@ -94,9 +100,9 @@ class SampleStats:
     m2_se: float
 
 
-def _rng(cfg: McConfig):
-    return np.random.Generator(np.random.PCG64DXSM(
-        np.random.SeedSequence([cfg.seed, cfg.stream_id])))
+def _rng(cfg: McConfig, spawn_key=()):
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(
+        [cfg.seed, cfg.stream_id], spawn_key=spawn_key)))
 
 
 def _row_dot(x, y):
@@ -114,39 +120,37 @@ def _rotated_sums(r, t, w, table, c, j, cos_j, sin_j):
     """Row sums of r cos phi and r sin phi for phi = w (t - 1/2), t in [0, 1].
 
     ``table`` is ``_cis_table(w)``.  phi is the grid point j = rint(t K)
-    plus delta = (t K - j) w / K, where t K and t K - j are exact, and
-    e^{i phi} = table[j] e^{i delta}.  sin delta comes first, so that
-    cos delta can follow from it, and the two need only two contiguous
-    arrays: ``c`` (float64) and ``j`` (int64) are scratch of ``r``'s shape,
-    and ``j``'s memory serves as float64 once the table is gathered.
-    ``cos_j`` and ``sin_j`` receive the gathered table
-    values (``cos_j`` first holds rint(t K) as float64) and may be ``t``
-    or share its memory, which is read first.  Only ``r`` is left as it
-    was.
+    plus delta = h f, with h = w / K and f = t K - j, where t K and f are
+    exact, and e^{i phi} = table[j] e^{i delta}.  cos delta and
+    sin delta / h are short polynomials in f^2, and h scales the row dots
+    of the latter.  ``c`` (float64) and ``j`` (int64) are scratch of
+    ``r``'s shape, and ``j``'s memory serves as float64 once the table is
+    gathered; ``r`` serves as scratch once it is folded into the gathered
+    table values.  ``cos_j`` and ``sin_j`` receive those values
+    (``cos_j`` first holds rint(t K) as float64) and may be ``t`` or
+    share its memory, which is read first.
     """
     cos_t, sin_t = table
+    h = w / _K
     np.multiply(t, _K, out=c)
     np.rint(c, out=cos_j)
-    c -= cos_j
-    c *= w / _K  # delta
+    c -= cos_j  # f
     np.copyto(j, cos_j, casting="unsafe")
     np.take(cos_t, j, out=cos_j, mode="clip")  # every j lies in [0, K]
     np.take(sin_t, j, out=sin_j, mode="clip")
+    cos_j *= r
+    sin_j *= r
     q = j.view(np.float64)
-    np.multiply(c, c, out=q)
-    q *= -1.0 / 6.0
-    q += 1.0
-    c *= q  # s = sin delta
-    np.multiply(c, c, out=q)
-    q *= -0.125
-    q -= 0.5
-    q *= c
-    q *= c
-    q += 1.0  # cos delta
-    c *= r
+    np.multiply(c, c, out=q)  # f^2
+    np.multiply(q, -h * h / 6.0, out=r)
+    r += 1.0
+    c *= r  # sin delta / h
+    np.multiply(q, h ** 4 / 24.0, out=r)
+    r -= h * h / 2.0
     q *= r
-    return (_row_dot(q, cos_j) - _row_dot(c, sin_j),
-            _row_dot(q, sin_j) + _row_dot(c, cos_j))
+    q += 1.0  # cos delta
+    return (_row_dot(q, cos_j) - h * _row_dot(c, sin_j),
+            _row_dot(q, sin_j) + h * _row_dot(c, cos_j))
 
 
 def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
@@ -167,19 +171,18 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     rotation by phi is the module's table step, with one cos/sin table
     per call.
 
-    A row is uniforms [E_d (direct link on only), E1[N], E2[N], U[N] (not
-    for Perfect)].  The whole block is mapped to
-    1 - U, which is exact for the generator's multiples of 2^-53, and its
-    leading exponential columns then to -E = ln(1 - U) in place.  The
-    phase columns are read as 1 - U, uniform as well; that turns every
-    phi into -phi exactly (the table is exactly symmetric), so X is
-    unchanged to the bit.  All rows come from one
-    stream in order, so the samples depend on seed and stream id only.
-    A block holds at most ``cfg.chunk`` rows and at most ``_BLOCK_BYTES``
-    of float64 (at least one row), in one reused buffer; that is all
-    either sets.  r takes one float64 scratch array of the block's rows x
-    N; a phase model other than Perfect adds one float64 and one int64
-    more, and the 2 (K + 1) table values.
+    A row's magnitudes are uniforms [E_d (direct link on only), E1[N],
+    E2[N]] from the cell's stream, mapped to 1 - U, which is exact for the
+    generator's multiples of 2^-53, and then to -E = ln(1 - U) in place,
+    all on one contiguous block.  Its N phase uniforms t (not for
+    Perfect) come from the stream's first child into their own block.
+    Every phase model thus reads the same magnitudes on one seed and
+    stream id, and the samples depend on those two only.  A block holds
+    at most ``cfg.chunk`` rows and at most ``_BLOCK_BYTES`` of float64
+    over its exponential and phase columns (at least one row), in one
+    reused buffer; that is all either sets.  r takes one float64 scratch
+    array of the block's rows x N; a phase model other than Perfect adds
+    one float64 and one int64 more, and the 2 (K + 1) table values.
     """
     if n_elements < 0:
         raise DomainError("n_elements must be >= 0")
@@ -195,21 +198,22 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     width = ne + (0 if perfect else n)
     rows = max(1, min(cfg.chunk, cfg.n_samples,
                       _BLOCK_BYTES // (8 * max(width, 1))))
-    buf = np.empty((rows, width))
+    buf = np.empty(rows * width)
     r_buf = np.empty((rows, n))
     if not perfect:
         w = 2.0 * phase.spread * math.pi
         table = _cis_table(w)
+        t_buf = buf[rows * ne:].reshape(rows, n)
         c = np.empty((rows, n))
         j = np.empty((rows, n), dtype=np.int64)
+        phase_rng = _rng(cfg, (0,))
     amp = math.sqrt(gains.ap_ris * gains.ris_ac)
     rng = _rng(cfg)
     out = np.empty(cfg.n_samples)
     for lo in range(0, cfg.n_samples, rows):
         m = min(rows, cfg.n_samples - lo)
-        u = rng.random(out=buf[:m])
-        np.subtract(1.0, u, out=u)  # exact for multiples of 2^-53
-        e = u[:, :ne]
+        e = rng.random(out=buf[:m * ne].reshape(m, ne))
+        np.subtract(1.0, e, out=e)  # exact for multiples of 2^-53
         np.log(e, out=e)  # -E; 1 - U >= 2^-53, so E is finite
         hd = np.sqrt(-gains.direct * e[:, 0]) if d else 0.0
         r = np.multiply(e[:, d:d + n], e[:, d + n:], out=r_buf[:m])
@@ -217,11 +221,10 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
         if perfect:
             re, im = hd + amp * np.sum(r, axis=1), 0.0
         else:
-            # the block is free once its phase columns are read: the table
-            # is gathered there
-            cos_j, sin_j = buf.reshape(-1)[:2 * m * n].reshape(2, m, n)
-            re, im = _rotated_sums(r, u[:, ne:], w, table, c[:m], j[:m],
-                                   cos_j, sin_j)
+            # the E block is free once r is formed: the table is gathered there
+            cos_j, sin_j = buf[:2 * m * n].reshape(2, m, n)
+            re, im = _rotated_sums(r, phase_rng.random(out=t_buf[:m]), w,
+                                   table, c[:m], j[:m], cos_j, sin_j)
             re = hd + amp * re
             im = amp * im
         out[lo:lo + m] = re * re + im * im

@@ -11,7 +11,8 @@ The last sections hold alternative forms (the moments of the channel
 power from the structural sums in mpmath and as expanded formulas, the
 Taylor rate, the linearized-Q surrogate, Kummer U, incomplete-gamma and
 exponential-integral wrappers) that only the tests use as cross-checks,
-the exact K-distribution of the spread-1 reflector's SNR, and two Monte
+the exact law of the spread-1 reflector's SNR (K-distributed with no
+direct link, a Gamma mixture of exponentials with it), and two Monte
 Carlo references for ``risfbl.montecarlo.sample_snr``:
 the literal controller in complex arithmetic on the sampler's own
 exponential draws, and the complex-Gaussian sampler it must match in
@@ -341,6 +342,34 @@ def k_distribution_cdf_ref(y, n_elements: int, dps=40):
                      * mp.besselk(n_elements, 2 * mp.sqrt(y)) / mp.gamma(n_elements))
 
 
+def spread_one_direct_cdf(gamma, n_elements: int, scale: float, v: float):
+    """P(gamma_s <= gamma) for the spread-1 reflector with a direct link.
+
+    As in ``k_distribution_cdf``, the element sum is amp sqrt(G) Z with
+    G ~ Gamma(N, 1); the direct link is CN(0, direct) and independent of
+    it, so given G the SNR is exponential with mean scale (v + G), where
+    scale = rho * ap_ris * ris_ac and v = direct / (ap_ris * ris_ac).  So
+    P(gamma_s <= gamma) = 1 - E_G[exp(-y / (v + G))] at y = gamma / scale,
+    the average taken on 64 generalized Gauss-Laguerre nodes of the
+    weight g^(N - 1) e^-g, whose weights sum to Gamma(N).
+    """
+    g, wts = sp.roots_genlaguerre(64, n_elements - 1)
+    y = np.asarray(gamma, dtype=float)[..., None] / scale
+    return 1.0 - np.exp(-y / (v + g)) @ (wts / np.sum(wts))
+
+
+def spread_one_direct_cdf_ref(y, n_elements: int, v, dps=30):
+    """mpmath reference for ``spread_one_direct_cdf`` at y = gamma / scale."""
+    with mp.workdps(dps):
+        y, v, n = mp.mpf(y), mp.mpf(v), mp.mpf(n_elements)
+        sd = mp.sqrt(n)
+        pts = ([0] + [n + k * sd for k in range(-4, 9) if n + k * sd > 0]
+               + [mp.inf])
+        avg = mp.quad(lambda g: mp.e ** ((n - 1) * mp.log(g) - g
+                                         - mp.loggamma(n) - y / (v + g)), pts)
+        return float(1 - avg)
+
+
 # ---------------------------------------------------------------------------
 # Literal Monte Carlo sampler
 # ---------------------------------------------------------------------------
@@ -412,29 +441,30 @@ def sample_snr_same_draws(gains: LinkGains, n_elements: int, phase: PhaseModel,
                           rho: float, cfg: McConfig = McConfig()) -> np.ndarray:
     """The literal complex controller on ``sample_snr``'s own draws.
 
-    Redraws the whole (n_samples, width) uniform array in one call, with
-    the column layout ``risfbl.montecarlo.sample_snr`` documents, takes
-    the exponential columns as E = -log1p(-U), builds the real, positive
-    h_d = |h_d| (the sampler's frame) and c_n = |a_n||b_n| e^{j psi_n},
-    and runs the controller in complex arithmetic: ideal shift
-    -arg c_n from ``np.angle``, the residual of the phase model on top of
-    it, a complex sum and its squared modulus.  Perfect draws no phase
-    column, so psi_n = 0.  UniformSpread takes psi_n = 2 pi U_n and the
-    residual from the same U_n.  QuantizedBits snaps the ideal shift to
-    the nearest level with ``np.round``; its cascade phase is a uniform
-    phase written as a level and a place in that level's cell,
-    psi_n = step (k_n + U_n - 1/2), with the level k_n drawn uniformly
-    from a second stream, so that the snap leaves the residual of the
-    sampler's phase column.
+    Redraws the whole (n_samples, d + 2N) magnitude array from the cell's
+    stream and the (n_samples, N) phase array from that stream's first
+    child, one call each, in the layout ``risfbl.montecarlo.sample_snr``
+    documents, takes the exponential columns as E = -log1p(-U), builds
+    the real, positive h_d = |h_d| (the sampler's frame) and
+    c_n = |a_n||b_n| e^{j psi_n}, and runs the controller in complex
+    arithmetic: ideal shift -arg c_n from ``np.angle``, the residual of
+    the phase model on top of it, a complex sum and its squared modulus.
+    Perfect draws no phase, so psi_n = 0.  UniformSpread takes
+    psi_n = 2 pi U_n and the residual from the same U_n.  QuantizedBits
+    snaps the ideal shift to the nearest level with ``np.round``; its
+    cascade phase is a uniform phase written as a level and a place in
+    that level's cell, psi_n = step (k_n + U_n - 1/2), with the level k_n
+    drawn uniformly from a third stream, so that the snap leaves the
+    residual of the sampler's phase.
     """
     n = n_elements
     d = 1 if gains.direct > 0 else 0
     w = 0 if isinstance(phase, Perfect) else n
-    rng = np.random.Generator(np.random.PCG64DXSM(
-        np.random.SeedSequence([cfg.seed, cfg.stream_id])))
-    draws = rng.random((cfg.n_samples, d + 2 * n + w))
-    e = -np.log1p(-draws[:, :d + 2 * n])
-    u = draws[:, d + 2 * n:]
+    seeds = np.random.SeedSequence([cfg.seed, cfg.stream_id])
+    e = -np.log1p(-np.random.Generator(np.random.PCG64DXSM(seeds)).random(
+        (cfg.n_samples, d + 2 * n)))
+    u = np.random.Generator(np.random.PCG64DXSM(seeds.spawn(1)[0])).random(
+        (cfg.n_samples, w))
     hd = np.sqrt(gains.direct * e[:, 0]) if d else np.zeros(cfg.n_samples)
     if isinstance(phase, QuantizedBits):
         step = quantizer_step(phase)

@@ -181,7 +181,8 @@ class TestMoments:
 
 class TestSpreadOneExactLaw:
     """Spread 1 makes every element isotropic: with no direct link the SNR
-    is K-distributed, so the sampler's rotation path has an exact law."""
+    is K-distributed, and with it a Gamma mixture of exponentials, so the
+    sampler's rotation path has an exact law."""
 
     @pytest.mark.parametrize("n,y", [(1, 0.01), (4, 2.0), (64, 70.0)])
     def test_cdf_matches_mpmath(self, n, y):
@@ -196,6 +197,28 @@ class TestSpreadOneExactLaw:
         x = sample_snr(g, n, UniformSpread(1.0), rho, cfg)
         scale = rho * g.ap_ris * g.ris_ac
         ks = stats.kstest(x, lambda t: oracles.k_distribution_cdf(t, n, scale))
+        # 0.1% critical value of the KS statistic
+        assert ks.statistic < 1.95 / math.sqrt(cfg.n_samples)
+
+    @pytest.mark.parametrize("n,y", [(4, 0.3), (16, 32.0), (64, 600.0)])
+    def test_direct_cdf_matches_mpmath(self, n, y):
+        # lower tail, middle and upper tail, with v = N as in the KS test
+        assert float(oracles.spread_one_direct_cdf(y, n, 1.0, n)) == pytest.approx(
+            oracles.spread_one_direct_cdf_ref(y, n, n), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_sampler_ks_with_direct_link(self, n):
+        # the direct link's draw and the phase stream together: the direct
+        # link carries N a^2, as much mean power as the RIS, where the
+        # default geometry's carries 1e4-1e6 times more and hides the RIS
+        hops = default_gains()
+        a2 = hops.ap_ris * hops.ris_ac
+        g = LinkGains(direct=n * a2, ap_ris=hops.ap_ris, ris_ac=hops.ris_ac)
+        rho = snr_scale(RadioConfig())
+        cfg = McConfig(n_samples=10_000, seed=11)
+        x = sample_snr(g, n, UniformSpread(1.0), rho, cfg)
+        ks = stats.kstest(
+            x, lambda t: oracles.spread_one_direct_cdf(t, n, rho * a2, n))
         # 0.1% critical value of the KS statistic
         assert ks.statistic < 1.95 / math.sqrt(cfg.n_samples)
 

@@ -44,8 +44,12 @@ PHASES = st.one_of(
     st.builds(UniformSpread, st.floats(0.0, 1.0, exclude_min=True)))
 
 
-def _paired(fmt, tags):
-    return [fmt.format(t) + s for t in tags for s in ("", "_mc")]
+def _paired(fmt, tags, suffixes=("", "_mc")):
+    return [fmt.format(t) + s for t in tags for s in suffixes]
+
+
+def _with_se(fmt, tags):
+    return _paired(fmt, tags, ("", "_mc", "_mc_se"))
 
 
 # exact ordered column names and row count of every figure
@@ -57,13 +61,13 @@ COLUMNS = {
                    "1bit_direct", "2bit_direct")), 200),
     "fig3": (["n_elements", "rate_exact", "rate_lower_bound",
               "capacity_shannon", "rate_mc", "rate_mc_se"], len(N_GRID)),
-    "fig4": (["n_elements"] + _paired("bler_{}", ("perfect", "2bit", "1bit")),
-             len(N_GRID)),
+    "fig4": (["n_elements"]
+             + _with_se("bler_{}", ("perfect", "2bit", "1bit")), len(N_GRID)),
     "fig5": (["ris_distance_m"]
-             + _paired("bler_{}", ("perfect", "2bit", "1bit")), len(D_GRID)),
-    "fig6a": (["ris_distance_m"] + _paired("rate_ple{}", ("3.6", "3.8", "4")),
-              len(D_GRID)),
-    "fig6b": (["ris_distance_m", "rate", "rate_mc"], len(D_GRID)),
+             + _with_se("bler_{}", ("perfect", "2bit", "1bit")), len(D_GRID)),
+    "fig6a": (["ris_distance_m"]
+              + _with_se("rate_ple{}", ("3.6", "3.8", "4")), len(D_GRID)),
+    "fig6b": (["ris_distance_m", "rate", "rate_mc", "rate_mc_se"], len(D_GRID)),
     "fig7": (["n_elements"] + _paired(
         "blocklength_{}", ("1bit", "2bit", "3bit", "perfect")), len(N_GRID)),
     "fig8": (["n_elements", "sqrt_dispersion", "sqrt_dispersion_mc"],

@@ -79,8 +79,20 @@ class TestReproducibility:
         b = sample_snr(g, 33, UniformSpread(2.0 ** -bits), RHO, cfg)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("direct", [True, False])
+    @pytest.mark.parametrize("n", [1, 17, 300, 2048])
+    def test_magnitudes_independent_of_phase_model(self, n, direct):
+        # the phases come from the stream's first child, so every phase
+        # model reads the same magnitudes; a spread of 2^-40 turns each
+        # element by at most 3e-12 rad, which moves X by O(1e-23)
+        g = link_gains(Geometry(), direct_link=direct)
+        cfg = McConfig(n_samples=1000, seed=17, stream_id=4)
+        a = sample_snr(g, n, UniformSpread(2.0 ** -40), RHO, cfg)
+        b = sample_snr(g, n, Perfect(), RHO, cfg)
+        np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
+
     def test_chunking_invariant(self, monkeypatch):
-        # rows come from one stream in order, so chunk and the block size
+        # rows come from each stream in order, so chunk and the block size
         # only set memory; the patched block sizes make the byte cap bind
         n, n_samples = 9, 1234
         for direct in (True, False):
@@ -171,7 +183,7 @@ class TestRotationTable:
         assert np.max(np.abs(im - np.sin(phi))) <= 1e-15
         if w < 0:
             # the table is exactly symmetric: the sign of w, like reading
-            # the phase column as 1 - U, only conjugates the sums
+            # t as 1 - t, only conjugates the sums
             re_pos, im_pos = self._unit_sums(-w, t)
             assert np.array_equal(re, re_pos) and np.array_equal(im, -im_pos)
             re_ref, im_ref = self._unit_sums(-w, 1.0 - t)
