@@ -22,7 +22,7 @@ import sys
 from .specfun import DomainError, NonConvergenceError
 from .channel import DegenerateMomentsError, gamma_fit, moments_X
 from .fbl import ValidityError
-from .montecarlo import empirical_stats, ks_distance, mc_avg_metrics, sample_snr
+from .montecarlo import empirical_stats, ks_distance, mc_avg_metrics, sample_snr, with_se
 from .experiments import (
     BracketError,
     FIGURE_IDS,
@@ -145,14 +145,14 @@ def _mc(s):
     fit = s.fit()  # rejects a scenario without a channel before any draw
     samples = sample_snr(s.gains(), s.n_elements, s.phase, s.rho(), s.mc)
     stats = empirical_stats(samples / s.rho())
-    avgs = mc_avg_metrics(samples, s.packet)
     return {
         "n_samples": stats.n,
         "m1_mc": stats.m1, "m1_se": stats.m1_se,
         "m2_mc": stats.m2, "m2_se": stats.m2_se,
         "ks_distance": ks_distance(samples, fit),
-        "avg_rate_mc": avgs.avg_rate, "avg_bler_mc": avgs.avg_bler,
-        "avg_blocklength_mc": avgs.avg_blocklength,
+        **with_se(mc_avg_metrics(samples, s.packet), [
+            ("avg_rate_mc", "avg_rate"), ("avg_bler_mc", "avg_bler"),
+            ("avg_blocklength_mc", "avg_blocklength")]),
     }
 
 

@@ -18,6 +18,8 @@ cases and, for sweeps, its axis and metric columns.  Two engines run
 the specs, one for SNR CDFs and one for N or d sweeps.  A Monte Carlo
 cell's stream id is a hash of its name (figure id, case tag and, for
 sweeps, axis value), so it does not depend on where the cell sits.
+The specs name Monte Carlo means only; ``montecarlo`` adds the standard
+error of each that has one, ECDF points included, as the ``_se`` column.
 """
 
 import csv
@@ -57,7 +59,7 @@ from .fbl import (
     c1_avg_capacity,
     c2_avg_sqrt_dispersion,
 )
-from .montecarlo import McConfig, mc_avg_metrics, sample_snr
+from .montecarlo import McConfig, ecdf, mc_avg_metrics, sample_snr, with_se
 
 
 class BracketError(RuntimeError):
@@ -306,7 +308,8 @@ class _Figure(NamedTuple):
     exponent); the rest are the scenario's.  A figure with an ``axis``
     sweeps it, one without is an SNR CDF.  ``analytic`` holds (column
     template, cell metric above); ``mc`` holds (column template, name of
-    the ``McAverages`` field).
+    an ``McAverages`` mean), and the mean's SE, where it has one, follows
+    as the column ``_se``.
     """
 
     pins: dict
@@ -321,24 +324,20 @@ def _cdf(figure_id, spec, scenario, workers):
     cells = [dataclasses.replace(scenario, **fields)
              for _, fields in spec.cases]
     fits = [cell.fit() for cell in cells]
-    lo = min(f.mean for f in fits) * 1e-2
-    hi = max(f.mean for f in fits) * 3.0
-    snr = np.geomspace(lo, hi, 200)
+    snr = np.geomspace(min(f.mean for f in fits) * 1e-2,
+                       max(f.mean for f in fits) * 3.0, 200)
 
     def one(idx):
-        cell, fit = cells[idx], fits[idx]
-        analytic = gamma_cdf(fit.shape, fit.rate, snr)
+        (tag, _), cell, fit = spec.cases[idx], cells[idx], fits[idx]
         samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
-                             cell.rho(),
-                             _mc_cfg(cell, figure_id, spec.cases[idx][0]))
-        ecdf = np.searchsorted(np.sort(samples), snr, side="right") / samples.size
-        return analytic, ecdf
+                             cell.rho(), _mc_cfg(cell, figure_id, tag))
+        mc, mc_se = ecdf(samples, snr)
+        return {f"cdf_{tag}": list(gamma_cdf(fit.shape, fit.rate, snr)),
+                f"cdf_{tag}_mc": list(mc), f"cdf_{tag}_mc_se": list(mc_se)}
 
     cols = {"snr_db": list(10.0 * np.log10(snr))}
-    rows = _pmap(one, range(len(cells)), workers)
-    for (tag, _), (analytic, ecdf) in zip(spec.cases, rows):
-        cols[f"cdf_{tag}"] = list(analytic)
-        cols[f"cdf_{tag}_mc"] = list(ecdf)
+    for row in _pmap(one, range(len(cells)), workers):
+        cols |= row
     return cols
 
 
@@ -362,18 +361,18 @@ def _sweep(figure_id, spec, scenario, workers):
     def one(item):
         cell, tag, v = item
         fit = cell.fit()
-        row = [metric(fit, cell) for _, metric in spec.analytic]
+        row = {name.format(tag): metric(fit, cell)
+               for name, metric in spec.analytic}
         samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
                              cell.rho(), _mc_cfg(cell, figure_id, tag, float(v)))
         mc = mc_avg_metrics(samples, cell.packet)
-        return row + [getattr(mc, name) for _, name in spec.mc]
+        return row | with_se(mc, [(name.format(tag), mean)
+                                  for name, mean in spec.mc])
 
-    rows = _pmap(one, cells, workers)
     cols = {spec.axis: [float(v) for v in grid]}
-    k = len(spec.cases)
-    for j, (tag, _) in enumerate(spec.cases):
-        for m, (name, _) in enumerate(spec.analytic + spec.mc):
-            cols[name.format(tag)] = [r[m] for r in rows[j::k]]
+    for row in _pmap(one, cells, workers):  # axis-major: case order kept
+        for name, value in row.items():
+            cols.setdefault(name, []).append(value)
     return cols
 
 
@@ -396,37 +395,32 @@ _FIGURES = {
         (("rate_exact", rate_exact),
          ("rate_lower_bound", rate_lower_bound),
          ("capacity_shannon", capacity_shannon)),
-        (("rate_mc", "avg_rate"),
-         ("rate_mc_se", "avg_rate_se"))),
+        (("rate_mc", "avg_rate"),)),
     "fig4": _Figure(
         {"direct_link": False}, (
             ("perfect", {"phase": Perfect()}),
             ("2bit", {"phase": QuantizedBits(2)}),
             ("1bit", {"phase": QuantizedBits(1)})), "n_elements",
         (("bler_{}", bler),),
-        (("bler_{}_mc", "avg_bler"),
-         ("bler_{}_mc_se", "avg_bler_se"))),
+        (("bler_{}_mc", "avg_bler"),)),
     "fig5": _Figure(
         {"direct_link": False, "n_elements": 512}, (
             ("perfect", {"phase": Perfect()}),
             ("2bit", {"phase": QuantizedBits(2)}),
             ("1bit", {"phase": QuantizedBits(1)})), "ris_distance_m",
         (("bler_{}", bler),),
-        (("bler_{}_mc", "avg_bler"),
-         ("bler_{}_mc_se", "avg_bler_se"))),
+        (("bler_{}_mc", "avg_bler"),)),
     "fig6a": _Figure(
         {"direct_link": True}, (
             ("_ple3.6", {"direct_exponent": 3.6}),
             ("_ple3.8", {"direct_exponent": 3.8}),
             ("_ple4", {"direct_exponent": 4.0})), "ris_distance_m",
         (("rate{}", rate_exact),),
-        (("rate{}_mc", "avg_rate"),
-         ("rate{}_mc_se", "avg_rate_se"))),
+        (("rate{}_mc", "avg_rate"),)),
     "fig6b": _Figure(
         {"direct_link": False}, (("", {}),), "ris_distance_m",
         (("rate{}", rate_exact),),
-        (("rate{}_mc", "avg_rate"),
-         ("rate{}_mc_se", "avg_rate_se"))),
+        (("rate{}_mc", "avg_rate"),)),
     "fig7": _Figure(
         {"direct_link": False}, (
             ("1bit", {"phase": QuantizedBits(1)}),

@@ -7,7 +7,8 @@ conjugate alignment, uniform for a uniform spread and for a b-bit
 quantizer, whose snap to the nearest level leaves a residual uniform
 within half a level step of 0), then the received SNR, its empirical
 statistics, and sample averages of the instantaneous finite-blocklength
-metrics.
+metrics.  Every Monte Carlo mean reported, ECDF points included, is
+taken by ``_mean_se`` with its standard error.
 
 The sampler draws only uniforms: |h_d|^2, |a_n|^2 and |b_n|^2 are unit
 exponentials, taken by inverse CDF as E = -ln(1 - U), and every residual
@@ -28,23 +29,17 @@ by the remainder delta = h f, with h = w / K and f = t K - j, so
 sin delta ~ h f (1 - h^2 f^2 / 6) and
 cos delta ~ 1 - h^2 f^2 / 2 + h^4 f^4 / 24, whose truncation errors are
 below 3e-18; h multiplies the row sums of the sine part, not each
-element.  Against libm cos and
-sin of the same phi the rotation is within 1e-15 absolute.  A block's
-working set grows by one float64 and one int64 array of its rows x N;
-the gathered table values go to the block's exponential columns, which
-are free by then.
+element.  Against libm cos and sin of the same phi the rotation is
+within 1e-15 absolute.  A block's working set grows by one float64 and
+one int64 array of its rows x N; the gathered table values go to the
+block's exponential columns, which are free by then.
 
-The magnitudes and the phases come from two streams, so each lands in
-its own contiguous block: 1 - U and ln(1 - U) run on the whole
-exponential block, r = sqrt(E1 E2) goes into its own rows x N scratch,
-and the rotation runs on the scratch arrays, the phase block and the
-exponential block's front.
-
-The magnitude generator is PCG64DXSM seeded by (seed, stream id), and
-the phase generator is PCG64DXSM seeded by that seed sequence's first
-child, so every phase model on one (seed, stream id) reads the same
-magnitudes.  Rows are drawn from each in order whatever the block size,
-and the reductions use a fixed order, so every statistic here is
+The magnitudes come from PCG64DXSM seeded by (seed, stream id), into
+one contiguous exponential block, and the phases from PCG64DXSM seeded
+by that seed sequence's first child, into their own block, so every
+phase model on one (seed, stream id) reads the same magnitudes.  Rows
+are drawn from each in order whatever the block size, and the
+reductions use a fixed order, so every statistic here is
 byte-reproducible for a given seed and stream id.
 """
 
@@ -127,8 +122,7 @@ def _rotated_sums(r, t, w, table, c, j, cos_j, sin_j):
     ``r``'s shape, and ``j``'s memory serves as float64 once the table is
     gathered; ``r`` serves as scratch once it is folded into the gathered
     table values.  ``cos_j`` and ``sin_j`` receive those values
-    (``cos_j`` first holds rint(t K) as float64) and may be ``t`` or
-    share its memory, which is read first.
+    (``cos_j`` first holds rint(t K) as float64).
     """
     cos_t, sin_t = table
     h = w / _K
@@ -235,19 +229,24 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
 def _mean_se(x):
     """Sample mean of x and its standard error, sqrt(S / (n - 1) / n)."""
     n = x.size
+    if n < 2:
+        raise DomainError("need at least 2 samples")
     m = float(np.sum(x)) / n
     return m, math.sqrt(float(np.sum((x - m) ** 2)) / (n - 1) / n)
+
+
+def ecdf(samples: np.ndarray, x: np.ndarray):
+    """ECDF of the samples at each x and its standard error, each point the
+    mean of 1{gamma <= x}, so the SE is sqrt(F (1 - F) / (n - 1))."""
+    return np.array([_mean_se((samples <= v).astype(float)) for v in x]).T
 
 
 def empirical_stats(samples: np.ndarray) -> SampleStats:
     """Raw moments m1 = mean(x), m2 = mean(x^2) with standard errors."""
     x = np.asarray(samples, dtype=float)
-    n = x.size
-    if n < 2:
-        raise DomainError("need at least 2 samples")
     m1, m1_se = _mean_se(x)
     m2, m2_se = _mean_se(x * x)
-    return SampleStats(n=n, m1=m1, m2=m2, m1_se=m1_se, m2_se=m2_se)
+    return SampleStats(n=x.size, m1=m1, m2=m2, m1_se=m1_se, m2_se=m2_se)
 
 
 def ks_distance(samples: np.ndarray, fit: GammaFit) -> float:
@@ -264,8 +263,9 @@ def ks_distance(samples: np.ndarray, fit: GammaFit) -> float:
 
 @dataclass(frozen=True)
 class McAverages:
-    """Sample means of the instantaneous rate, BLER, C and sqrt(V), and the
-    average blocklength at the means of C and sqrt(V), as at C1 and C2."""
+    """Sample means of the instantaneous rate, BLER, C and sqrt(V), each
+    reported one with its ``_se``, and the average blocklength at the means
+    of C and sqrt(V), as at C1 and C2."""
 
     avg_rate: float
     avg_rate_se: float
@@ -274,21 +274,27 @@ class McAverages:
     avg_blocklength: float
     avg_capacity: float
     avg_sqrt_dispersion: float
+    avg_sqrt_dispersion_se: float
 
 
 def mc_avg_metrics(samples: np.ndarray, packet: fbl.PacketConfig) -> McAverages:
     """Sample averages over an SNR array (BLER by the exact Q, not the
     linearized surrogate) and the blocklength at the means of C and sqrt(V)."""
     c, sqrt_v = fbl._capacity_sqrt_dispersion(samples)
-    n = c.size
-    if n < 2:
-        raise DomainError("need at least 2 samples")
     r_m, r_se = _mean_se(fbl._rate(c, sqrt_v, packet.blocklength, packet.target_bler))
     b_m, b_se = _mean_se(fbl._bler(c, sqrt_v, packet.blocklength, packet.info_bits))
-    c_m = float(np.sum(c)) / n
-    sqrt_v_m = float(np.sum(sqrt_v)) / n
+    v_m, v_se = _mean_se(sqrt_v)
+    c_m = float(np.sum(c)) / c.size
     return McAverages(avg_rate=r_m, avg_rate_se=r_se,
                       avg_bler=b_m, avg_bler_se=b_se,
                       avg_blocklength=fbl.avg_blocklength(
-                          c_m, sqrt_v_m, packet.info_bits, packet.target_bler),
-                      avg_capacity=c_m, avg_sqrt_dispersion=sqrt_v_m)
+                          c_m, v_m, packet.info_bits, packet.target_bler),
+                      avg_capacity=c_m, avg_sqrt_dispersion=v_m,
+                      avg_sqrt_dispersion_se=v_se)
+
+
+def with_se(avgs: McAverages, names) -> dict:
+    """{label: mean, label + "_se": its SE} for each (label, ``McAverages``
+    mean) pair, the SE where the mean has an ``_se`` sibling."""
+    return {label + se: getattr(avgs, name + se) for label, name in names
+            for se in ("", "_se") if not se or hasattr(avgs, name + se)}

@@ -190,6 +190,9 @@ class TestThinWrappers:
         assert code == 0
         assert float(rec["ks_distance"]) < 0.1
         assert int(rec["n_samples"]) == 2000
+        for key in ("avg_rate_mc_se", "avg_bler_mc_se"):
+            se = float(rec[key])
+            assert math.isfinite(se) and se >= 0.0
 
     def test_mc_at_low_snr(self, capsys):
         # SNR samples far below 1e-16, where log2(1 + gamma) reads 0

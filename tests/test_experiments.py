@@ -54,9 +54,9 @@ def _with_se(fmt, tags):
 
 # exact ordered column names and row count of every figure
 COLUMNS = {
-    "fig2a": (["snr_db"] + _paired(
+    "fig2a": (["snr_db"] + _with_se(
         "cdf_{}", ("perfect", "3bit", "2bit", "1bit", "uniform")), 200),
-    "fig2b": (["snr_db"] + _paired(
+    "fig2b": (["snr_db"] + _with_se(
         "cdf_{}", ("reflector_nodirect", "perfect_nodirect", "perfect_direct",
                    "1bit_direct", "2bit_direct")), 200),
     "fig3": (["n_elements", "rate_exact", "rate_lower_bound",
@@ -70,8 +70,8 @@ COLUMNS = {
     "fig6b": (["ris_distance_m", "rate", "rate_mc", "rate_mc_se"], len(D_GRID)),
     "fig7": (["n_elements"] + _paired(
         "blocklength_{}", ("1bit", "2bit", "3bit", "perfect")), len(N_GRID)),
-    "fig8": (["n_elements", "sqrt_dispersion", "sqrt_dispersion_mc"],
-             len(N_GRID)),
+    "fig8": (["n_elements", "sqrt_dispersion", "sqrt_dispersion_mc",
+              "sqrt_dispersion_mc_se"], len(N_GRID)),
 }
 
 
@@ -257,6 +257,20 @@ class TestFigures:
             assert c[0] < 0.02 and c[-1] > 0.99
             e = np.array(t.columns[f"cdf_{label}_mc"])
             assert np.max(np.abs(c - e)) < 0.05
+
+    def test_fig2a_ecdf_se_is_binomial(self):
+        # each ECDF point is the sample mean of 1{gamma <= x}, so its SE is
+        # sqrt(F (1 - F) / (n - 1)), exactly 0 where F is 0 or 1
+        n = 500
+        t = run_figure("fig2a", dataclasses.replace(
+            FAST, mc=McConfig(n_samples=n)))
+        for label in ("perfect", "3bit", "2bit", "1bit", "uniform"):
+            f = np.array(t.columns[f"cdf_{label}_mc"])
+            se = np.array(t.columns[f"cdf_{label}_mc_se"])
+            np.testing.assert_allclose(se, np.sqrt(f * (1.0 - f) / (n - 1)),
+                                       rtol=1e-12, atol=0.0)
+            ends = (f == 0.0) | (f == 1.0)
+            assert ends.any() and np.all(se[ends] == 0.0)
 
     def test_mc_stream_id_is_hashed_cell_name(self):
         # the 2-bit column of fig2a is sample_snr on the stream id hashed

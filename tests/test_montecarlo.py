@@ -320,6 +320,9 @@ class TestMetricAverages:
             pkt.target_bler)
         assert m.avg_sqrt_dispersion == pytest.approx(
             float(np.mean(np.sqrt(dispersion(s)))), rel=1e-12)
+        assert m.avg_sqrt_dispersion_se == pytest.approx(
+            float(np.std(np.sqrt(dispersion(s)), ddof=1)) / math.sqrt(s.size),
+            rel=1e-12)
         assert 0.0 <= m.avg_bler <= 1.0
 
     def test_rate_tracks_analytic_mean(self):

@@ -29,7 +29,7 @@ def test_checkout_against_itself_is_byte_equal():
     assert summary["changed_cells"] == 0 and summary["changed_fields"] == []
     assert summary["max_rel_drift"] == 0.0
     fig8 = [line for line in lines if line.startswith("fig8 ")]
-    assert len(fig8) == 9  # three columns under each of three scenarios
+    assert len(fig8) == 12  # four columns under each of three scenarios
     groups = [line.split()[0] for line in lines]
     assert groups.count("avg_bler_detail") == 2  # reference, flagged
     tool = load_tool()
@@ -50,3 +50,29 @@ def test_compare_counts_changed_cells():
     assert rows[("fig", "b")] == (1, 0, 0.0)
     assert rows[("hashes", "h")] == (1, 1, None)
     assert rows[("errors", "error")] == (1, 0, 0.0)
+
+
+def test_report_separates_added_removed_and_non_numeric(capsys):
+    tool = load_tool()
+    mine = {"fig": {"a": [1.0, 2.0], "a_se": [0.1, 0.2]},
+            "hashes": {"h": "00"}}
+    theirs = {"fig": {"a": [1.0, 2.5], "old": [3.0]},
+              "hashes": {"h": "01"}, "gone": {"x": 1.0}}
+    rows = tool.compare(mine, theirs)
+    assert [(g, f) for g, f, *_ in rows] == [("fig", "a"), ("hashes", "h")]
+    one_sided = tool.unpaired(mine, theirs)
+    assert one_sided == [("fig", "a_se", "added"), ("fig", "old", "removed"),
+                         ("gone", "x", "removed")]
+    tool.report(rows, one_sided, "ref")
+    *lines, last = capsys.readouterr().out.strip().splitlines()
+    status = {tuple(line.split()[:2]): line.split(None, 2)[2] for line in lines}
+    assert status[("fig", "a_se")] == "added"
+    assert status[("fig", "old")] == "removed"
+    assert status[("hashes", "h")].endswith("max rel drift n/a")
+    summary = json.loads(last)
+    assert summary["fields"] == 2 and summary["changed_cells"] == 2
+    assert summary["changed_fields"] == ["fig: a", "hashes: h"]
+    assert summary["non_numeric_fields"] == ["hashes: h"]
+    assert summary["added_fields"] == ["fig: a_se"]
+    assert summary["removed_fields"] == ["fig: old", "gone: x"]
+    assert summary["max_rel_drift"] == 0.5 / 2.5

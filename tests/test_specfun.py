@@ -123,7 +123,7 @@ class TestQFunction:
         assert inv_q(p) == pytest.approx(x, abs=1e-9)
 
 
-class TestSeriesCoefficients:
+class TestSincNorm:
     def test_sinc_values(self):
         assert sinc_norm(0.0) == 1.0
         assert sinc_norm(1.0) == pytest.approx(0.0, abs=1e-15)

@@ -5,7 +5,12 @@ Same-numbers report
 
 Computes one fixed set of library outputs in this checkout and in REF,
 and reports, per column or field, whether the two trees give the same
-bytes, how many cells changed and the largest relative drift.  REF is
+bytes, how many cells changed and the largest relative drift; a field
+of one tree only is reported as ``added`` (this checkout) or
+``removed`` (REF).  The summary's drift is the largest over numeric
+cells; fields with a changed cell that is not a number on both sides (a
+hash, an error text, a list of another length) are listed on their own,
+as ``non_numeric_fields``.  REF is
 a directory holding a checkout, or a git ref of this repository (such
 as ``HEAD^``), whose ``src/`` is exported with ``git archive`` into a
 temporary directory.
@@ -186,31 +191,44 @@ def _drift(a, b):
     return abs(a - b) / scale if scale else 0.0
 
 
+def _fields(tree):
+    return {(group, field) for group, fields in tree.items() for field in fields}
+
+
 def compare(mine, theirs):
-    """One row per field: (group, field, cells, changed, max drift)."""
+    """One row per field of both trees: (group, field, cells, changed, max
+    drift), the drift None where a changed cell is not a number on both
+    sides."""
     rows = []
-    for group in sorted(set(mine) | set(theirs)):
-        a, b = mine.get(group, {}), theirs.get(group, {})
-        for field in sorted(set(a) | set(b)):
-            x, y = a.get(field), b.get(field)
-            if not (isinstance(x, list) and isinstance(y, list)
-                    and len(x) == len(y)):
-                x, y = [x], [y]
-            drifts = [_drift(u, v) for u, v in zip(x, y) if not _same(u, v)]
-            worst = 0.0 if not drifts else None if None in drifts else max(drifts)
-            rows.append((group, field, len(x), len(drifts), worst))
+    for group, field in sorted(_fields(mine) & _fields(theirs)):
+        x, y = mine[group][field], theirs[group][field]
+        if not (isinstance(x, list) and isinstance(y, list)
+                and len(x) == len(y)):
+            x, y = [x], [y]
+        drifts = [_drift(u, v) for u, v in zip(x, y) if not _same(u, v)]
+        worst = 0.0 if not drifts else None if None in drifts else max(drifts)
+        rows.append((group, field, len(x), len(drifts), worst))
     return rows
 
 
-def report(rows, against):
+def unpaired(mine, theirs):
+    """(group, field, "added" or "removed") for each field of one tree only."""
+    a, b = _fields(mine), _fields(theirs)
+    return sorted([(g, f, "added") for g, f in a - b]
+                  + [(g, f, "removed") for g, f in b - a])
+
+
+def report(rows, one_sided, against):
+    lines = list(one_sided)
     for group, field, cells, changed, worst in rows:
         if not changed:
             status = "byte-equal"
         else:
             drift = "n/a" if worst is None else f"{worst:.3g}"
             status = f"{changed} of {cells} changed, max rel drift {drift}"
+        lines.append((group, field, status))
+    for group, field, status in sorted(lines):
         print(f"{group:32s} {field:28s} {status}")
-    drifts = [w for *_, w in rows]
     summary = {
         "against": against,
         "fields": len(rows),
@@ -218,7 +236,13 @@ def report(rows, against):
         "cells": sum(r[2] for r in rows),
         "changed_cells": sum(r[3] for r in rows),
         "changed_fields": [f"{g}: {f}" for g, f, _, c, _ in rows if c],
-        "max_rel_drift": None if None in drifts else max(drifts, default=0.0),
+        "non_numeric_fields": [f"{g}: {f}" for g, f, _, c, w in rows
+                               if c and w is None],
+        "added_fields": [f"{g}: {f}" for g, f, s in one_sided if s == "added"],
+        "removed_fields": [f"{g}: {f}" for g, f, s in one_sided
+                           if s == "removed"],
+        "max_rel_drift": max((w for *_, w in rows if w is not None),
+                             default=0.0),
     }
     print(json.dumps(summary))
 
@@ -243,7 +267,7 @@ def main(argv=None):
         src = (other / "src" if other.is_dir()
                else export_ref(args.against, tmp))
         theirs = run_tree(src, args)
-    report(compare(mine, theirs), args.against)
+    report(compare(mine, theirs), unpaired(mine, theirs), args.against)
     return 0
 
 
