@@ -41,11 +41,6 @@ from .fbl import (
     avg_rate_lower_bound,
     c1_avg_capacity,
     c2_avg_sqrt_dispersion,
-    capacity,
-    dispersion,
-    instantaneous_bler,
-    instantaneous_blocklength,
-    instantaneous_rate,
 )
 from .montecarlo import McConfig, empirical_stats, ks_distance, mc_avg_metrics, sample_snr
 from .experiments import (

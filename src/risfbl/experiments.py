@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from .specfun import DomainError, EvalPolicy, gamma_cdf
+from .specfun import DEFAULT_POLICY, DomainError, EvalPolicy, gamma_cdf
 from .channel import (
     Geometry,
     LinkGains,
@@ -66,8 +66,6 @@ class BracketError(RuntimeError):
     """Requested threshold not reachable inside the search bracket."""
 
 
-FIGURE_POLICY = EvalPolicy(rel_tol=1e-9)
-
 N_GRID = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
 D_GRID = tuple(range(5, 100, 5))
 
@@ -84,7 +82,7 @@ class ScenarioConfig:
     direct_link: bool = False
     direct_exponent: float = PATH_LOSS_EXPONENT
     mc: McConfig = McConfig()
-    policy: EvalPolicy = FIGURE_POLICY
+    policy: EvalPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
         if self.n_elements < 0:

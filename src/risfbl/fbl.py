@@ -2,9 +2,10 @@
 Finite-blocklength metrics
 ==========================
 Normal-approximation rate, block error probability and blocklength
-(Polyanskiy, Poor and Verdu, IEEE Trans. IT 2010), each written once in
-C and sqrt(V), both from one ln(1 + gamma) as in the Gamma averages, so
-accurate down to the smallest gamma > 0.  Averages over the Gamma fit:
+(Polyanskiy, Poor and Verdu, IEEE Trans. IT 2010), each written once per
+sample in C and sqrt(V) of one ln(1 + gamma), so accurate down to the
+smallest gamma > 0, and shared by the Gamma averages and the Monte Carlo
+of ``montecarlo.mc_avg_metrics``.  Averages over the Gamma fit:
 
   * exact average rate from the capacity term C1 = E[log2(1 + gamma)]
     and the dispersion term C2 = E[sqrt(V(gamma))],
@@ -39,7 +40,6 @@ from .specfun import (
     LOG2E,
     DomainError,
     EvalPolicy,
-    NonConvergenceError,
     _check_gammainc_shape,
     _log_integral,
     _settled_sums,
@@ -90,18 +90,8 @@ class LinearizationParams:
 
 
 # ---------------------------------------------------------------------------
-# Instantaneous quantities (vectorized over gamma)
+# Per-sample forms in (C, sqrt(V)), vectorized
 # ---------------------------------------------------------------------------
-
-def capacity(gamma):
-    """Shannon capacity log2(1 + gamma) in bits per channel use."""
-    return np.log1p(np.asarray(gamma, dtype=float)) / _LN2
-
-
-def dispersion(gamma):
-    """Channel dispersion V(gamma) = (log2 e)^2 (1 - (1+gamma)^-2)."""
-    return LOG2E ** 2 * -np.expm1(-2.0 * np.log1p(np.asarray(gamma, dtype=float)))
-
 
 def _capacity_sqrt_dispersion(gamma):
     """(C, sqrt(V)) of gamma from one ln(1 + gamma)."""
@@ -110,10 +100,12 @@ def _capacity_sqrt_dispersion(gamma):
 
 
 def _rate(c, sqrt_v, blocklength, target_bler):
+    """Normal-approximation rate C - Q^-1(eps) sqrt(V / r), O(log r / r) dropped."""
     return c - inv_q(target_bler) / math.sqrt(blocklength) * sqrt_v
 
 
 def _bler(c, sqrt_v, blocklength, info_bits):
+    """Decoding error probability Q(sqrt(r / V) (C - L/r))."""
     # V = 0 only at gamma = 0, where f = -inf and Q(-inf) is exactly 1
     with np.errstate(divide="ignore"):
         f = math.sqrt(blocklength) * (c - info_bits / blocklength) / sqrt_v
@@ -124,25 +116,6 @@ def _blocklength(c, sqrt_v, info_bits, target_bler):
     """Positive root r of C r - Q^-1(eps) sqrt(V r) - L = 0, in closed form."""
     qs = inv_q(target_bler) * sqrt_v
     return ((qs + np.sqrt(qs * qs + 4.0 * c * info_bits)) / (2.0 * c)) ** 2
-
-
-def instantaneous_rate(gamma, blocklength: int, target_bler: float):
-    """Normal-approximation rate C - Q^-1(eps) sqrt(V / r), O(log r / r) dropped."""
-    return _rate(*_capacity_sqrt_dispersion(gamma), blocklength, target_bler)
-
-
-def instantaneous_bler(gamma, blocklength: int, info_bits: int):
-    """Decoding error probability Q(sqrt(r / V) (C(gamma) - L/r))."""
-    return _bler(*_capacity_sqrt_dispersion(gamma), blocklength, info_bits)
-
-
-def instantaneous_blocklength(gamma, info_bits: int, target_bler: float):
-    """Blocklength solving C r - Q^-1(eps) sqrt(V r) - L = 0 for r; +inf at
-    gamma = 0, where C = 0 and no positive root exists."""
-    c, sqrt_v = _capacity_sqrt_dispersion(gamma)
-    with np.errstate(invalid="ignore"):  # the root is 0/0 at C = 0
-        out = np.where(c == 0, np.inf, _blocklength(c, sqrt_v, info_bits, target_bler))
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ result underflows double precision by hundreds of orders).
 
 The last sections hold alternative forms (the moments of the channel
 power from the structural sums in mpmath and as expanded formulas, the
-Taylor rate, the linearized-Q surrogate, Kummer U, incomplete-gamma and
-exponential-integral wrappers) that only the tests use as cross-checks,
+Taylor rate, the per-sample finite-blocklength metrics, the linearized-Q
+surrogate, Kummer U, incomplete-gamma and exponential-integral
+wrappers) that only the tests use as cross-checks,
 the exact law of the spread-1 reflector's SNR (K-distributed with no
 direct link, a Gamma mixture of exponentials with it), and two Monte
 Carlo references for ``risfbl.montecarlo.sample_snr``:
@@ -24,6 +25,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import special as sp
+from scipy import stats
 
 from risfbl.channel import LinkGains, Moments, Perfect, PhaseModel, QuantizedBits, UniformSpread
 from risfbl.montecarlo import McConfig
@@ -202,6 +204,19 @@ def avg_rate_taylor(fit):
     mean = fit.mean
     var = fit.variance
     return math.log2(1.0 + mean) - var / (2.0 * (1.0 + mean) ** 2 * math.log(2.0))
+
+
+def per_sample_metrics(gamma, blocklength, info_bits, target_bler):
+    """(C, sqrt(V), rate, BLER) per sample, as the normal approximation
+    writes them: log2(1 + gamma), log2(e) sqrt(1 - (1 + gamma)^-2), and
+    scipy's normal quantile and tail for Q^-1 and Q.  For gamma well
+    above 1e-16, where 1 + gamma does not round to 1."""
+    c = np.log2(1.0 + gamma)
+    sqrt_v = math.log2(math.e) * np.sqrt(1.0 - (1.0 + gamma) ** -2)
+    rate = c - stats.norm.isf(target_bler) * sqrt_v / math.sqrt(blocklength)
+    bler = stats.norm.sf(math.sqrt(blocklength) * (c - info_bits / blocklength)
+                         / sqrt_v)
+    return c, sqrt_v, rate, bler
 
 
 def linearized_q(gamma, params):

@@ -16,7 +16,7 @@ from risfbl.fbl import (
     c1_avg_capacity,
     c2_avg_sqrt_dispersion,
 )
-from risfbl.experiments import FIGURE_POLICY
+from risfbl.specfun import DEFAULT_POLICY
 
 
 def run(capsys, *argv):
@@ -145,13 +145,13 @@ class TestThinWrappers:
 
     @pytest.mark.parametrize("command,key,library", [
         ("rate", "avg_rate",
-         lambda fit: avg_rate_exact(fit, 300, 1e-9, FIGURE_POLICY)),
+         lambda fit: avg_rate_exact(fit, 300, 1e-9, DEFAULT_POLICY)),
         ("rate", "avg_sqrt_dispersion",
-         lambda fit: c2_avg_sqrt_dispersion(fit, FIGURE_POLICY)),
+         lambda fit: c2_avg_sqrt_dispersion(fit, DEFAULT_POLICY)),
         ("bler", "avg_bler", lambda fit: avg_bler(fit, 300, 240)),
         ("blocklength", "avg_blocklength", lambda fit: avg_blocklength(
-            c1_avg_capacity(fit, FIGURE_POLICY),
-            c2_avg_sqrt_dispersion(fit, FIGURE_POLICY), 240, 1e-9)),
+            c1_avg_capacity(fit, DEFAULT_POLICY),
+            c2_avg_sqrt_dispersion(fit, DEFAULT_POLICY), 240, 1e-9)),
     ], ids=("avg_rate", "avg_sqrt_dispersion", "avg_bler", "avg_blocklength"))
     def test_rate_matches_library(self, capsys, command, key, library):
         code, out, _ = run(capsys, command, "--N", "512", "--no-direct",

@@ -1,4 +1,4 @@
-"""Finite-blocklength metrics: instantaneous forms and Gamma averages."""
+"""Finite-blocklength metrics: per-sample forms and Gamma averages."""
 
 import dataclasses
 import math
@@ -26,11 +26,6 @@ from risfbl.fbl import (
     avg_rate_lower_bound,
     c1_avg_capacity,
     c2_avg_sqrt_dispersion,
-    capacity,
-    dispersion,
-    instantaneous_bler,
-    instantaneous_blocklength,
-    instantaneous_rate,
     linearization_params,
 )
 from risfbl.specfun import DEFAULT_POLICY, LOG2E, DomainError, EvalPolicy, NonConvergenceError, inv_q, q_function
@@ -73,49 +68,54 @@ SERIES_CASES = [
 
 
 class TestInstantaneous:
+    """The per-sample forms in (C, sqrt(V)) that the Gamma averages and
+    the Monte Carlo share."""
+
     def test_capacity_known(self):
-        assert capacity(1.0) == pytest.approx(1.0)
-        assert capacity(15.0) == pytest.approx(4.0)
+        assert fbl._capacity_sqrt_dispersion(1.0)[0] == pytest.approx(1.0)
+        assert fbl._capacity_sqrt_dispersion(15.0)[0] == pytest.approx(4.0)
 
     def test_dispersion_limits(self):
-        assert dispersion(0.0) == 0.0
-        assert dispersion(1e9) == pytest.approx(LOG2E ** 2, rel=1e-8)
-        g = np.geomspace(1e-3, 1e3, 50)
-        v = dispersion(g)
-        assert np.all(np.diff(v) > 0)
-        assert np.all(v < LOG2E ** 2)
+        assert fbl._capacity_sqrt_dispersion(0.0)[1] == 0.0
+        assert fbl._capacity_sqrt_dispersion(1e9)[1] ** 2 == pytest.approx(
+            LOG2E ** 2, rel=1e-8)
+        _, sqrt_v = fbl._capacity_sqrt_dispersion(np.geomspace(1e-3, 1e3, 50))
+        assert np.all(np.diff(sqrt_v) > 0)
+        assert np.all(sqrt_v < LOG2E)
 
     def test_rate_at_reference_point(self):
         # gamma = 10, r = 300, eps = 1e-9: C = log2(11), V = (log2 e)^2 (1 - 1/121)
         v = LOG2E ** 2 * (1.0 - 1.0 / 121.0)
         expect = math.log2(11.0) - inv_q(1e-9) * math.sqrt(v / 300.0)
-        assert instantaneous_rate(10.0, 300, 1e-9) == pytest.approx(expect, rel=1e-13)
+        assert fbl._rate(*fbl._capacity_sqrt_dispersion(10.0), 300,
+                         1e-9) == pytest.approx(expect, rel=1e-13)
 
     def test_bler_is_q_of_normalized_gap(self):
         g, r, L = 10.0, 300, 240
-        v = dispersion(g)
+        v = LOG2E ** 2 * (1.0 - 1.0 / (1.0 + g) ** 2)
         f = math.sqrt(r / v) * (math.log2(1.0 + g) - L / r)
-        assert instantaneous_bler(g, r, L) == pytest.approx(q_function(f), rel=1e-13)
+        assert fbl._bler(*fbl._capacity_sqrt_dispersion(g), r, L) == pytest.approx(
+            q_function(f), rel=1e-13)
 
     def test_bler_edge_cases(self):
-        assert instantaneous_bler(0.0, 300, 240) == 1.0
-        assert instantaneous_bler(1e9, 300, 240) == 0.0
+        def bler(g):
+            return fbl._bler(*fbl._capacity_sqrt_dispersion(g), 300, 240)
+
+        assert bler(0.0) == 1.0
+        assert bler(1e9) == 0.0
         # at the capacity threshold the argument is zero
-        g_star = 2.0 ** 0.8 - 1.0
-        assert instantaneous_bler(g_star, 300, 240) == pytest.approx(0.5, rel=1e-12)
+        assert bler(2.0 ** 0.8 - 1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_blocklength_solves_rate_equation(self):
         g, L, eps = 5.0, 240, 1e-7
-        r = instantaneous_blocklength(g, L, eps)
-        lhs = capacity(g) * r - inv_q(eps) * math.sqrt(dispersion(g) * r) - L
+        c, sqrt_v = fbl._capacity_sqrt_dispersion(g)
+        r = fbl._blocklength(c, sqrt_v, L, eps)
+        lhs = c * r - inv_q(eps) * sqrt_v * math.sqrt(r) - L
         assert lhs == pytest.approx(0.0, abs=1e-9 * L)
 
     def test_blocklength_decreasing_in_snr(self):
-        # at gamma = 0, C = 0 and no positive root exists
-        assert instantaneous_blocklength(0.0, 240, 1e-9) == math.inf
-        g = np.concatenate(([0.0], np.geomspace(0.5, 100.0, 40)))
-        r = instantaneous_blocklength(g, 240, 1e-9)
-        assert r[0] == math.inf
+        g = np.geomspace(0.5, 100.0, 40)
+        r = fbl._blocklength(*fbl._capacity_sqrt_dispersion(g), 240, 1e-9)
         assert np.all(np.diff(r) < 0)
 
     @pytest.mark.parametrize("g", [1e-300, 1e-20, 1e-10, 1e-3, 1.0, 1e3])
@@ -130,12 +130,18 @@ class TestInstantaneous:
             v = -mp.expm1(-2 * ln_1p) / mp.log(2) ** 2
             q = mp.mpf(inv_q(eps))
             rate = c - q * mp.sqrt(v / r)
+            bler = mp.erfc(mp.sqrt(r / v) * (c - mp.mpf(L) / r) / mp.sqrt(2)) / 2
             length = ((q * mp.sqrt(v) + mp.sqrt(q * q * v + 4 * c * L)) / (2 * c)) ** 2
-        assert capacity(g) == pytest.approx(float(c), rel=1e-14)
-        assert dispersion(g) == pytest.approx(float(v), rel=1e-14)
-        assert instantaneous_rate(g, r, eps) == pytest.approx(float(rate), rel=1e-14)
-        assert instantaneous_blocklength(g, L, eps) == pytest.approx(
-            float(length), rel=1e-14)
+        # abs=0: pytest's default abs of 1e-12 would pass any tiny value
+        got_c, sqrt_v = fbl._capacity_sqrt_dispersion(g)
+        assert got_c == pytest.approx(float(c), rel=1e-14, abs=0)
+        assert sqrt_v == pytest.approx(float(mp.sqrt(v)), rel=1e-14, abs=0)
+        assert fbl._rate(got_c, sqrt_v, r, eps) == pytest.approx(
+            float(rate), rel=1e-14, abs=0)
+        assert fbl._bler(got_c, sqrt_v, r, L) == pytest.approx(
+            float(bler), rel=1e-14, abs=0)
+        assert fbl._blocklength(got_c, sqrt_v, L, eps) == pytest.approx(
+            float(length), rel=1e-14, abs=0)
 
 
 class TestSeriesAverages:

@@ -22,14 +22,7 @@ from risfbl.channel import (
 )
 from risfbl import experiments, montecarlo
 from risfbl.experiments import ScenarioConfig
-from risfbl.fbl import (
-    PacketConfig,
-    avg_blocklength,
-    capacity,
-    dispersion,
-    instantaneous_bler,
-    instantaneous_rate,
-)
+from risfbl.fbl import PacketConfig, avg_blocklength
 from risfbl.montecarlo import (
     McConfig,
     empirical_stats,
@@ -307,22 +300,19 @@ class TestMetricAverages:
         s = sample_snr(g, 256, Perfect(), RHO, McConfig(n_samples=5000))
         pkt = PacketConfig()
         m = mc_avg_metrics(s, pkt)
-        assert m.avg_rate == pytest.approx(
-            float(np.mean(instantaneous_rate(s, pkt.blocklength,
-                                             pkt.target_bler))), rel=1e-12)
-        assert m.avg_capacity == pytest.approx(
-            float(np.mean(capacity(s))), rel=1e-12)
-        assert m.avg_bler == pytest.approx(
-            float(np.mean(instantaneous_bler(s, pkt.blocklength,
-                                             pkt.info_bits))), rel=1e-12)
+        c, sqrt_v, rate, bler = oracles.per_sample_metrics(
+            s, pkt.blocklength, pkt.info_bits, pkt.target_bler)
+        assert m.avg_rate == pytest.approx(float(np.mean(rate)), rel=1e-12)
+        assert m.avg_capacity == pytest.approx(float(np.mean(c)), rel=1e-12)
+        # abs=0: the mean BLER here is about 1e-33
+        assert m.avg_bler == pytest.approx(float(np.mean(bler)), rel=1e-12, abs=0)
         assert m.avg_blocklength == avg_blocklength(
             m.avg_capacity, m.avg_sqrt_dispersion, pkt.info_bits,
             pkt.target_bler)
         assert m.avg_sqrt_dispersion == pytest.approx(
-            float(np.mean(np.sqrt(dispersion(s)))), rel=1e-12)
+            float(np.mean(sqrt_v)), rel=1e-12)
         assert m.avg_sqrt_dispersion_se == pytest.approx(
-            float(np.std(np.sqrt(dispersion(s)), ddof=1)) / math.sqrt(s.size),
-            rel=1e-12)
+            float(np.std(sqrt_v, ddof=1)) / math.sqrt(s.size), rel=1e-12)
         assert 0.0 <= m.avg_bler <= 1.0
 
     def test_rate_tracks_analytic_mean(self):

@@ -33,8 +33,8 @@ def test_checkout_against_itself_is_byte_equal():
     groups = [line.split()[0] for line in lines]
     assert groups.count("avg_bler_detail") == 2  # reference, flagged
     tool = load_tool()
-    assert groups.count("cli_records") == (
-        len(tool.RECORD_COMMANDS) * len(tool.RECORD_CASES))
+    # one field per record key: fit 6, rate 3, bler 1, blocklength 1, mc 11
+    assert groups.count("cli_records") == 22 * len(tool.RECORD_CASES)
     assert all(line.endswith("byte-equal") for line in lines)
 
 
@@ -50,6 +50,20 @@ def test_compare_counts_changed_cells():
     assert rows[("fig", "b")] == (1, 0, 0.0)
     assert rows[("hashes", "h")] == (1, 1, None)
     assert rows[("errors", "error")] == (1, 0, 0.0)
+
+
+def test_renamed_record_key_reads_added_and_removed():
+    # the same value under a new key name is not byte-equal to the old one
+    tool = load_tool()
+    mine = {"cli_records": tool.record_fields(
+        {"rate N16": {"avg_rate": 1.5, "avg_rate_new": 0.5}})}
+    theirs = {"cli_records": tool.record_fields(
+        {"rate N16": {"avg_rate": 1.5, "avg_rate_old": 0.5}})}
+    rows = tool.compare(mine, theirs)
+    assert rows == [("cli_records", "rate N16 avg_rate", 1, 0, 0.0)]
+    assert tool.unpaired(mine, theirs) == [
+        ("cli_records", "rate N16 avg_rate_new", "added"),
+        ("cli_records", "rate N16 avg_rate_old", "removed")]
 
 
 def test_report_separates_added_removed_and_non_numeric(capsys):

@@ -26,7 +26,8 @@ The set:
   * SHA-256 hashes of ``sample_snr`` over a few (N, phase, direct) cases;
   * the one-row records of ``risfbl fit|rate|bler|blocklength|mc`` (the
     last at ``n_samples`` = RECORD_N) over a few (N, phase, direct) cases,
-    each field the record's values in its column order.
+    each key of a record its own field, so a renamed key reads as one
+    field ``added`` and one ``removed``.
 
 The point list and anchors are read from ``bench/workloads.py`` of this
 checkout, for both trees.  Each tree is computed in its own subprocess,
@@ -134,17 +135,23 @@ def collect(src, figures, n_samples):
         s = experiments.scenario_from_dict(
             {"n_elements": n, "phase": phase, "direct_link": direct,
              "n_samples": RECORD_N})
-        return list(cli._RECORDS[command](s).values())
+        return cli._RECORDS[command](s)
 
     out["analytic_points"] = _guarded(points)
     out["avg_bler_detail"] = _guarded(details)
     out["required_elements"] = _guarded(anchors)
     out["sample_snr"] = _guarded(hashes)
-    out["cli_records"] = {
+    out["cli_records"] = record_fields({
         f"{command} N{n} {phase} {'direct' if direct else 'nodirect'}":
             _guarded(lambda: record(command, n, phase, direct))
-        for command in RECORD_COMMANDS for n, phase, direct in RECORD_CASES}
+        for command in RECORD_COMMANDS for n, phase, direct in RECORD_CASES})
     return out
+
+
+def record_fields(records):
+    """{record name: record}, each record a dict, as one field per key."""
+    return {f"{name} {key}": value
+            for name, rec in records.items() for key, value in rec.items()}
 
 
 # ---------------------------------------------------------------------------
