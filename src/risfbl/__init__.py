@@ -15,7 +15,6 @@ from .specfun import (
     q_function,
 )
 from .channel import (
-    DegenerateMomentsError,
     GammaFit,
     Geometry,
     LinkGains,
@@ -34,7 +33,6 @@ from .channel import (
 )
 from .fbl import (
     PacketConfig,
-    ValidityError,
     avg_bler,
     avg_blocklength,
     avg_rate_exact,
@@ -44,7 +42,6 @@ from .fbl import (
 )
 from .montecarlo import McConfig, empirical_stats, ks_distance, mc_avg_metrics, sample_snr
 from .experiments import (
-    BracketError,
     FIGURE_IDS,
     ResultTable,
     ScenarioConfig,

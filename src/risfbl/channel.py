@@ -19,10 +19,6 @@ import numpy as np
 from .specfun import DomainError, sinc_norm
 
 
-class DegenerateMomentsError(ValueError):
-    """Second moment does not exceed squared mean; no Gamma fit exists."""
-
-
 _PI = math.pi
 
 
@@ -103,9 +99,9 @@ class Moments:
 
     def __post_init__(self):
         if self.m1 <= 0:
-            raise DegenerateMomentsError("m1 must be > 0")
+            raise DomainError("m1 must be > 0")
         if self.m2 <= self.m1 * self.m1:
-            raise DegenerateMomentsError("m2 must exceed m1^2")
+            raise DomainError("m2 must exceed m1^2")
 
     @property
     def variance(self) -> float:

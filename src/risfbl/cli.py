@@ -10,8 +10,9 @@ the scenario's element count and seed as one CSV row or JSON object.
 ``figure`` writes a whole table and ``required-n`` the result of the
 element search.  Floats keep full precision.
 
-Exit codes: 0 success, 2 usage error, 3 config validation error,
-4 numerical non-convergence.
+Exit codes: 0 success, 2 usage error, 3 config validation error
+(``DomainError``, or a config file that cannot be read as JSON),
+4 numerical non-convergence (``NonConvergenceError``).
 """
 
 import argparse
@@ -20,11 +21,9 @@ import math
 import sys
 
 from .specfun import DomainError, NonConvergenceError
-from .channel import DegenerateMomentsError, gamma_fit, moments_X
-from .fbl import ValidityError
+from .channel import gamma_fit, moments_X
 from .montecarlo import empirical_stats, ks_distance, mc_avg_metrics, sample_snr, with_se
 from .experiments import (
-    BracketError,
     FIGURE_IDS,
     ScenarioConfig,
     bler,
@@ -244,11 +243,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return _run(args)
-    except (DomainError, DegenerateMomentsError, ValidityError,
-            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (DomainError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergenceError, BracketError) as exc:
+    except NonConvergenceError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

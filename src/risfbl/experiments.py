@@ -22,6 +22,7 @@ The specs name Monte Carlo means only; ``montecarlo`` adds the standard
 error of each that has one, ECDF points included, as the ``_se`` column.
 """
 
+import bisect
 import csv
 import dataclasses
 import hashlib
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from .specfun import DEFAULT_POLICY, DomainError, EvalPolicy, gamma_cdf
+from .specfun import DEFAULT_POLICY, DomainError, EvalPolicy, NonConvergenceError, gamma_cdf
 from .channel import (
     Geometry,
     LinkGains,
@@ -60,10 +61,6 @@ from .fbl import (
     c2_avg_sqrt_dispersion,
 )
 from .montecarlo import McConfig, ecdf, mc_avg_metrics, sample_snr, with_se
-
-
-class BracketError(RuntimeError):
-    """Requested threshold not reachable inside the search bracket."""
 
 
 N_GRID = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
@@ -468,24 +465,22 @@ N_SEARCH_CAP = 8192
 
 def required_elements(target_bler: float,
                       scenario: ScenarioConfig = ScenarioConfig()) -> int:
-    """Smallest N with avg_bler(fit(N)) <= target_bler, by integer bisection."""
+    """Smallest N in [1, N_SEARCH_CAP] with avg_bler(fit(N)) <= target_bler.
+
+    The average BLER falls as N grows.  Once the cap is known to reach the
+    target, ``bisect`` finds the first N that does, in log2(N_SEARCH_CAP) = 13
+    more BLER evaluations.  Raises NonConvergenceError if the cap does not
+    reach it.
+    """
     if not 0.0 < target_bler < 1.0:
         raise DomainError("target_bler must lie in (0, 1)")
 
     def bler_at(n):
         return bler(scenario.fit(n_elements=n), scenario)
 
-    lo, hi = 1, N_SEARCH_CAP
-    if bler_at(lo) <= target_bler:
-        return lo
-    hi_val = bler_at(hi)
-    if hi_val > target_bler:
-        raise BracketError(
-            f"avg_bler at N={hi} is {hi_val:.3e} > target {target_bler:.3e}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bler_at(mid) <= target_bler:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    cap_val = bler_at(N_SEARCH_CAP)
+    if cap_val > target_bler:
+        raise NonConvergenceError(
+            f"avg_bler at N={N_SEARCH_CAP} is {cap_val:.3e} > target {target_bler:.3e}")
+    return bisect.bisect_left(range(N_SEARCH_CAP), True, lo=1,
+                              key=lambda n: bler_at(n) <= target_bler)

@@ -54,10 +54,6 @@ _LN2 = math.log(2.0)
 _TANH_SINH_T = 3.5  # the average-BLER reference's range in t
 
 
-class ValidityError(ValueError):
-    """Inputs outside the validity range of an approximation."""
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -226,7 +222,7 @@ def linearization_params(blocklength: int, info_bits: int) -> LinearizationParam
     kappa0 = xi1 + 1.0 / (2.0 * xi0)
     kappa1 = xi1 - 1.0 / (2.0 * xi0)
     if kappa0 <= 0:
-        raise ValidityError(
+        raise DomainError(
             f"linearized-Q approximation invalid: kappa0 = {kappa0:.4g} <= 0")
     return LinearizationParams(xi0=xi0, xi1=xi1, kappa0=kappa0, kappa1=kappa1)
 

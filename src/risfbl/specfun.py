@@ -46,7 +46,7 @@ class DomainError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """A quadrature refinement failed to settle."""
+    """A quadrature or the element search did not reach its target."""
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,19 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert err.startswith("error: numeric:")
 
+    @pytest.mark.parametrize("argv,code,needle", [
+        (("bler", "--N", "16", "--set", "info_bits=1"), EXIT_CONFIG, "kappa0"),
+        (("required-n", "--set", "tx_power=1e-6"), EXIT_NUMERIC,
+         "avg_bler at N=8192"),
+    ], ids=("linearization-domain", "search-cap"))
+    def test_library_error_exit_code(self, capsys, argv, code, needle):
+        # a closed form's domain exits 3; a search that cannot reach its
+        # target exits 4
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert needle in err and err.count("\n") == 1
+        assert out == ""
+
 
 class TestThinWrappers:
     def test_rate_and_blocklength_skip_bler_linearization(self, capsys):

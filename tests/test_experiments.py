@@ -20,7 +20,6 @@ from risfbl.channel import (
     UniformSpread,
 )
 from risfbl.experiments import (
-    BracketError,
     D_GRID,
     FIGURE_IDS,
     N_GRID,
@@ -34,7 +33,7 @@ from risfbl.experiments import (
     scenario_to_dict,
 )
 from risfbl.montecarlo import McConfig, sample_snr
-from risfbl.specfun import DomainError
+from risfbl.specfun import DomainError, NonConvergenceError
 
 FAST = ScenarioConfig(mc=McConfig(n_samples=500))
 
@@ -320,7 +319,8 @@ class TestRequiredElements:
                         pkt.info_bits) > 1e-9
 
     def test_unreachable_target(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(NonConvergenceError,
+                           match=r"avg_bler at N=8192 is .* > target"):
             # avg BLER at the search cap, N = 8192, is 1.0 at 1 uW
             required_elements(1e-9, dataclasses.replace(
                 FAST, radio=RadioConfig(tx_power=1e-6)))

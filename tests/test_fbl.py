@@ -18,7 +18,6 @@ from risfbl.experiments import (
 )
 from risfbl.fbl import (
     PacketConfig,
-    ValidityError,
     avg_bler,
     avg_bler_detail,
     avg_blocklength,
@@ -400,7 +399,8 @@ class TestAvgBler:
         assert oracles.linearized_q(lin.xi1, lin) == pytest.approx(0.5, rel=1e-12)
 
     def test_validity_error_for_tiny_payload(self):
-        with pytest.raises(ValidityError):
+        with pytest.raises(DomainError, match="linearized-Q approximation "
+                           "invalid: kappa0 = .* <= 0"):
             linearization_params(300, 1)
 
     @pytest.mark.parametrize("shape,rate,r,L", [
