@@ -8,7 +8,8 @@ table of record functions of the scenario, the closed-form ones picks of
 the cell metrics of ``experiments``; each record is written with
 the scenario's element count and seed as one CSV row or JSON object.
 ``figure`` writes a whole table and ``required-n`` the result of the
-element search.  Floats keep full precision.
+element search.  Every output goes through the CSV and JSON writers of
+``experiments``, floats at full precision.
 
 Exit codes: 0 success, 2 usage error, 3 config validation error
 (``DomainError``, or a config file that cannot be read as JSON),
@@ -19,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from argparse import SUPPRESS
 
 from .specfun import DomainError, NonConvergenceError
 from .channel import gamma_fit, moments_X
@@ -28,11 +30,14 @@ from .experiments import (
     ScenarioConfig,
     bler,
     blocklength,
+    csv_text,
+    json_text,
     rate_exact,
     rate_lower_bound,
     required_elements,
     run_figure,
     scenario_from_dict,
+    scenario_to_dict,
     sqrt_dispersion,
 )
 
@@ -80,45 +85,10 @@ def _scenario_from_args(args) -> ScenarioConfig:
             raise DomainError(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
         cfg[key.strip()] = _parse_value(value)
-    if args.n_elements is not None:
-        cfg["n_elements"] = args.n_elements
-    if args.no_direct or args.direct:
-        cfg["direct_link"] = args.direct
-    if args.phase is not None:
-        cfg["phase"] = args.phase
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    # a shorthand flag's dest is its config key, set only when it is given
+    keys = scenario_to_dict(ScenarioConfig())
+    cfg.update((k, v) for k, v in vars(args).items() if k in keys)
     return scenario_from_dict(_resolve_db(cfg))
-
-
-# ---------------------------------------------------------------------------
-# Output helpers
-# ---------------------------------------------------------------------------
-
-def _fmt(x):
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def _write(text, args):
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_record(record: dict, args):
-    """One-row result: CSV header+row or a JSON object."""
-    if args.format == "json":
-        text = json.dumps(record, indent=2, sort_keys=True,
-                          default=lambda o: repr(o)) + "\n"
-    else:
-        keys = list(record)
-        text = (",".join(keys) + "\n"
-                + ",".join(_fmt(record[k]) for k in keys) + "\n")
-    _write(text, args)
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +141,29 @@ _RECORDS = {
 
 def _run(args):
     s = _scenario_from_args(args)
+    as_json = args.format == "json"
     if args.command == "figure":
         table = run_figure(args.figure_id, s, workers=args.workers)
-        if args.format == "json":
-            payload = dict(table.meta)
-            payload["figure_id"] = table.figure_id
-            payload["columns"] = {k: list(v) for k, v in table.columns.items()}
-            _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
-        elif args.output:
-            table.write(args.output)
-        else:
-            _write(table.to_csv(), args)
-    elif args.command == "required-n":
-        target = args.target if args.target is not None else s.packet.target_bler
-        _emit_record({"target_bler": target,
-                      "required_elements": required_elements(target, s),
-                      "seed": s.mc.seed}, args)
+        if args.output and not as_json:
+            table.write(args.output)  # with its sidecar
+            return 0
+        text = table.to_json() if as_json else table.to_csv()
     else:
-        _emit_record({"n_elements": s.n_elements, **_RECORDS[args.command](s),
-                      "seed": s.mc.seed}, args)
+        if args.command == "required-n":
+            target = (args.target if args.target is not None
+                      else s.packet.target_bler)
+            record = {"target_bler": target,
+                      "required_elements": required_elements(target, s)}
+        else:
+            record = {"n_elements": s.n_elements, **_RECORDS[args.command](s)}
+        record["seed"] = s.mc.seed
+        text = (json_text(record) if as_json
+                else csv_text({k: [v] for k, v in record.items()}))
+    if args.output:
+        with open(args.output, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -204,21 +178,22 @@ def build_parser():
         sp.add_argument("--config", help="flat JSON scenario config")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
-        sp.add_argument("--seed", type=int, help="Monte Carlo seed")
+        sp.add_argument("--seed", type=int, default=SUPPRESS,
+                        help="Monte Carlo seed")
         sp.add_argument("--output", help="write to file instead of stdout")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--N", dest="n_elements", type=int,
+        sp.add_argument("--N", dest="n_elements", type=int, default=SUPPRESS,
                         help="RIS element count")
-        sp.add_argument("--phase",
+        sp.add_argument("--phase", default=SUPPRESS,
                         help="phase model, as the config key phase: perfect, "
                              "<b>bit with b in 1..52 (e.g. 2bit), or "
                              "uniform[:spread] with the spread a fraction "
                              "of pi (default 0.25)")
         g = sp.add_mutually_exclusive_group()
-        g.add_argument("--no-direct", action="store_true",
-                       help="disable the direct AP-AC link")
-        g.add_argument("--direct", action="store_true",
-                       help="enable the direct AP-AC link")
+        g.add_argument("--no-direct", dest="direct_link", action="store_false",
+                       default=SUPPRESS, help="disable the direct AP-AC link")
+        g.add_argument("--direct", dest="direct_link", action="store_true",
+                       default=SUPPRESS, help="enable the direct AP-AC link")
 
     for name in _RECORDS:
         common(sub.add_parser(name))

@@ -201,6 +201,24 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         raise DomainError(str(exc)) from exc
 
 
+def _cell(x) -> str:
+    return format(x, ".17g") if isinstance(x, float) else str(x)
+
+
+def csv_text(columns: dict) -> str:
+    """Equal-length columns as CSV: a header row, then one row per index,
+    each float with 17 significant digits and any other cell as ``str``."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(map(_cell, row) for row in zip(*columns.values(), strict=True))
+    return buf.getvalue()
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 @dataclass
 class ResultTable:
     """Columnar figure data plus the configuration that produced it."""
@@ -210,30 +228,34 @@ class ResultTable:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        names = list(self.columns)
-        n_rows = len(next(iter(self.columns.values())))
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(names)
-        for i in range(n_rows):
-            w.writerow(format(self.columns[c][i], ".17g") for c in names)
-        return buf.getvalue()
+        return csv_text(self.columns)
+
+    def _json(self, **fields) -> str:
+        """The meta and the figure id, plus ``fields``, as JSON text."""
+        return json_text({**self.meta, "figure_id": self.figure_id, **fields})
+
+    def to_json(self) -> str:
+        return self._json(
+            columns={k: list(v) for k, v in self.columns.items()})
 
     def write(self, csv_path) -> None:
         text = self.to_csv()
         with open(csv_path, "w") as f:
             f.write(text)
-        sidecar = dict(self.meta)
-        sidecar["figure_id"] = self.figure_id
-        sidecar["sha256"] = hashlib.sha256(text.encode()).hexdigest()
-        # the table's bytes can differ across these (numpy's SIMD sin may
-        # differ from libm by an ulp), so the sidecar names them
-        sidecar["versions"] = {"python": platform.python_version(),
-                               "numpy": np.__version__,
-                               "scipy": scipy.__version__}
+        # outside the hashed table, since MC bytes move with the host's CPU:
+        # numpy's AVX-512 log (in E = -ln(1 - U)) differs from glibc's by an
+        # ulp, and glibc's FMA-variant sin moves the cis table
+        umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+        versions = {"python": platform.python_version(),
+                    "numpy": np.__version__,
+                    "scipy": scipy.__version__,
+                    "libc": platform.libc_ver(),
+                    "numpy_simd": [t for t in umath.__cpu_dispatch__
+                                   if umath.__cpu_features__[t]]}
         with open(str(csv_path) + ".json", "w") as f:
-            json.dump(sidecar, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(self._json(
+                sha256=hashlib.sha256(text.encode()).hexdigest(),
+                versions=versions))
 
 
 def _pmap(fn, items, workers):

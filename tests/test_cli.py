@@ -8,7 +8,15 @@ import pytest
 
 from risfbl import specfun
 from risfbl.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_USAGE, main
-from risfbl.channel import Geometry, Perfect, RadioConfig, fit_snr, link_gains, snr_scale
+from risfbl.channel import (
+    Geometry,
+    Perfect,
+    RadioConfig,
+    fit_snr,
+    link_gains,
+    moments_X,
+    snr_scale,
+)
 from risfbl.fbl import (
     avg_bler,
     avg_blocklength,
@@ -223,6 +231,33 @@ class TestThinWrappers:
         _, out, _ = run(capsys, "blocklength", "--N", "1")
         assert mc == pytest.approx(float(csv_record(out)["avg_blocklength"]),
                                    rel=0.10)
+
+
+class TestRecordText:
+    """The exact bytes of a one-row record: floats with 17 significant
+    digits, every other value as ``str``, keys in the record's order."""
+
+    @pytest.mark.parametrize("argv,text", [
+        (("validate", "--seed", "7"), "n_elements,valid,seed\n512,True,7\n"),
+        # more digits than ".17g" keeps
+        (("validate", "--seed", "18446744073709551615"),
+         "n_elements,valid,seed\n512,True,18446744073709551615\n"),
+        (("validate", "--seed", "7", "--format", "json"),
+         '{\n  "n_elements": 512,\n  "seed": 7,\n  "valid": true\n}\n'),
+    ], ids=("csv", "csv-long-int", "json"))
+    def test_validate(self, capsys, argv, text):
+        assert run(capsys, *argv) == (0, text, "")
+
+    def test_fit_row(self, capsys):
+        gains = link_gains(Geometry(), direct_link=False)
+        m = moments_X(gains, 189, Perfect())
+        fit = fit_snr(gains, 189, Perfect(), snr_scale(RadioConfig()))
+        values = (m.m1, m.m2, fit.shape, fit.rate, fit.mean,
+                  10.0 * math.log10(fit.mean))
+        assert run(capsys, "fit", "--N", "189", "--no-direct") == (0, (
+            "n_elements,m1,m2,shape,rate,snr_mean,snr_mean_db,seed\n"
+            + ",".join(["189", *(format(v, ".17g") for v in values),
+                        "20260824"]) + "\n"), "")
 
 
 class TestConfigHandling:

@@ -1,9 +1,11 @@
 """Figure harness: tables, registry behavior, element search."""
 
+import ast
 import dataclasses
 import hashlib
 import json
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -181,7 +183,11 @@ class TestResultTable:
         assert vals[0] == 1.0 / 3.0
         assert vals[1] == 1e-300
 
-    def test_write_emits_sidecar(self, tmp_path):
+    def test_csv_rejects_ragged_columns(self):
+        with pytest.raises(ValueError):
+            ResultTable(figure_id="x", columns={"a": [1.0], "b": []}).to_csv()
+
+    def test_write_emits_sidecar(self, tmp_path, capsys):
         scenario = dataclasses.replace(FAST, phase=UniformSpread(0.1 + 0.2))
         t = run_figure("fig8", scenario)
         out = tmp_path / "fig8.csv"
@@ -191,15 +197,33 @@ class TestResultTable:
         assert side["sha256"] == hashlib.sha256(text.encode()).hexdigest()
         assert side["figure_id"] == "fig8"
         assert side["seed"] == FAST.mc.seed
-        # the versions the bytes came from, outside the hashed table
+        # the versions the bytes came from, outside the hashed table, with
+        # the SIMD targets numpy.show_runtime reports as found on this CPU
+        np.show_runtime()
+        found = re.search(r"'found': (\[[^\]]*\])", capsys.readouterr().out)
         assert side["versions"] == {"python": platform.python_version(),
                                     "numpy": np.__version__,
-                                    "scipy": scipy.__version__}
+                                    "scipy": scipy.__version__,
+                                    "libc": list(platform.libc_ver()),
+                                    "numpy_simd": ast.literal_eval(found[1])}
         assert side["scenario"]["n_samples"] == 500
         # the sidecar rebuilds the scenario the figure ran, with its pins
         assert side["scenario"]["phase"] == "uniform:0.30000000000000004"
         assert scenario_from_dict(side["scenario"]) == dataclasses.replace(
             scenario, direct_link=False)
+
+    def test_sidecar_versions_leave_table_and_hash(self, tmp_path):
+        # the host's libc and SIMD targets sit beside the table: its bytes
+        # and their SHA-256 are those written before the sidecar named them
+        t = ResultTable(figure_id="x", columns={
+            "n": [16.0, 2048.0], "a": [1.0 / 3.0, 2.0 ** -40]})
+        t.write(tmp_path / "x.csv")
+        side = json.loads((tmp_path / "x.csv.json").read_text())
+        assert {"libc", "numpy_simd"} <= set(side["versions"])
+        assert (tmp_path / "x.csv").read_text() == (
+            "n,a\n16,0.33333333333333331\n2048,9.0949470177292824e-13\n")
+        assert side["sha256"] == (
+            "972882e10b355104e66ee5f9a1c2bcd91ce76eb5c26faacaf99db7926f51bdc9")
 
 
 class TestFigures:

@@ -35,6 +35,9 @@ def test_checkout_against_itself_is_byte_equal():
     tool = load_tool()
     # one field per record key: fit 6, rate 3, bler 1, blocklength 1, mc 11
     assert groups.count("cli_records") == 22 * len(tool.RECORD_CASES)
+    # each record's text in CSV and JSON, and one figure's JSON
+    assert groups.count("cli_text") == (
+        2 * len(tool.RECORD_COMMANDS) * len(tool.RECORD_CASES) + 1)
     assert all(line.endswith("byte-equal") for line in lines)
 
 
@@ -64,6 +67,28 @@ def test_renamed_record_key_reads_added_and_removed():
     assert tool.unpaired(mine, theirs) == [
         ("cli_records", "rate N16 avg_rate_new", "added"),
         ("cli_records", "rate N16 avg_rate_old", "removed")]
+
+
+def test_changed_float_format_reads_as_changed_text(monkeypatch):
+    # the record values stay byte-equal: only the text shows the format
+    from risfbl import cli, experiments
+    tool = load_tool()
+    argv = ["bler", "--N", "16"]
+
+    def collect():
+        return {"cli_records": tool.record_fields(
+                    {"bler": cli._RECORDS["bler"](experiments.ScenarioConfig(
+                        n_elements=16))}),
+                "cli_text": {"bler": tool.cli_text(cli.main, argv)}}
+
+    theirs = collect()
+    monkeypatch.setattr(experiments, "_cell", lambda x: (
+        format(x, ".16g") if isinstance(x, float) else str(x)))
+    rows = tool.compare(collect(), theirs)
+    assert rows == [("cli_records", "bler avg_bler", 1, 0, 0.0),
+                    ("cli_text", "bler", 1, 1, None)]
+    assert tool.cli_text(cli.main, ["bler", "--N", "-1"]).startswith(
+        "exit 3\nerror: config:")
 
 
 def test_report_separates_added_removed_and_non_numeric(capsys):

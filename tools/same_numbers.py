@@ -27,7 +27,10 @@ The set:
   * the one-row records of ``risfbl fit|rate|bler|blocklength|mc`` (the
     last at ``n_samples`` = RECORD_N) over a few (N, phase, direct) cases,
     each key of a record its own field, so a renamed key reads as one
-    field ``added`` and one ``removed``.
+    field ``added`` and one ``removed``;
+  * the exact text ``risfbl`` prints for each of those records, in CSV and
+    in JSON, and for ``risfbl figure fig8 --format json``, so that a change
+    of format reads as changed where the record values do not.
 
 The point list and anchors are read from ``bench/workloads.py`` of this
 checkout, for both trees.  Each tree is computed in its own subprocess,
@@ -38,8 +41,10 @@ the comparison shows, and non-zero only when the tool itself fails.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -137,6 +142,12 @@ def collect(src, figures, n_samples):
              "n_samples": RECORD_N})
         return cli._RECORDS[command](s)
 
+    def record_text(command, n, phase, direct, fmt):
+        return cli_text(cli.main, [
+            command, "--N", str(n), "--phase", phase,
+            "--direct" if direct else "--no-direct",
+            "--set", f"n_samples={RECORD_N}", "--format", fmt])
+
     out["analytic_points"] = _guarded(points)
     out["avg_bler_detail"] = _guarded(details)
     out["required_elements"] = _guarded(anchors)
@@ -145,7 +156,24 @@ def collect(src, figures, n_samples):
         f"{command} N{n} {phase} {'direct' if direct else 'nodirect'}":
             _guarded(lambda: record(command, n, phase, direct))
         for command in RECORD_COMMANDS for n, phase, direct in RECORD_CASES})
+    out["cli_text"] = {
+        f"{command} N{n} {phase} {'direct' if direct else 'nodirect'} {fmt}":
+            _guarded(lambda: record_text(command, n, phase, direct, fmt))
+        for command in RECORD_COMMANDS for n, phase, direct in RECORD_CASES
+        for fmt in ("csv", "json")}
+    out["cli_text"]["figure fig8 json"] = _guarded(lambda: cli_text(
+        cli.main, ["figure", "fig8", "--set", f"n_samples={n_samples}",
+                   "--format", "json"]))
     return out
+
+
+def cli_text(main, argv):
+    """What ``main(argv)`` writes to stdout, or, when it fails, its exit
+    code and what it writes to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return out.getvalue() if code == 0 else f"exit {code}\n{err.getvalue()}"
 
 
 def record_fields(records):
