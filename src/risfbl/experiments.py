@@ -231,20 +231,11 @@ class ResultTable:
         return csv_text(self.columns)
 
     def _json(self, **fields) -> str:
-        """The meta and the figure id, plus ``fields``, as JSON text."""
-        return json_text({**self.meta, "figure_id": self.figure_id, **fields})
-
-    def to_json(self) -> str:
-        return self._json(
-            columns={k: list(v) for k, v in self.columns.items()})
-
-    def write(self, csv_path) -> None:
-        text = self.to_csv()
-        with open(csv_path, "w") as f:
-            f.write(text)
-        # outside the hashed table, since MC bytes move with the host's CPU:
-        # numpy's AVX-512 log (in E = -ln(1 - U)) differs from glibc's by an
-        # ulp, and glibc's FMA-variant sin moves the cis table
+        """The meta, the figure id, the SHA-256 of the CSV text and the
+        versions, plus ``fields``, as JSON text."""
+        # versions sit outside the hashed table, as MC bytes move with the
+        # host's CPU: numpy's AVX-512 log (in E = -ln(1 - U)) differs from
+        # glibc's by an ulp, and glibc's FMA-variant sin moves the cis table
         umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
         versions = {"python": platform.python_version(),
                     "numpy": np.__version__,
@@ -252,10 +243,20 @@ class ResultTable:
                     "libc": platform.libc_ver(),
                     "numpy_simd": [t for t in umath.__cpu_dispatch__
                                    if umath.__cpu_features__[t]]}
+        return json_text({
+            **self.meta, "figure_id": self.figure_id,
+            "sha256": hashlib.sha256(self.to_csv().encode()).hexdigest(),
+            "versions": versions, **fields})
+
+    def to_json(self) -> str:
+        return self._json(
+            columns={k: list(v) for k, v in self.columns.items()})
+
+    def write(self, csv_path) -> None:
+        with open(csv_path, "w") as f:
+            f.write(self.to_csv())
         with open(str(csv_path) + ".json", "w") as f:
-            f.write(self._json(
-                sha256=hashlib.sha256(text.encode()).hexdigest(),
-                versions=versions))
+            f.write(self._json())
 
 
 def _pmap(fn, items, workers):

@@ -21,17 +21,16 @@ times several functions).  The probes run once on the stack.  All the
 integrands share one pair of limits, the outermost of their own.
 
 This module is the only one that knows the quadrature rule, the nested
-trapezoidal rule.  ``_settled_sums`` halves its step until each sum is
-within a relative tolerance of the previous one; each halving evaluates
-only the new midpoints, as the coarse grid's nodes are the fine grid's
-even ones.  On a smooth integrand that has vanished at both limits the
-rule converges exponentially (Trefethen and Weideman, SIAM Review
-2014).  The kernel runs it on exp(log integrand - top) and takes the
-log of the settled sums, and ``fbl``'s average-BLER reference runs it
-on the Gamma CDF over its ramp after a tanh-sinh map.  Integrands are
-assembled in the log domain and summed below their top,
-so shape parameters in the thousands (large-N Gamma fits) do not
-overflow.
+trapezoidal rule.  ``_settled_sums`` halves its step until every sum of
+the stack is within a relative tolerance of its previous one; each halving
+evaluates only the new midpoints, as the coarse grid's nodes are the fine
+grid's even ones.  On a smooth integrand that has vanished at both limits
+the rule converges exponentially (Trefethen and Weideman, SIAM Review
+2014).  The kernel runs it on exp(log integrand - top) and takes the log
+of the settled sums, and ``fbl``'s average-BLER reference runs it on the
+Gamma CDF over its ramp after a tanh-sinh map.  Integrands are assembled
+in the log domain and summed below their top, so shape parameters in the
+thousands (large-N Gamma fits) do not overflow.
 """
 
 import math
@@ -54,9 +53,10 @@ class EvalPolicy:
     """Tolerance of the peak-tracked quadrature behind Kummer U and C1/C2.
 
     The trapezoidal sums start at 48 and 96 intervals (97 nodes) and halve
-    the step up to 6144 intervals until each sum, of the integrand over its
-    top, changes by at most ``rel_tol`` relative to the new sum; that is
-    about the change of the log integral; every caller defaults to 1e-9.
+    the step up to 6144 intervals until every sum of the stack, of an
+    integrand over its top, changes by at most ``rel_tol`` relative to its
+    new value at one step, about the change of its log integral; every
+    caller defaults to 1e-9.
     """
 
     rel_tol: float = 1e-9
@@ -151,28 +151,24 @@ def _settled_sums(integrand, lo, hi, tol, what):
     first call evaluates them on the ``_N0 + 1`` even nodes, which give
     the sums at ``_N0 / 2`` and ``_N0`` intervals; each later call
     evaluates only the midpoints of the last grid and halves its step, up
-    to ``_N_MAX`` intervals, so every node is evaluated once.  Each
-    integral keeps the first sum within ``tol`` relative of the previous
-    one, with the scale floored at 1e-300, and the call ends when all
-    have; raises NonConvergenceError, naming the last interval count and
-    the largest last change of an unsettled sum, if one has not at
-    ``_N_MAX`` intervals.
+    to ``_N_MAX`` intervals, so every node is evaluated once.  The call
+    ends at the first step at which every sum is within ``tol`` relative
+    of its previous one, with the scale floored at 1e-300, and returns all
+    the sums of that step's grid; raises NonConvergenceError, naming the
+    last interval count and the largest last change, if no step up to
+    ``_N_MAX`` intervals settles them all.
     """
     width = hi - lo
     sums = integrand(lo + width * _UNIT) @ _UNIT_WEIGHTS * width
     prev, cur = sums.T.tolist()
-    out = [None] * len(cur)
     n, h, fine = _N0, width / _N0, sums[:, 1]
     while True:
         change = [abs(c - p) / max(abs(c), 1e-300) for c, p in zip(cur, prev)]
-        out = [c if o is None and d <= tol else o
-               for o, c, d in zip(out, cur, change)]
-        if None not in out:
-            return out
+        if all(d <= tol for d in change):
+            return cur
         if 2 * n > _N_MAX:
-            last = max(d for d, o in zip(change, out) if o is None)
-            raise NonConvergenceError(
-                f"{what} did not settle at {n} intervals (last change {last:.3e})")
+            raise NonConvergenceError(f"{what} did not settle at {n} intervals "
+                                      f"(last change {max(change):.3e})")
         mid = integrand(lo + h * (np.arange(n) + 0.5)).sum(axis=1)
         n, h = 2 * n, 0.5 * h
         fine = 0.5 * fine + h * mid

@@ -42,7 +42,8 @@ def default_gains():
 class TestLinkBudget:
     def test_path_loss_reference_distance(self):
         # 34.53 dB intercept + 38 dB/decade: D = 100 m -> 110.53 dB
-        assert path_loss_gain(100.0) == pytest.approx(10 ** -11.053, rel=1e-12)
+        assert path_loss_gain(100.0) == pytest.approx(10 ** -11.053, rel=1e-12,
+                                                      abs=0)
 
     def test_path_loss_exponent_knob(self):
         assert path_loss_gain(10.0, exponent=2.0) == pytest.approx(
@@ -109,20 +110,21 @@ class TestMoments:
                   + (math.pi ** 1.5 / 4.0)
                   * math.sqrt(g.direct * g.ap_ris * g.ris_ac)
                   * np.sinc(s))
-        assert m.m1 == pytest.approx(expect, rel=1e-12)
+        assert m.m1 == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_single_element_no_direct(self):
         g = LinkGains(direct=0.0, ap_ris=1e-10, ris_ac=1e-8)
         m = moments_X(g, 1, Perfect())
         # product of two Rayleigh powers: E[X] = rt, E[X^2] = 4 (rt)^2
-        assert m.m1 == pytest.approx(g.ap_ris * g.ris_ac, rel=1e-13)
-        assert m.m2 == pytest.approx(4.0 * (g.ap_ris * g.ris_ac) ** 2, rel=1e-13)
+        assert m.m1 == pytest.approx(g.ap_ris * g.ris_ac, rel=1e-13, abs=0)
+        assert m.m2 == pytest.approx(4.0 * (g.ap_ris * g.ris_ac) ** 2,
+                                     rel=1e-13, abs=0)
 
     def test_direct_only_exponential(self):
         g = LinkGains(direct=4e-12, ap_ris=1e-10, ris_ac=1e-8)
         m = moments_X(g, 0, Perfect())
-        assert m.m1 == pytest.approx(g.direct, rel=1e-13)
-        assert m.m2 == pytest.approx(2.0 * g.direct ** 2, rel=1e-13)
+        assert m.m1 == pytest.approx(g.direct, rel=1e-13, abs=0)
+        assert m.m2 == pytest.approx(2.0 * g.direct ** 2, rel=1e-13, abs=0)
 
     def test_no_direct_and_no_elements_rejected(self):
         g = LinkGains(direct=0.0, ap_ris=1e-10, ris_ac=1e-8)
@@ -134,8 +136,8 @@ class TestMoments:
         g = link_gains(Geometry())
         a = moments_X(g, n, Perfect())
         b = oracles.moments_X_perfect_expanded(g, n)
-        assert a.m1 == pytest.approx(b.m1, rel=1e-12)
-        assert a.m2 == pytest.approx(b.m2, rel=1e-12)
+        assert a.m1 == pytest.approx(b.m1, rel=1e-12, abs=0)
+        assert a.m2 == pytest.approx(b.m2, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n,spread", [(2, 0.25), (10, 0.5), (100, 1.0)])
     def test_expanded_second_moment_missing_term(self, n, spread):
@@ -230,8 +232,9 @@ class TestSpreadOneExactLaw:
         g = default_gains()
         a2 = g.ap_ris * g.ris_ac
         m = moments_X(g, n, UniformSpread(1.0))
-        assert m.m1 == pytest.approx(a2 * n, rel=1e-15)
-        assert m.m2 == pytest.approx(2.0 * n * (n + 1) * a2 * a2, rel=1e-15)
+        assert m.m1 == pytest.approx(a2 * n, rel=1e-15, abs=0)
+        assert m.m2 == pytest.approx(2.0 * n * (n + 1) * a2 * a2,
+                                     rel=1e-15, abs=0)
 
 
 class TestGammaFit:

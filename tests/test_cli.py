@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, config handling, exit codes."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -24,6 +25,7 @@ from risfbl.fbl import (
     c1_avg_capacity,
     c2_avg_sqrt_dispersion,
 )
+from risfbl.experiments import csv_text
 from risfbl.specfun import DEFAULT_POLICY
 
 
@@ -320,3 +322,20 @@ class TestFigureCommand:
         payload = json.loads(out)
         assert payload["figure_id"] == "fig8"
         assert "sqrt_dispersion" in payload["columns"]
+
+    def test_figure_json_carries_the_csv_hash(self, tmp_path, capsys):
+        # a figure's JSON names the SHA-256 of its CSV text and the versions,
+        # as the CSV's sidecar does for the same scenario
+        args = ("figure", "fig8", "--set", "n_samples=500")
+        code, _, _ = run(capsys, *args, "--format", "json",
+                         "--output", str(tmp_path / "f.json"))
+        assert code == 0
+        code, _, _ = run(capsys, *args, "--output", str(tmp_path / "f.csv"))
+        assert code == 0
+        payload = json.loads((tmp_path / "f.json").read_text())
+        side = json.loads((tmp_path / "f.csv.json").read_text())
+        csv = csv_text(payload["columns"])
+        assert csv == (tmp_path / "f.csv").read_text()
+        assert payload["sha256"] == hashlib.sha256(csv.encode()).hexdigest()
+        assert payload["sha256"] == side["sha256"]
+        assert payload["versions"] == side["versions"]

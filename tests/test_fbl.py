@@ -94,7 +94,7 @@ class TestInstantaneous:
         v = LOG2E ** 2 * (1.0 - 1.0 / (1.0 + g) ** 2)
         f = math.sqrt(r / v) * (math.log2(1.0 + g) - L / r)
         assert fbl._bler(*fbl._capacity_sqrt_dispersion(g), r, L) == pytest.approx(
-            q_function(f), rel=1e-13)
+            q_function(f), rel=1e-13, abs=0)
 
     def test_bler_edge_cases(self):
         def bler(g):
@@ -325,7 +325,7 @@ class TestSharedAverages:
             c1_avg_capacity(fit)
 
         settled, alone = settled_and_alone(monkeypatch, run)
-        assert settled == pytest.approx(alone, rel=1e-14)
+        assert settled == pytest.approx(alone, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("shape,rate", SERIES_CASES)
     def test_probe_cap_never_binds(self, monkeypatch, shape, rate):
@@ -410,7 +410,7 @@ class TestAvgBler:
     def test_matches_oracle(self, shape, rate, r, L):
         ref = float(oracles.bler_expect(shape, rate, linearization_params(r, L)))
         got = avg_bler(GammaFit(shape, rate), r, L)
-        assert got == pytest.approx(ref, rel=1e-9)
+        assert got == pytest.approx(ref, rel=1e-9, abs=0)
         assert not avg_bler_detail(GammaFit(shape, rate), r, L).flagged
 
     def test_detail_consistency(self):
@@ -422,8 +422,8 @@ class TestAvgBler:
             det = avg_bler_detail(GammaFit(shape, rate), r, L)
             assert not det.flagged, (shape, rate)
             assert det.value == det.closed_form
-            assert det.reference == pytest.approx(det.closed_form, rel=1e-9), (
-                shape, rate)
+            assert det.reference == pytest.approx(
+                det.closed_form, rel=1e-9, abs=0), (shape, rate)
 
     def test_narrow_step_resolved(self):
         # at shape 1e5, the largest the incomplete gamma path accepts, the
@@ -447,7 +447,7 @@ class TestAvgBler:
         fit = GammaFit(shape, shape / (k0 + mean_at * (k1 - k0)))
         settled, alone = settled_and_alone(
             monkeypatch, lambda: fbl._avg_bler_reference(fit, lin))
-        assert settled == pytest.approx(alone, rel=1e-14)
+        assert settled == pytest.approx(alone, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("phase", ["perfect", "1bit", "2bit", "3bit",
                                        "uniform:0.25"])
