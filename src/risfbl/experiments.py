@@ -29,13 +29,10 @@ import hashlib
 import io
 import json
 import math
-import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .specfun import DEFAULT_POLICY, DomainError, EvalPolicy, NonConvergenceError, gamma_cdf
 from .channel import (
@@ -233,6 +230,10 @@ class ResultTable:
     def _json(self, **fields) -> str:
         """The meta, the figure id, the SHA-256 of the CSV text and the
         versions, plus ``fields``, as JSON text."""
+        import platform
+
+        import scipy  # the version only; scipy loads its submodules lazily
+
         # versions sit outside the hashed table, as MC bytes move with the
         # host's CPU: numpy's AVX-512 log (in E = -ln(1 - U)) differs from
         # glibc's by an ulp, and glibc's FMA-variant sin moves the cis table
@@ -262,6 +263,8 @@ class ResultTable:
 def _pmap(fn, items, workers):
     if workers <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
 

@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
+from . import specfun
 from .specfun import (
     DEFAULT_POLICY,
     LOG2E,
@@ -232,8 +232,8 @@ def _avg_bler_closed(fit: GammaFit, lin: LinearizationParams) -> float:
     k0, k1, xi0 = lin.kappa0, lin.kappa1, lin.xi0
     # Python floats: an infinite a / b times a zero difference gives nan
     # without a warning, and the guard flags it
-    p0, p1, p0s, p1s = sp.gammainc([a, a, a + 1.0, a + 1.0],
-                                   [k0 * b, k1 * b, k0 * b, k1 * b]).tolist()
+    p0, p1, p0s, p1s = specfun.sp.gammainc(
+        [a, a, a + 1.0, a + 1.0], [k0 * b, k1 * b, k0 * b, k1 * b]).tolist()
     val = xi0 * (k0 * p0 - k1 * p1 + (a / b) * (p1s - p0s))
     return min(max(val, 0.0), 1.0) + 0.0
 
@@ -259,7 +259,8 @@ def _avg_bler_reference(fit: GammaFit, lin: LinearizationParams) -> float:
     def integrand(t):
         s = (0.5 * math.pi) * np.sinh(t)
         du = (0.5 * math.pi * half) * np.cosh(t) / np.cosh(s) ** 2
-        return (sp.gammainc(a, b * mid + (b * half) * np.tanh(s)) * du)[None]
+        p = specfun.sp.gammainc(a, b * mid + (b * half) * np.tanh(s))
+        return (p * du)[None]
 
     (total,) = _settled_sums(integrand, -_TANH_SINH_T, _TANH_SINH_T, 1e-8,
                              "average-BLER reference")

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DomainError, gamma_cdf
+from .specfun import DomainError, gamma_cdf, inv_q
 from .channel import GammaFit, LinkGains, Perfect, PhaseModel, QuantizedBits, UniformSpread
 from . import fbl
 
@@ -265,13 +265,14 @@ def ks_distance(samples: np.ndarray, fit: GammaFit) -> float:
 class McAverages:
     """Sample means of the instantaneous rate, BLER, C and sqrt(V), each
     reported one with its ``_se``, and the average blocklength at the means
-    of C and sqrt(V), as at C1 and C2."""
+    of C and sqrt(V), as at C1 and C2, with its delta-method ``_se``."""
 
     avg_rate: float
     avg_rate_se: float
     avg_bler: float
     avg_bler_se: float
     avg_blocklength: float
+    avg_blocklength_se: float
     avg_capacity: float
     avg_sqrt_dispersion: float
     avg_sqrt_dispersion_se: float
@@ -279,16 +280,28 @@ class McAverages:
 
 def mc_avg_metrics(samples: np.ndarray, packet: fbl.PacketConfig) -> McAverages:
     """Sample averages over an SNR array (BLER by the exact Q, not the
-    linearized surrogate) and the blocklength at the means of C and sqrt(V)."""
+    linearized surrogate) and the blocklength at the means of C and sqrt(V).
+
+    The blocklength n at the means C and S of c and sqrt_v is the root of
+    F = C n - q S sqrt(n) - L = 0, q = Q^-1(eps).  Its SE is the delta
+    method's, with the implicit-function gradient
+    g = (dn/dC, dn/dS) = (-n, q sqrt(n)) / F_n, F_n = C - q S / (2 sqrt(n)),
+    which is positive: g' Cov(c, sqrt_v) g / n_samples, with the samples'
+    covariance, is the squared SE of the mean of g . (c, sqrt_v), which
+    ``_mean_se`` takes.
+    """
     c, sqrt_v = fbl._capacity_sqrt_dispersion(samples)
     r_m, r_se = _mean_se(fbl._rate(c, sqrt_v, packet.blocklength, packet.target_bler))
     b_m, b_se = _mean_se(fbl._bler(c, sqrt_v, packet.blocklength, packet.info_bits))
     v_m, v_se = _mean_se(sqrt_v)
     c_m = float(np.sum(c)) / c.size
+    n_m = fbl.avg_blocklength(c_m, v_m, packet.info_bits, packet.target_bler)
+    q_root_n = inv_q(packet.target_bler) * math.sqrt(n_m)
+    f_n = c_m - 0.5 * q_root_n * v_m / n_m
+    _, n_se = _mean_se((q_root_n / f_n) * sqrt_v - (n_m / f_n) * c)
     return McAverages(avg_rate=r_m, avg_rate_se=r_se,
                       avg_bler=b_m, avg_bler_se=b_se,
-                      avg_blocklength=fbl.avg_blocklength(
-                          c_m, v_m, packet.info_bits, packet.target_bler),
+                      avg_blocklength=n_m, avg_blocklength_se=n_se,
                       avg_capacity=c_m, avg_sqrt_dispersion=v_m,
                       avg_sqrt_dispersion_se=v_se)
 

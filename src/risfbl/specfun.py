@@ -31,13 +31,31 @@ of the settled sums, and ``fbl``'s average-BLER reference runs it on the
 Gamma CDF over its ramp after a tanh-sinh map.  Integrands are assembled
 in the log domain and summed below their top, so shape parameters in the
 thousands (large-N Gamma fits) do not overflow.
+
+This is the only module that names ``scipy.special``, as ``sp``, and it
+imports it on the first attribute read, so ``import risfbl`` and the
+commands that evaluate no special function do not pay for its import.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
+
+
+class _LazySpecial:
+    """Stands in for ``scipy.special`` as ``sp`` until an attribute is
+    read, then imports it and rebinds ``sp`` to it, so every later read
+    is a plain module attribute lookup."""
+
+    def __getattr__(self, name):
+        global sp
+        from scipy import special
+        sp = special
+        return getattr(special, name)
+
+
+sp = _LazySpecial()
 
 
 class DomainError(ValueError):

@@ -3,7 +3,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -213,7 +218,7 @@ class TestThinWrappers:
         assert code == 0
         assert float(rec["ks_distance"]) < 0.1
         assert int(rec["n_samples"]) == 2000
-        for key in ("avg_rate_mc_se", "avg_bler_mc_se"):
+        for key in ("avg_rate_mc_se", "avg_bler_mc_se", "avg_blocklength_mc_se"):
             se = float(rec[key])
             assert math.isfinite(se) and se >= 0.0
 
@@ -339,3 +344,29 @@ class TestFigureCommand:
         assert payload["sha256"] == hashlib.sha256(csv.encode()).hexdigest()
         assert payload["sha256"] == side["sha256"]
         assert payload["versions"] == side["versions"]
+
+
+# run in a fresh interpreter, as this one has loaded scipy for the tests
+COLD_START = textwrap.dedent("""
+    import contextlib, io, sys
+    import risfbl, risfbl.cli
+    risfbl.ScenarioConfig()
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [risfbl.cli.main(["validate"]),
+                 risfbl.cli.main(["fit", "--N", "256"])]
+    assert codes == [0, 0], codes
+    assert "scipy" not in sys.modules, "loaded before any special function"
+    values = risfbl.inv_q(1e-9), risfbl.gamma_cdf(300.0, 1.0, 290.0)
+    assert "scipy.special" in sys.modules
+    from scipy import special
+    assert values == (-special.ndtri(1e-9), special.gammainc(300.0, 290.0)), values
+""")
+
+
+def test_scipy_loads_at_the_first_special_function():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", COLD_START],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

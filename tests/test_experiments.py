@@ -45,12 +45,8 @@ PHASES = st.one_of(
     st.builds(UniformSpread, st.floats(0.0, 1.0, exclude_min=True)))
 
 
-def _paired(fmt, tags, suffixes=("", "_mc")):
-    return [fmt.format(t) + s for t in tags for s in suffixes]
-
-
 def _with_se(fmt, tags):
-    return _paired(fmt, tags, ("", "_mc", "_mc_se"))
+    return [fmt.format(t) + s for t in tags for s in ("", "_mc", "_mc_se")]
 
 
 # exact ordered column names and row count of every figure
@@ -69,7 +65,7 @@ COLUMNS = {
     "fig6a": (["ris_distance_m"]
               + _with_se("rate_ple{}", ("3.6", "3.8", "4")), len(D_GRID)),
     "fig6b": (["ris_distance_m", "rate", "rate_mc", "rate_mc_se"], len(D_GRID)),
-    "fig7": (["n_elements"] + _paired(
+    "fig7": (["n_elements"] + _with_se(
         "blocklength_{}", ("1bit", "2bit", "3bit", "perfect")), len(N_GRID)),
     "fig8": (["n_elements", "sqrt_dispersion", "sqrt_dispersion_mc",
               "sqrt_dispersion_mc_se"], len(N_GRID)),

@@ -315,6 +315,37 @@ class TestMetricAverages:
             float(np.std(sqrt_v, ddof=1)) / math.sqrt(s.size), rel=1e-12)
         assert 0.0 <= m.avg_bler <= 1.0
 
+    def test_blocklength_se_is_the_delta_method(self):
+        # the root's gradient in its closed form: r = x^2 with
+        # x = (q S + D) / (2 C), D = sqrt(q^2 S^2 + 4 C L), so that
+        # dr/dC = -2 x^3 / D and dr/dS = 2 q x^2 / D, against numpy's
+        # sample covariance of (C, sqrt(V))
+        s = sample_snr(nodirect_gains(), 64, QuantizedBits(2), RHO,
+                       McConfig(n_samples=2000))
+        pkt = PacketConfig()
+        m = mc_avg_metrics(s, pkt)
+        c, sqrt_v, _, _ = oracles.per_sample_metrics(
+            s, pkt.blocklength, pkt.info_bits, pkt.target_bler)
+        q = stats.norm.isf(pkt.target_bler)
+        c_m, s_m = float(np.mean(c)), float(np.mean(sqrt_v))
+        d = math.sqrt(q * q * s_m * s_m + 4.0 * c_m * pkt.info_bits)
+        x = (q * s_m + d) / (2.0 * c_m)
+        grad = np.array([-2.0 * x ** 3 / d, 2.0 * q * x * x / d])
+        se = math.sqrt(grad @ np.cov(c, sqrt_v) @ grad / s.size)
+        assert m.avg_blocklength_se == pytest.approx(se, rel=1e-9, abs=0)
+
+    def test_blocklength_se_matches_spread_over_streams(self):
+        # 40 independent streams of 400 samples: the SD of their 40
+        # blocklengths is within about 1 / sqrt(2 * 39) = 11% of the true
+        # SD, so 0.35 allows three of those
+        g, pkt = nodirect_gains(), PacketConfig()
+        cfgs = [McConfig(n_samples=400, stream_id=k) for k in range(40)]
+        ms = [mc_avg_metrics(sample_snr(g, 64, QuantizedBits(2), RHO, cfg), pkt)
+              for cfg in cfgs]
+        spread = float(np.std([m.avg_blocklength for m in ms], ddof=1))
+        se = float(np.mean([m.avg_blocklength_se for m in ms]))
+        assert spread / se == pytest.approx(1.0, abs=0.35)
+
     def test_rate_tracks_analytic_mean(self):
         from risfbl.fbl import avg_rate_exact
 
