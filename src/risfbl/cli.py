@@ -114,14 +114,14 @@ def _mc(s):
     fit = s.fit()  # rejects a scenario without a channel before any draw
     samples = sample_snr(s.gains(), s.n_elements, s.phase, s.rho(), s.mc)
     stats = empirical_stats(samples / s.rho())
+    avgs = mc_avg_metrics(samples, s.packet)
     return {
         "n_samples": stats.n,
         "m1_mc": stats.m1, "m1_se": stats.m1_se,
         "m2_mc": stats.m2, "m2_se": stats.m2_se,
         "ks_distance": ks_distance(samples, fit),
-        **with_se(mc_avg_metrics(samples, s.packet), [
-            ("avg_rate_mc", "avg_rate"), ("avg_bler_mc", "avg_bler"),
-            ("avg_blocklength_mc", "avg_blocklength")]),
+        **with_se(avgs, [("avg_rate_mc", "avg_rate"), ("avg_bler_mc", "avg_bler")]),
+        "avg_blocklength_mc": avgs.avg_blocklength,
     }
 
 

@@ -308,6 +308,6 @@ def mc_avg_metrics(samples: np.ndarray, packet: fbl.PacketConfig) -> McAverages:
 
 def with_se(avgs: McAverages, names) -> dict:
     """{label: mean, label + "_se": its SE} for each (label, ``McAverages``
-    mean) pair, the SE where the mean has an ``_se`` sibling."""
+    mean) pair."""
     return {label + se: getattr(avgs, name + se) for label, name in names
-            for se in ("", "_se") if not se or hasattr(avgs, name + se)}
+            for se in ("", "_se")}
