@@ -123,10 +123,6 @@ class GammaFit:
     def mean(self) -> float:
         return self.shape / self.rate
 
-    @property
-    def variance(self) -> float:
-        return self.shape / self.rate ** 2
-
 
 @dataclass(frozen=True)
 class RadioConfig:

@@ -1,12 +1,13 @@
 """
 Command-line front end
 ======================
-Thin wrapper over the library: loads a flat JSON scenario config (the
-keys of ``experiments.scenario_to_dict``), applies key=value overrides
-and the shorthand flags, and dispatches.  The one-row commands are a
-table of record functions of the scenario, the closed-form ones picks of
-the cell metrics of ``experiments``; each record is written with
-the scenario's element count and seed as one CSV row or JSON object.
+Thin wrapper over the library: reads the scenario in layers, each read
+whole by ``experiments.scenario_from_dict`` over the last (the defaults,
+a flat JSON config file, then the key=value overrides with the shorthand
+flags, which win), and dispatches.  The one-row commands are a table of
+record functions of the scenario, the closed-form ones picks of the cell
+metrics of ``experiments``; each record is written with the scenario's
+element count and seed as one CSV row or JSON object.
 ``figure`` writes a whole table and ``required-n`` the result of the
 element search.  Every output goes through the CSV and JSON writers of
 ``experiments``, floats at full precision.
@@ -45,50 +46,28 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
-_DB_KEYS = {
-    "tx_power_db": "tx_power",
-    "noise_density_db": "noise_density",
-    "noise_figure_db": "noise_figure",
-}
 
-
-def _parse_value(text):
+def _override(item):
+    """One ``--set key=value`` as (key, JSON value, or else the text)."""
+    key, eq, text = item.partition("=")
+    if not eq:
+        raise DomainError(f"override must be key=value, got {item!r}")
     try:
-        return json.loads(text)
+        return key.strip(), json.loads(text)
     except json.JSONDecodeError:
-        return text
-
-
-def _resolve_db(cfg):
-    for db_key, lin_key in _DB_KEYS.items():
-        if db_key in cfg:
-            value = cfg.pop(db_key)
-            if type(value) not in (int, float):
-                raise DomainError(f"{db_key} must be int or float, got {value!r}")
-            try:
-                cfg[lin_key] = 10.0 ** (value / 10.0)
-            except OverflowError as exc:
-                raise DomainError(f"{db_key}: {exc}") from None
-    return cfg
+        return key.strip(), text
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
-    cfg = {}
+    s = ScenarioConfig()
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            loaded = json.load(f)
-        if not isinstance(loaded, dict):
-            raise DomainError("config file must hold a JSON object")
-        cfg.update(loaded)
-    for item in args.set or []:
-        if "=" not in item:
-            raise DomainError(f"override must be key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        cfg[key.strip()] = _parse_value(value)
+            s = scenario_from_dict(json.load(f), s)
+    cfg = dict(map(_override, args.set or []))
     # a shorthand flag's dest is its config key, set only when it is given
     keys = scenario_to_dict(ScenarioConfig())
     cfg.update((k, v) for k, v in vars(args).items() if k in keys)
-    return scenario_from_dict(_resolve_db(cfg))
+    return scenario_from_dict(cfg, s)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +99,8 @@ def _mc(s):
         "m1_mc": stats.m1, "m1_se": stats.m1_se,
         "m2_mc": stats.m2, "m2_se": stats.m2_se,
         "ks_distance": ks_distance(samples, fit),
-        **with_se(avgs, [("avg_rate_mc", "avg_rate"), ("avg_bler_mc", "avg_bler")]),
-        "avg_blocklength_mc": avgs.avg_blocklength,
+        **with_se(avgs, [("avg_rate_mc", "avg_rate"), ("avg_bler_mc", "avg_bler"),
+                         ("avg_blocklength_mc", "avg_blocklength")]),
     }
 
 

@@ -171,14 +171,32 @@ def _typed(key, value, default):
     return float(value)
 
 
-def scenario_from_dict(d: dict) -> ScenarioConfig:
-    """Inverse of ``scenario_to_dict``; keys left out keep their defaults.
+# a "_db" key gives its power-like field in dB relative to 1 W (or 1 W/Hz)
+_DB_KEYS = {"tx_power_db": "tx_power", "noise_density_db": "noise_density",
+            "noise_figure_db": "noise_figure"}
+
+
+def scenario_from_dict(d: dict,
+                       base: ScenarioConfig = ScenarioConfig()) -> ScenarioConfig:
+    """Inverse of ``scenario_to_dict``; keys left out keep ``base``'s values.
 
     A key takes only the JSON type of its field's default (see
-    ``_SECTIONS``).  Raises DomainError for an unknown key, an unknown
-    phase model, or a value of the wrong type or one that does not
-    validate.
+    ``_SECTIONS``); a ``_db`` key of ``_DB_KEYS`` sets its linear key to
+    10^(value/10).  Raises DomainError for a ``d`` that is not a dict, an
+    unknown key, a key given with its ``_db`` key, an unknown phase
+    model, or a value of the wrong type or one that does not validate.
     """
+    if not isinstance(d, dict):
+        raise DomainError(f"a scenario is a JSON object, not {type(d).__name__}")
+    d = dict(d)
+    for db_key, key in _DB_KEYS.items():
+        if db_key in d:
+            if key in d:
+                raise DomainError(f"{key} and {db_key} are both given")
+            try:
+                d[key] = 10.0 ** (_typed(db_key, d.pop(db_key), 0.0) / 10.0)
+            except OverflowError as exc:
+                raise DomainError(f"{db_key}: {exc}") from None
     default = ScenarioConfig()
     unknown = sorted(set(d) - set(scenario_to_dict(default)))
     if unknown:
@@ -190,10 +208,10 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
                 value = _typed(key, d[key], value)
                 changes[section][key] = (phase_from_label(value)
                                          if key == "phase" else value)
-        sections = {name: dataclasses.replace(getattr(default, name),
+        sections = {name: dataclasses.replace(getattr(base, name),
                                               **changes[name])
                     for name in _SECTIONS}
-        return dataclasses.replace(default, **changes[None], **sections)
+        return dataclasses.replace(base, **changes[None], **sections)
     except (ValueError, TypeError, OverflowError) as exc:
         raise DomainError(str(exc)) from exc
 

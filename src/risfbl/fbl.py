@@ -58,6 +58,12 @@ _TANH_SINH_T = 3.5  # the average-BLER reference's range in t
 # Domain types
 # ---------------------------------------------------------------------------
 
+def _check_blocklength(blocklength) -> None:
+    """Raise DomainError below the normal approximation's domain, r >= 100."""
+    if not blocklength >= 100:
+        raise DomainError("normal approximation needs blocklength >= 100")
+
+
 @dataclass(frozen=True)
 class PacketConfig:
     """Short-packet parameters: payload bits, channel uses, reliability target."""
@@ -69,8 +75,7 @@ class PacketConfig:
     def __post_init__(self):
         if self.info_bits < 1:
             raise DomainError("info_bits must be >= 1")
-        if self.blocklength < 100:
-            raise DomainError("normal approximation needs blocklength >= 100")
+        _check_blocklength(self.blocklength)
         if not 0.0 < self.target_bler <= 0.5:
             raise DomainError("target_bler must lie in (0, 0.5]")
 
@@ -185,6 +190,7 @@ def c2_avg_sqrt_dispersion(fit: GammaFit,
 def avg_rate_exact(fit: GammaFit, blocklength: int, target_bler: float,
                    policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Exact average achievable rate C1 - Q^-1(eps) C2 / sqrt(r)."""
+    _check_blocklength(blocklength)
     return _rate(c1_avg_capacity(fit, policy),
                  c2_avg_sqrt_dispersion(fit, policy), blocklength, target_bler)
 
@@ -200,6 +206,7 @@ def avg_rate_lower_bound(fit: GammaFit, blocklength: int,
     is read from the fit's shared Gamma averages as 1 - E[1 - (1+gamma)^-2],
     so the dispersion factor is (1 + E[1 - (1+gamma)^-2]) / (2 ln 2).
     """
+    _check_blocklength(blocklength)
     a, b = fit.shape, fit.rate
     c1_lb = math.log2(1.0 + a * a / (b * (a + 1.0)))
     c2_ub = (1.0 + _gamma_averages(fit, policy)[2]) / (2.0 * _LN2)
@@ -212,8 +219,7 @@ def avg_rate_lower_bound(fit: GammaFit, blocklength: int,
 
 def linearization_params(blocklength: int, info_bits: int) -> LinearizationParams:
     """Slope/threshold parameters of the linearized Q approximation."""
-    if blocklength < 100:
-        raise DomainError("blocklength must be >= 100")
+    _check_blocklength(blocklength)
     if info_bits < 1:
         raise DomainError("info_bits must be >= 1")
     ratio = info_bits / blocklength

@@ -202,7 +202,7 @@ def gen_exp_integral(order, z):
 def avg_rate_taylor(fit):
     """Second-order Taylor approximation of the average capacity."""
     mean = fit.mean
-    var = fit.variance
+    var = fit.shape / fit.rate ** 2
     return math.log2(1.0 + mean) - var / (2.0 * (1.0 + mean) ** 2 * math.log(2.0))
 
 

@@ -256,7 +256,7 @@ class TestGammaFit:
         fit = gamma_fit(m, 1.0)
         assert fit.shape > 0 and fit.rate > 0
         assert fit.mean == pytest.approx(m1, rel=1e-9)
-        assert fit.variance == pytest.approx(m.variance, rel=1e-9)
+        assert fit.shape / fit.rate ** 2 == pytest.approx(m.variance, rel=1e-9)
 
     def test_fit_shape_scale_invariant(self):
         # shape depends only on N and the phase model, not on the gains

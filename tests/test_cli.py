@@ -30,7 +30,8 @@ from risfbl.fbl import (
     c1_avg_capacity,
     c2_avg_sqrt_dispersion,
 )
-from risfbl.experiments import csv_text
+from risfbl.experiments import csv_text, scenario_from_dict
+from risfbl.montecarlo import mc_avg_metrics, sample_snr
 from risfbl.specfun import DEFAULT_POLICY
 
 
@@ -222,6 +223,22 @@ class TestThinWrappers:
             se = float(rec[key])
             assert math.isfinite(se) and se >= 0.0
 
+    def test_mc_blocklength_se_is_the_library_s(self, capsys):
+        code, out, _ = run(capsys, "mc", "--N", "64", "--phase", "2bit",
+                           "--set", "n_samples=2000", "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        s = scenario_from_dict({"n_elements": 64, "phase": "2bit",
+                                "n_samples": 2000})
+        avgs = mc_avg_metrics(
+            sample_snr(s.gains(), 64, s.phase, s.rho(), s.mc), s.packet)
+        assert rec["avg_blocklength_mc"] == avgs.avg_blocklength
+        assert rec["avg_blocklength_mc_se"] == avgs.avg_blocklength_se
+        _, out, _ = run(capsys, "mc", "--N", "64", "--phase", "2bit",
+                        "--set", "n_samples=2000")
+        assert list(csv_record(out))[-3:] == [
+            "avg_blocklength_mc", "avg_blocklength_mc_se", "seed"]
+
     def test_mc_at_low_snr(self, capsys):
         # SNR samples far below 1e-16, where log2(1 + gamma) reads 0
         code, out, err = run(capsys, "mc", "--N", "1", "--set", "n_samples=2000",
@@ -288,6 +305,39 @@ class TestConfigHandling:
         db = csv_record(db_out)
         assert float(db["snr_mean"]) == pytest.approx(
             float(lin["snr_mean"]), rel=1e-12)
+
+    def test_set_overrides_a_db_key_of_the_file(self, tmp_path, capsys):
+        # the file is read whole, its dB key included, before --set overrides
+        # the linear key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tx_power_db": -10}))
+        alone = run(capsys, "fit", "--N", "16", "--set", "tx_power=0.5")
+        assert alone[0] == 0
+        assert run(capsys, "fit", "--N", "16", "--config", str(cfg),
+                   "--set", "tx_power=0.5") == alone
+
+    def test_db_key_of_set_overrides_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tx_power": 0.5}))
+        tenth = run(capsys, "fit", "--N", "16", "--set", "tx_power=0.1")
+        assert tenth[0] == 0
+        assert run(capsys, "fit", "--N", "16", "--config", str(cfg),
+                   "--set", "tx_power_db=-10") == tenth
+
+    @pytest.mark.parametrize("layer", [
+        {"tx_power": 0.5, "tx_power_db": -3},
+        {"noise_density_db": -204, "noise_density": 4e-21},
+    ], ids=("tx_power", "noise_density"))
+    def test_key_and_its_db_key_in_one_layer(self, tmp_path, capsys, layer):
+        # ambiguous in one file or in one set of --set flags: exit 3; across
+        # layers the later one wins
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(layer))
+        sets = [a for k, v in layer.items() for a in ("--set", f"{k}={v}")]
+        for argv in (("--config", str(cfg)), sets):
+            code, out, err = run(capsys, "validate", *argv)
+            assert code == EXIT_CONFIG and out == ""
+            assert err.startswith("error: config:") and "both given" in err
 
     def test_seed_flag_propagates(self, capsys):
         _, out, _ = run(capsys, "validate", "--seed", "777")

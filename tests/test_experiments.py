@@ -163,10 +163,47 @@ class TestScenario:
         {"carrier_frequency": 1.9e9},
         # finer than a float64 phase resolves
         {"phase": "53bit"},
+        # not a JSON object, though dict() would take the list of pairs
+        [["tx_power", 0.5]], "tx_power", None,
     ])
     def test_from_dict_rejects(self, d):
         with pytest.raises(DomainError):
             scenario_from_dict(d)
+
+    def test_from_dict_reads_db_keys(self):
+        assert (scenario_from_dict({"tx_power_db": -10})
+                == scenario_from_dict({"tx_power": 10 ** -1.0}))
+        assert (scenario_from_dict({"noise_density_db": -204, "noise_figure_db": 3})
+                == scenario_from_dict({"noise_density": 10 ** -20.4,
+                                       "noise_figure": 10 ** 0.3}))
+
+    @pytest.mark.parametrize("d,needle", [
+        ({"tx_power_db": "abc"}, "tx_power_db must be int or float"),
+        ({"tx_power_db": True}, "tx_power_db must be int or float"),
+        ({"noise_figure_db": float("nan")}, "noise_figure_db must be finite"),
+        ({"tx_power_db": 1e6}, "tx_power_db: "),
+        ({"noise_density_db": 10 ** 400}, "noise_density_db: "),
+        ({"tx_power": 0.5, "tx_power_db": -3}, "tx_power and tx_power_db"),
+        ({"noise_figure_db": 3, "noise_figure": 2.0},
+         "noise_figure and noise_figure_db"),
+    ], ids=("string", "bool", "nan", "overflow", "huge-int", "both-tx",
+            "both-nf"))
+    def test_from_dict_db_errors_name_the_key(self, d, needle):
+        with pytest.raises(DomainError, match=re.escape(needle)):
+            scenario_from_dict(d)
+
+    def test_from_dict_keeps_the_base(self):
+        base = ScenarioConfig(n_elements=300, phase=QuantizedBits(2),
+                              direct_link=True,
+                              geometry=Geometry(ris=(40.0, 10.0)),
+                              mc=McConfig(n_samples=1234, seed=9, stream_id=5))
+        s = scenario_from_dict({"n_samples": 200}, base)
+        assert s == dataclasses.replace(
+            base, mc=dataclasses.replace(base.mc, n_samples=200))
+        assert scenario_from_dict({}, base) == base
+        # a dB key over a base replaces the base's linear key
+        assert scenario_from_dict({"tx_power_db": -10}, base).radio == (
+            dataclasses.replace(base.radio, tx_power=0.1))
 
 
 class TestResultTable:

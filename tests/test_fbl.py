@@ -381,6 +381,21 @@ class TestSharedAverages:
         assert threaded == serial * 2
 
 
+@pytest.mark.parametrize("call", [
+    lambda r: avg_rate_exact(GammaFit(30.0, 0.2), r, 1e-9),
+    lambda r: avg_rate_lower_bound(GammaFit(30.0, 0.2), r, 1e-9),
+    lambda r: avg_bler(GammaFit(30.0, 0.2), r, 50),
+], ids=("rate_exact", "rate_lower_bound", "avg_bler"))
+def test_normal_approximation_needs_100_uses(call):
+    # one rule for every function of a blocklength: below 100 the normal
+    # approximation is not used, and 0 or a negative count fails as a domain
+    # error rather than a division by zero or a math domain error
+    for r in (0, -5, 99):
+        with pytest.raises(DomainError, match="blocklength >= 100"):
+            call(r)
+    assert isinstance(call(100), float)
+
+
 class TestAvgBler:
     def test_linearization_reference_values(self):
         lin = linearization_params(300, 240)

@@ -33,8 +33,8 @@ def test_checkout_against_itself_is_byte_equal():
     groups = [line.split()[0] for line in lines]
     assert groups.count("avg_bler_detail") == 2  # reference, flagged
     tool = load_tool()
-    # one field per record key: fit 6, rate 3, bler 1, blocklength 1, mc 11
-    assert groups.count("cli_records") == 22 * len(tool.RECORD_CASES)
+    # one field per record key: fit 6, rate 3, bler 1, blocklength 1, mc 12
+    assert groups.count("cli_records") == 23 * len(tool.RECORD_CASES)
     # each record's text in CSV and JSON, and one figure's JSON
     assert groups.count("cli_text") == (
         2 * len(tool.RECORD_COMMANDS) * len(tool.RECORD_CASES) + 1)
