@@ -104,6 +104,11 @@ def _mc(s):
     }
 
 
+def _validate(s):
+    s.fit()  # rejects a scenario without a channel, as fit does
+    return {"valid": True}
+
+
 # one-row commands: name -> record of the scenario, written between its
 # n_elements and seed
 _RECORDS = {
@@ -114,7 +119,7 @@ _RECORDS = {
     "bler": _metrics(avg_bler=bler),
     "blocklength": _metrics(avg_blocklength=blocklength),
     "mc": _mc,
-    "validate": lambda s: {"valid": True},
+    "validate": _validate,
 }
 
 

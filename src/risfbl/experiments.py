@@ -16,8 +16,8 @@ sweeps place the RIS at (d, 10) per the tabulated scenario.
 Each figure is a spec in one table: the scenario fields it pins, its
 cases and, for sweeps, its axis and metric columns.  Two engines run
 the specs, one for SNR CDFs and one for N or d sweeps.  A Monte Carlo
-cell's stream id is a hash of its name (figure id, case tag and, for
-sweeps, axis value), so it does not depend on where the cell sits.
+cell draws its own scenario's samples, as ``risfbl mc`` does, so the
+cases at one N are paired draws that differ only in the phase rotation.
 The specs name Monte Carlo means only; ``montecarlo`` adds the standard
 error of each that has one, ECDF points included, as the ``_se`` column.
 """
@@ -287,18 +287,6 @@ def _pmap(fn, items, workers):
         return list(ex.map(fn, items))
 
 
-def _mc_cfg(scenario, *name):
-    """The scenario's MC config with the stream id of the cell ``name``:
-    the 8-byte BLAKE2b digest of "figure id/case tag[/axis value]" as a
-    big-endian integer, shifted right to 63 bits, XOR the scenario's
-    ``stream_id`` (so the default 0 leaves the hash as it is)."""
-    key = "/".join(map(str, name)).encode()
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    cell_id = int.from_bytes(digest, "big") >> 1
-    return dataclasses.replace(
-        scenario.mc, stream_id=cell_id ^ scenario.mc.stream_id)
-
-
 # ---------------------------------------------------------------------------
 # Cell metrics
 # ---------------------------------------------------------------------------
@@ -358,7 +346,7 @@ class _Figure(NamedTuple):
     mc: tuple = ()
 
 
-def _cdf(figure_id, spec, scenario, workers):
+def _cdf(spec, scenario, workers):
     """Analytic Gamma CDF and MC ECDF of the SNR per case, on one grid."""
     cells = [dataclasses.replace(scenario, **fields)
              for _, fields in spec.cases]
@@ -369,7 +357,7 @@ def _cdf(figure_id, spec, scenario, workers):
     def one(idx):
         (tag, _), cell, fit = spec.cases[idx], cells[idx], fits[idx]
         samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
-                             cell.rho(), _mc_cfg(cell, figure_id, tag))
+                             cell.rho(), cell.mc)
         mc, mc_se = ecdf(samples, snr)
         return {f"cdf_{tag}": list(gamma_cdf(fit.shape, fit.rate, snr)),
                 f"cdf_{tag}_mc": list(mc), f"cdf_{tag}_mc_se": list(mc_se)}
@@ -391,19 +379,19 @@ _AXES = {
 }
 
 
-def _sweep(figure_id, spec, scenario, workers):
+def _sweep(spec, scenario, workers):
     """Analytic and MC metrics per (axis value, case) cell, axis-major."""
     grid, place = _AXES[spec.axis]
-    cells = [(place(dataclasses.replace(scenario, **fields), v), tag, v)
+    cells = [(place(dataclasses.replace(scenario, **fields), v), tag)
              for v in grid for tag, fields in spec.cases]
 
     def one(item):
-        cell, tag, v = item
+        cell, tag = item
         fit = cell.fit()
         row = {name.format(tag): metric(fit, cell)
                for name, metric in spec.analytic}
         samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
-                             cell.rho(), _mc_cfg(cell, figure_id, tag, float(v)))
+                             cell.rho(), cell.mc)
         mc = mc_avg_metrics(samples, cell.packet)
         return row | with_se(mc, [(name.format(tag), mean)
                                   for name, mean in spec.mc])
@@ -496,7 +484,7 @@ def run_figure(figure_id: str, scenario: ScenarioConfig = ScenarioConfig(),
         "n_samples": scenario.mc.n_samples,
     }
     engine = _sweep if spec.axis else _cdf
-    columns = engine(figure_id, spec, scenario, max(int(workers), 1))
+    columns = engine(spec, scenario, max(int(workers), 1))
     return ResultTable(figure_id=figure_id, columns=columns, meta=meta)
 
 

@@ -64,6 +64,12 @@ def _check_blocklength(blocklength) -> None:
         raise DomainError("normal approximation needs blocklength >= 100")
 
 
+def _check_info_bits(info_bits) -> None:
+    """Raise DomainError for a packet of fewer than one information bit."""
+    if not info_bits >= 1:
+        raise DomainError("info_bits must be >= 1")
+
+
 @dataclass(frozen=True)
 class PacketConfig:
     """Short-packet parameters: payload bits, channel uses, reliability target."""
@@ -73,8 +79,7 @@ class PacketConfig:
     target_bler: float = 1e-9
 
     def __post_init__(self):
-        if self.info_bits < 1:
-            raise DomainError("info_bits must be >= 1")
+        _check_info_bits(self.info_bits)
         _check_blocklength(self.blocklength)
         if not 0.0 < self.target_bler <= 0.5:
             raise DomainError("target_bler must lie in (0, 0.5]")
@@ -220,8 +225,7 @@ def avg_rate_lower_bound(fit: GammaFit, blocklength: int,
 def linearization_params(blocklength: int, info_bits: int) -> LinearizationParams:
     """Slope/threshold parameters of the linearized Q approximation."""
     _check_blocklength(blocklength)
-    if info_bits < 1:
-        raise DomainError("info_bits must be >= 1")
+    _check_info_bits(info_bits)
     ratio = info_bits / blocklength
     xi1 = 2.0 ** ratio - 1.0
     xi0 = -math.sqrt(blocklength / (2.0 * math.pi * (2.0 ** (2.0 * ratio) - 1.0)))
@@ -316,5 +320,6 @@ def avg_blocklength(c1: float, c2: float, info_bits: int,
         raise DomainError("c1 must be > 0")
     if not c2 >= 0:
         raise DomainError("c2 must be >= 0")
+    _check_info_bits(info_bits)
     return float(_blocklength(c1, c2, info_bits, target_bler))
 

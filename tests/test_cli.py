@@ -123,6 +123,14 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: config: N = 0 requires a direct link\n"
 
+    def test_validate_without_channel(self, capsys):
+        # validate rejects what fit, rate and mc reject, with fit's message
+        result = run(capsys, "validate", "--N", "0")
+        assert result == (EXIT_CONFIG, "",
+                          "error: config: N = 0 requires a direct link\n")
+        assert result == run(capsys, "fit", "--N", "0")
+        assert run(capsys, "validate", "--N", "0", "--direct")[0] == 0
+
     def test_missing_config_file(self, capsys):
         assert run(capsys, "validate", "--config", "/no/such.json")[0] == EXIT_CONFIG
 

@@ -21,6 +21,7 @@ from risfbl.channel import (
     RadioConfig,
     UniformSpread,
 )
+from risfbl.cli import main
 from risfbl.experiments import (
     D_GRID,
     FIGURE_IDS,
@@ -328,24 +329,52 @@ class TestFigures:
             ends = (f == 0.0) | (f == 1.0)
             assert ends.any() and np.all(se[ends] == 0.0)
 
-    def test_mc_stream_id_is_hashed_cell_name(self):
-        # the 2-bit column of fig2a is sample_snr on the stream id hashed
-        # from "fig2a/2bit", whatever the case's place in the figure
-        scenario = dataclasses.replace(FAST, mc=McConfig(n_samples=2000))
+    def test_mc_cell_draws_its_own_scenario(self):
+        # the 2-bit column of fig2a is the ECDF of sample_snr on the cell's
+        # scenario, its MC config as given: no name of figure or case enters
+        scenario = dataclasses.replace(
+            FAST, mc=McConfig(n_samples=2000, seed=9, stream_id=5))
         t = run_figure("fig2a", scenario)
-        digest = hashlib.blake2b(b"fig2a/2bit", digest_size=8).digest()
-        cfg = dataclasses.replace(
-            scenario.mc, stream_id=int.from_bytes(digest, "big") >> 1)
         cell = dataclasses.replace(scenario, direct_link=False,
                                    n_elements=1024, phase=QuantizedBits(2))
         samples = np.sort(sample_snr(cell.gains(), 1024, cell.phase,
-                                     cell.rho(), cfg))
+                                     cell.rho(), scenario.mc))
         snr = 10.0 ** (np.array(t.columns["snr_db"]) / 10.0)
         ecdf = np.searchsorted(samples, snr, side="right") / samples.size
         assert np.array_equal(ecdf, t.columns["cdf_2bit_mc"])
 
+    def test_figure_cell_is_the_mc_record_of_its_settings(self, capsys):
+        # fig4's 2-bit cell at N is what `risfbl mc` prints there (at N = 64
+        # the BLER of nearly every sample is 1, at N = 128 they spread)
+        t = run_figure("fig4", FAST)
+        for n in (64, 128):
+            code = main(["mc", "--N", str(n), "--phase", "2bit", "--no-direct",
+                         "--set", "n_samples=500", "--format", "json"])
+            assert code == 0
+            record = json.loads(capsys.readouterr().out)
+            i = N_GRID.index(n)
+            assert t.columns["bler_2bit_mc"][i] == record["avg_bler_mc"]
+            assert t.columns["bler_2bit_mc_se"][i] == record["avg_bler_mc_se"]
+
+    def test_cases_at_one_n_are_paired(self):
+        # the perfect and 2-bit cells at one N read the same magnitudes and
+        # phase uniforms and differ only in the rotation (common random
+        # numbers), so their per-sample rate gap varies far less than the
+        # gap of two independent cells would
+        rates = []
+        for phase in (Perfect(), QuantizedBits(2)):
+            cell = dataclasses.replace(ScenarioConfig(), direct_link=False,
+                                       n_elements=256, phase=phase)
+            samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
+                                 cell.rho(), cell.mc)
+            c, sqrt_v = fbl._capacity_sqrt_dispersion(samples)
+            rates.append(fbl._rate(c, sqrt_v, cell.packet.blocklength,
+                                   cell.packet.target_bler))
+        independent = np.var(rates[0]) + np.var(rates[1])
+        assert np.var(rates[0] - rates[1]) * 10.0 <= independent
+
     def test_configured_stream_id_changes_figure(self):
-        # the scenario's stream_id is XORed into every cell's hashed id
+        # every cell draws on the scenario's stream id, so it moves them all
         def fig8(stream_id):
             return run_figure("fig8", dataclasses.replace(
                 FAST, mc=McConfig(n_samples=200, stream_id=stream_id))).to_csv()

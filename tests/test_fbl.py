@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -394,6 +395,25 @@ def test_normal_approximation_needs_100_uses(call):
         with pytest.raises(DomainError, match="blocklength >= 100"):
             call(r)
     assert isinstance(call(100), float)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bits: PacketConfig(info_bits=bits),
+    lambda bits: linearization_params(300, bits),
+    lambda bits: avg_blocklength(1.0, 0.5, bits, 1e-9),
+], ids=("PacketConfig", "linearization_params", "avg_blocklength"))
+def test_packet_needs_one_info_bit(call):
+    # one rule for every function of a payload: 0 or a negative count is a
+    # domain error, not a nan with a RuntimeWarning or a finite blocklength
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bits in (0, -5):
+            with pytest.raises(DomainError, match="info_bits must be >= 1"):
+                call(bits)
+
+
+def test_blocklength_of_one_info_bit_is_finite():
+    assert math.isfinite(avg_blocklength(1.0, 0.5, 1, 1e-9))
 
 
 class TestAvgBler:
