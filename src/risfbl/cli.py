@@ -5,9 +5,9 @@ Thin wrapper over the library: reads the scenario in layers, each read
 whole by ``experiments.scenario_from_dict`` over the last (the defaults,
 a flat JSON config file, then the key=value overrides with the shorthand
 flags, which win), and dispatches.  The one-row commands are a table of
-record functions of the scenario, the closed-form ones picks of the cell
-metrics of ``experiments``; each record is written with the scenario's
-element count and seed as one CSV row or JSON object.
+record functions of the scenario, all but ``fit`` one ``cell_record`` of
+``experiments``, as a figure cell is; each record is written with the
+scenario's element count and seed as one CSV row or JSON object.
 ``figure`` writes a whole table and ``required-n`` the result of the
 element search.  Every output goes through the CSV and JSON writers of
 ``experiments``, floats at full precision.
@@ -25,12 +25,13 @@ from argparse import SUPPRESS
 
 from .specfun import DomainError, NonConvergenceError
 from .channel import gamma_fit, moments_X
-from .montecarlo import empirical_stats, ks_distance, mc_avg_metrics, sample_snr, with_se
+from .montecarlo import empirical_stats, ks_distance
 from .experiments import (
     FIGURE_IDS,
     ScenarioConfig,
     bler,
     blocklength,
+    cell_record,
     csv_text,
     json_text,
     rate_exact,
@@ -81,45 +82,33 @@ def _fit(s):
             "snr_mean": fit.mean, "snr_mean_db": 10.0 * math.log10(fit.mean)}
 
 
-def _metrics(**named):
-    """Record of the named cell metrics at the scenario's Gamma fit."""
-    def record(s):
-        fit = s.fit()
-        return {key: metric(fit, s) for key, metric in named.items()}
-    return record
-
-
 def _mc(s):
     fit = s.fit()  # rejects a scenario without a channel before any draw
-    samples = sample_snr(s.gains(), s.n_elements, s.phase, s.rho(), s.mc)
+    samples = s.samples()
     stats = empirical_stats(samples / s.rho())
-    avgs = mc_avg_metrics(samples, s.packet)
     return {
         "n_samples": stats.n,
         "m1_mc": stats.m1, "m1_se": stats.m1_se,
         "m2_mc": stats.m2, "m2_se": stats.m2_se,
         "ks_distance": ks_distance(samples, fit),
-        **with_se(avgs, [("avg_rate_mc", "avg_rate"), ("avg_bler_mc", "avg_bler"),
-                         ("avg_blocklength_mc", "avg_blocklength")]),
+        **cell_record(s, mc=[(f"{m}_mc", m) for m in (
+            "avg_rate", "avg_bler", "avg_blocklength")], samples=samples),
     }
-
-
-def _validate(s):
-    s.fit()  # rejects a scenario without a channel, as fit does
-    return {"valid": True}
 
 
 # one-row commands: name -> record of the scenario, written between its
 # n_elements and seed
 _RECORDS = {
     "fit": _fit,
-    "rate": _metrics(avg_rate=rate_exact,
-                     avg_rate_lower_bound=rate_lower_bound,
-                     avg_sqrt_dispersion=sqrt_dispersion),
-    "bler": _metrics(avg_bler=bler),
-    "blocklength": _metrics(avg_blocklength=blocklength),
+    "rate": lambda s: cell_record(s, [
+        ("avg_rate", rate_exact), ("avg_rate_lower_bound", rate_lower_bound),
+        ("avg_sqrt_dispersion", sqrt_dispersion)]),
+    "bler": lambda s: cell_record(s, [("avg_bler", bler)]),
+    "blocklength": lambda s: cell_record(
+        s, [("avg_blocklength", blocklength)]),
     "mc": _mc,
-    "validate": _validate,
+    # no metrics: its fit rejects a scenario without a channel
+    "validate": lambda s: cell_record(s) | {"valid": True},
 }
 
 
@@ -134,8 +123,7 @@ def _run(args):
         text = table.to_json() if as_json else table.to_csv()
     else:
         if args.command == "required-n":
-            target = (args.target if args.target is not None
-                      else s.packet.target_bler)
+            target = s.packet.target_bler
             record = {"target_bler": target,
                       "required_elements": required_elements(target, s)}
         else:
@@ -188,8 +176,8 @@ def build_parser():
     common(fp)
 
     rp = sub.add_parser("required-n")
-    rp.add_argument("--target", type=float,
-                    help="target average BLER (default: packet target)")
+    rp.add_argument("--target", dest="target_bler", type=float,
+                    default=SUPPRESS, help="target average BLER")
     common(rp)
     return p
 

@@ -16,8 +16,9 @@ sweeps place the RIS at (d, 10) per the tabulated scenario.
 Each figure is a spec in one table: the scenario fields it pins, its
 cases and, for sweeps, its axis and metric columns.  Two engines run
 the specs, one for SNR CDFs and one for N or d sweeps.  A Monte Carlo
-cell draws its own scenario's samples, as ``risfbl mc`` does, so the
-cases at one N are paired draws that differ only in the phase rotation.
+cell draws its own scenario's samples, so the cases at one N are paired
+draws that differ only in the phase rotation, and a sweep cell is one
+``cell_record`` of its scenario, as a ``risfbl`` record is.
 The specs name Monte Carlo means only; ``montecarlo`` adds the standard
 error of each that has one, ECDF points included, as the ``_se`` column.
 """
@@ -94,6 +95,11 @@ class ScenarioConfig:
     def fit(self, n_elements=None):
         n = self.n_elements if n_elements is None else n_elements
         return fit_snr(self.gains(), n, self.phase, self.rho())
+
+    def samples(self):
+        """The scenario's Monte Carlo SNR draw."""
+        return sample_snr(self.gains(), self.n_elements, self.phase,
+                          self.rho(), self.mc)
 
 
 def phase_label(phase: PhaseModel) -> str:
@@ -323,6 +329,18 @@ def blocklength(fit, s):
                            s.packet.info_bits, s.packet.target_bler)
 
 
+def cell_record(s, analytic=(), mc=(), samples=None) -> dict:
+    """Each (key, cell metric) of ``analytic`` at the scenario's fit, then
+    each (key, ``McAverages`` mean) of ``mc`` over ``samples`` (default:
+    the scenario's draw, taken after the fit) with its ``_se``."""
+    fit = s.fit()
+    record = {key: metric(fit, s) for key, metric in analytic}
+    if mc:
+        samples = s.samples() if samples is None else samples
+        record |= with_se(mc_avg_metrics(samples, s.packet), mc)
+    return record
+
+
 # ---------------------------------------------------------------------------
 # Figure specs and engines
 # ---------------------------------------------------------------------------
@@ -356,9 +374,7 @@ def _cdf(spec, scenario, workers):
 
     def one(idx):
         (tag, _), cell, fit = spec.cases[idx], cells[idx], fits[idx]
-        samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
-                             cell.rho(), cell.mc)
-        mc, mc_se = ecdf(samples, snr)
+        mc, mc_se = ecdf(cell.samples(), snr)
         return {f"cdf_{tag}": list(gamma_cdf(fit.shape, fit.rate, snr)),
                 f"cdf_{tag}_mc": list(mc), f"cdf_{tag}_mc_se": list(mc_se)}
 
@@ -387,14 +403,9 @@ def _sweep(spec, scenario, workers):
 
     def one(item):
         cell, tag = item
-        fit = cell.fit()
-        row = {name.format(tag): metric(fit, cell)
-               for name, metric in spec.analytic}
-        samples = sample_snr(cell.gains(), cell.n_elements, cell.phase,
-                             cell.rho(), cell.mc)
-        mc = mc_avg_metrics(samples, cell.packet)
-        return row | with_se(mc, [(name.format(tag), mean)
-                                  for name, mean in spec.mc])
+        return cell_record(
+            cell, [(name.format(tag), metric) for name, metric in spec.analytic],
+            [(name.format(tag), mean) for name, mean in spec.mc])
 
     cols = {spec.axis: [float(v) for v in grid]}
     for row in _pmap(one, cells, workers):  # axis-major: case order kept

@@ -181,6 +181,8 @@ class TestMoments:
             Moments(m1=1.0, m2=0.5)
         with pytest.raises(DomainError, match="m1 must be > 0"):
             Moments(m1=0.0, m2=1.0)
+        with pytest.raises(DomainError, match="n_elements must be >= 0"):
+            moments_X(link_gains(Geometry(), direct_link=True), -1, Perfect())
 
 
 class TestSpreadOneExactLaw:

@@ -131,6 +131,11 @@ class TestExitCodes:
         assert result == run(capsys, "fit", "--N", "0")
         assert run(capsys, "validate", "--N", "0", "--direct")[0] == 0
 
+    def test_override_without_equals(self, capsys):
+        assert run(capsys, "validate", "--set", "foo") == (
+            EXIT_CONFIG, "",
+            "error: config: override must be key=value, got 'foo'\n")
+
     def test_missing_config_file(self, capsys):
         assert run(capsys, "validate", "--config", "/no/such.json")[0] == EXIT_CONFIG
 
@@ -219,6 +224,18 @@ class TestThinWrappers:
                            "--phase", "perfect", "--target", "1e-9")
         assert code == 0
         assert int(csv_record(out)["required_elements"]) == 189
+
+    def test_required_n_target_is_the_target_bler_key(self, capsys):
+        # --target is the shorthand of target_bler, with its (0, 0.5] range
+        for fmt in ("csv", "json"):
+            flag = run(capsys, "required-n", "--target", "1e-5",
+                       "--format", fmt)
+            assert flag[0] == 0
+            assert flag == run(capsys, "required-n", "--set",
+                               "target_bler=1e-5", "--format", fmt)
+        code, out, err = run(capsys, "required-n", "--target", "0.7")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("error: config:") and "target_bler" in err
 
     def test_mc_summary(self, capsys):
         code, out, _ = run(capsys, "mc", "--N", "64", "--no-direct",

@@ -356,6 +356,24 @@ class TestFigures:
             assert t.columns["bler_2bit_mc"][i] == record["avg_bler_mc"]
             assert t.columns["bler_2bit_mc_se"][i] == record["avg_bler_mc_se"]
 
+    @pytest.mark.parametrize("figure_id,column,key,argv", [
+        ("fig5", "bler_2bit", "avg_bler", ("--phase", "2bit", "--no-direct")),
+        ("fig6a", "rate_ple3.6", "avg_rate",
+         ("--direct", "--set", "direct_exponent=3.6")),
+    ], ids=("fig5", "fig6a"))
+    def test_distance_cell_is_the_mc_record_of_its_settings(
+            self, capsys, figure_id, column, key, argv):
+        # a distance-sweep cell, with or without a direct link, is what
+        # `risfbl mc` prints with the RIS at its position
+        t = run_figure(figure_id, FAST)
+        code = main(["mc", "--N", "512", *argv, "--set", "ris=[45, 10]",
+                     "--set", "n_samples=500", "--format", "json"])
+        assert code == 0
+        record = json.loads(capsys.readouterr().out)
+        i = D_GRID.index(45)
+        for se in ("", "_se"):
+            assert t.columns[f"{column}_mc{se}"][i] == record[f"{key}_mc{se}"]
+
     def test_cases_at_one_n_are_paired(self):
         # the perfect and 2-bit cells at one N read the same magnitudes and
         # phase uniforms and differ only in the rotation (common random

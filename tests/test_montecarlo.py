@@ -282,6 +282,16 @@ class TestStatistics:
         ref = stats.kstest(x, lambda v: stats.gamma.cdf(v, 4.0, scale=1.5)).statistic
         assert ks_distance(x, fit) == pytest.approx(ref, rel=1e-10)
 
+    def test_ks_distance_lower_side_matches_scipy(self):
+        # unit exponentials against a Gamma of mean 1/2: the fit's CDF lies
+        # above the ECDF, so D- = max(F(x_i) - (i - 1)/n) decides the
+        # statistic (taking i/n there understates it by 1/n)
+        x = np.random.default_rng(3).exponential(size=500)
+        ref = stats.kstest(x, lambda v: stats.gamma.cdf(v, 1.0, scale=0.5))
+        assert ref.statistic_sign == -1
+        assert ks_distance(x, GammaFit(shape=1.0, rate=2.0)) == pytest.approx(
+            ref.statistic, rel=1e-10)
+
     def test_ks_detects_mismatch(self):
         rng = np.random.default_rng(2)
         x = rng.gamma(4.0, 1.5, size=2000)
@@ -292,6 +302,15 @@ class TestStatistics:
             empirical_stats(np.array([1.0]))
         with pytest.raises(DomainError):
             McConfig(n_samples=1)
+        with pytest.raises(DomainError, match="chunk must be >= 1"):
+            McConfig(chunk=0)
+        with pytest.raises(DomainError, match="need at least 2 samples"):
+            ks_distance(np.array([1.0]), GammaFit(shape=1.0, rate=1.0))
+        g = nodirect_gains()
+        with pytest.raises(DomainError, match="n_elements must be >= 0"):
+            sample_snr(g, -1, Perfect(), RHO)
+        with pytest.raises(DomainError, match="unknown phase model '2bit'"):
+            sample_snr(g, 16, "2bit", RHO)
 
 
 class TestMetricAverages:

@@ -321,6 +321,14 @@ class TestKummerU:
         assert logs[0] == pytest.approx(0.5 * math.log(math.pi), rel=1e-12)
         assert logs[1] == pytest.approx(0.5 * math.log(math.pi / 2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("peak", [math.nan, math.inf])
+    def test_log_integral_rejects_non_finite_peak(self, peak):
+        with pytest.raises(NonConvergenceError,
+                           match="integrand peak is not finite"):
+            specfun._log_integral(
+                lambda v: np.stack((-v * v, np.full_like(v, peak))),
+                DEFAULT_POLICY, 0.0)
+
     @pytest.mark.parametrize("a,b,z", KERNEL_CASES)
     def test_integrand_calls_bounded(self, monkeypatch, a, b, z):
         # one array call of log_f for the probes, then the first grid and
