@@ -206,6 +206,16 @@ def snr_scale(radio: RadioConfig) -> float:
     return radio.tx_power / (radio.noise_density * radio.bandwidth * radio.noise_figure)
 
 
+def _check_channel(gains: LinkGains, n_elements: int, phase) -> None:
+    """Raise DomainError for N < 0, no channel, or an unknown phase model."""
+    if n_elements < 0:
+        raise DomainError("n_elements must be >= 0")
+    if n_elements == 0 and gains.direct <= 0:
+        raise DomainError("N = 0 requires a direct link")
+    if not isinstance(phase, PhaseModel):
+        raise DomainError(f"unknown phase model {phase!r}")
+
+
 # ---------------------------------------------------------------------------
 # Composite-channel moments from one element's law
 # ---------------------------------------------------------------------------
@@ -224,11 +234,7 @@ def moments_X(gains: LinkGains, n_elements: int, phase: PhaseModel) -> Moments:
     So E[c |c|^2] = 2.25 E[c], and E[H^k] = Gamma(1 + k/2) direct^(k/2)
     gives E[H^3] = 1.5 direct E[H].
     """
-    if n_elements < 0:
-        raise DomainError("n_elements must be >= 0")
-    if n_elements == 0 and gains.direct <= 0:
-        raise DomainError("N = 0 requires a direct link")
-
+    _check_channel(gains, n_elements, phase)
     v = gains.direct
     a2 = gains.ap_ris * gains.ris_ac
     a = math.sqrt(a2)

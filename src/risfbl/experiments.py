@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import DEFAULT_POLICY, DomainError, EvalPolicy, NonConvergenceError, gamma_cdf
+from .specfun import DEFAULT_POLICY, DomainError, NonConvergenceError, gamma_cdf
 from .channel import (
     Geometry,
     LinkGains,
@@ -51,6 +51,7 @@ from .channel import (
 )
 from .fbl import (
     PacketConfig,
+    _check_target_bler,
     avg_bler,
     avg_blocklength,
     avg_rate_exact,
@@ -77,7 +78,7 @@ class ScenarioConfig:
     direct_link: bool = False
     direct_exponent: float = PATH_LOSS_EXPONENT
     mc: McConfig = McConfig()
-    policy: EvalPolicy = DEFAULT_POLICY
+    policy = DEFAULT_POLICY  # not a field: bench/workloads.py, worker.py read it
 
     def __post_init__(self):
         if self.n_elements < 0:
@@ -137,7 +138,7 @@ def phase_from_label(text: str) -> PhaseModel:
 # key takes: bool a flag, int a count, float a finite int or float (stored
 # as float), a tuple a position of exactly two finite ints or floats
 # (kept as given), and the phase model its ``phase_label`` string.
-_SECTIONS = ("geometry", "radio", "packet", "mc", "policy")
+_SECTIONS = ("geometry", "radio", "packet", "mc")
 
 
 def _flat_fields(s: ScenarioConfig):
@@ -489,14 +490,10 @@ def run_figure(figure_id: str, scenario: ScenarioConfig = ScenarioConfig(),
             f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
     spec = _FIGURES[figure_id]
     scenario = dataclasses.replace(scenario, **spec.pins)
-    meta = {
-        "scenario": scenario_to_dict(scenario),
-        "seed": scenario.mc.seed,
-        "n_samples": scenario.mc.n_samples,
-    }
     engine = _sweep if spec.axis else _cdf
     columns = engine(spec, scenario, max(int(workers), 1))
-    return ResultTable(figure_id=figure_id, columns=columns, meta=meta)
+    return ResultTable(figure_id=figure_id, columns=columns,
+                       meta={"scenario": scenario_to_dict(scenario)})
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +512,7 @@ def required_elements(target_bler: float,
     more BLER evaluations.  Raises NonConvergenceError if the cap does not
     reach it.
     """
-    if not 0.0 < target_bler < 1.0:
-        raise DomainError("target_bler must lie in (0, 1)")
+    _check_target_bler(target_bler)
 
     def bler_at(n):
         return bler(scenario.fit(n_elements=n), scenario)

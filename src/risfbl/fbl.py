@@ -70,6 +70,12 @@ def _check_info_bits(info_bits) -> None:
         raise DomainError("info_bits must be >= 1")
 
 
+def _check_target_bler(target_bler) -> None:
+    """Raise DomainError for a reliability target outside (0, 0.5]."""
+    if not 0.0 < target_bler <= 0.5:
+        raise DomainError("target_bler must lie in (0, 0.5]")
+
+
 @dataclass(frozen=True)
 class PacketConfig:
     """Short-packet parameters: payload bits, channel uses, reliability target."""
@@ -81,8 +87,7 @@ class PacketConfig:
     def __post_init__(self):
         _check_info_bits(self.info_bits)
         _check_blocklength(self.blocklength)
-        if not 0.0 < self.target_bler <= 0.5:
-            raise DomainError("target_bler must lie in (0, 0.5]")
+        _check_target_bler(self.target_bler)
 
 
 @dataclass(frozen=True)

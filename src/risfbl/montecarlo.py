@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import DomainError, gamma_cdf, inv_q
-from .channel import GammaFit, LinkGains, Perfect, PhaseModel, QuantizedBits, UniformSpread
+from .channel import GammaFit, LinkGains, Perfect, PhaseModel, _check_channel
 from . import fbl
 
 
@@ -63,22 +63,19 @@ _K = 4096
 class McConfig:
     """Sample budget and stream identity of one Monte Carlo run.
 
-    ``seed`` and ``stream_id``, each in [0, 2^64), seed the stream.
-    ``chunk`` caps the rows of one sampler block, as the 1 MiB block size
-    does; both only bound the sampler's one buffer, neither changes the
-    samples.
+    ``seed`` and ``stream_id``, each in [0, 2^64), seed the stream.  The
+    class constant ``chunk`` caps a sampler block's rows as ``_BLOCK_BYTES``
+    caps its bytes; both only bound the one buffer, neither the samples.
     """
 
     n_samples: int = 10_000
     seed: int = 20260824
     stream_id: int = 0
-    chunk: int = 2_000
+    chunk = 2_000  # not a field: bench/tracer.py reads cfg.chunk
 
     def __post_init__(self):
         if self.n_samples < 2:
             raise DomainError("n_samples must be >= 2")
-        if self.chunk < 1:
-            raise DomainError("chunk must be >= 1")
         for name in ("seed", "stream_id"):
             if not 0 <= getattr(self, name) < 1 << 64:
                 raise DomainError(f"{name} must lie in [0, 2^64)")
@@ -172,20 +169,15 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     Perfect) come from the stream's first child into their own block.
     Every phase model thus reads the same magnitudes on one seed and
     stream id, and the samples depend on those two only.  A block holds
-    at most ``cfg.chunk`` rows and at most ``_BLOCK_BYTES`` of float64
+    at most ``McConfig.chunk`` rows and at most ``_BLOCK_BYTES`` of float64
     over its exponential and phase columns (at least one row), in one
     reused buffer; that is all either sets.  r takes one float64 scratch
     array of the block's rows x N; a phase model other than Perfect adds
     one float64 and one int64 more, and the 2 (K + 1) table values.
     """
-    if n_elements < 0:
-        raise DomainError("n_elements must be >= 0")
-    if n_elements == 0 and gains.direct <= 0:
-        raise DomainError("N = 0 requires a direct link")
+    _check_channel(gains, n_elements, phase)
     if not rho > 0:
         raise DomainError("rho must be > 0")
-    if not isinstance(phase, (Perfect, UniformSpread, QuantizedBits)):
-        raise DomainError(f"unknown phase model {phase!r}")
     n, d = n_elements, 1 if gains.direct > 0 else 0
     perfect = isinstance(phase, Perfect)
     ne = d + 2 * n  # exponential columns, then 0 or n phase ones

@@ -2,6 +2,7 @@
 moment matching."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -183,6 +184,23 @@ class TestMoments:
             Moments(m1=0.0, m2=1.0)
         with pytest.raises(DomainError, match="n_elements must be >= 0"):
             moments_X(link_gains(Geometry(), direct_link=True), -1, Perfect())
+
+    @pytest.mark.parametrize("n,phase,direct,needle", [
+        (-1, Perfect(), True, "n_elements must be >= 0"),
+        (0, Perfect(), False, "N = 0 requires a direct link"),
+        (16, object(), True, "unknown phase model <object"),
+        (16, "2bit", False, "unknown phase model '2bit'"),
+    ], ids=("negative-n", "no-channel", "object-phase", "label-phase"))
+    def test_channel_input_rule(self, n, phase, direct, needle):
+        # the moments, the fit and the sampler share one input rule, so a
+        # bad phase model is a DomainError before any attribute is read
+        g = link_gains(Geometry(), direct_link=direct)
+        rho = snr_scale(RadioConfig())
+        for call in (lambda: moments_X(g, n, phase),
+                     lambda: fit_snr(g, n, phase, rho),
+                     lambda: sample_snr(g, n, phase, rho, McConfig())):
+            with pytest.raises(DomainError, match=re.escape(needle)):
+                call()
 
 
 class TestSpreadOneExactLaw:

@@ -30,9 +30,9 @@ from risfbl.fbl import (
     c1_avg_capacity,
     c2_avg_sqrt_dispersion,
 )
-from risfbl.experiments import csv_text, scenario_from_dict
+from risfbl.experiments import ScenarioConfig, csv_text, scenario_from_dict
 from risfbl.montecarlo import mc_avg_metrics, sample_snr
-from risfbl.specfun import DEFAULT_POLICY
+from risfbl.specfun import DEFAULT_POLICY, EvalPolicy
 
 
 def run(capsys, *argv):
@@ -59,7 +59,10 @@ class TestExitCodes:
         # a misspelt or retired key must not be ignored quietly
         for item in ("bandwdith=1e5", "max_series_terms=16", "phase_bits=2",
                      "phase_spread=0.25", "use_3d=true",
-                     "carrier_frequency=1.9e9"):
+                     "carrier_frequency=1.9e9",
+                     # constants, not settings: the sampler's row cap and
+                     # the quadrature tolerance
+                     "chunk=128", "rel_tol=1e-10"):
             code, _, err = run(capsys, "validate", "--set", item)
             assert code == EXIT_CONFIG
             assert item.partition("=")[0] in err
@@ -75,7 +78,7 @@ class TestExitCodes:
         ("--set", "n_elements=512.9"),
         ("--set", "seed=true"),
         ("--set", "tx_power=true"),
-        ("--set", 'rel_tol="1e-9"'),
+        ("--set", 'direct_exponent="3.8"'),
         ("--set", "ris=[true, 5]"),
         ("--set", "tx_power_db=true"),
         ("--set", "seed=-1"),
@@ -152,8 +155,9 @@ class TestExitCodes:
         # with the finest grid at the first call's, the 48- and 96-interval
         # sums cannot agree to 1e-300
         monkeypatch.setattr(specfun, "_N_MAX", specfun._N0)
+        monkeypatch.setattr(ScenarioConfig, "policy", EvalPolicy(rel_tol=1e-300))
         code, _, err = run(capsys, "rate", "--N", "2048", "--no-direct",
-                           "--phase", "perfect", "--set", "rel_tol=1e-300")
+                           "--phase", "perfect")
         assert code == EXIT_NUMERIC
         assert err.startswith("error: numeric:")
 
@@ -393,7 +397,7 @@ class TestFigureCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
         side = json.loads((tmp_path / "a.csv.json").read_text())
-        assert side["seed"] == 7
+        assert side["scenario"]["seed"] == 7
 
     def test_figure_json_to_stdout(self, capsys):
         code, out, _ = run(capsys, "figure", "fig8",

@@ -36,7 +36,7 @@ from risfbl.experiments import (
     scenario_to_dict,
 )
 from risfbl.montecarlo import McConfig, sample_snr
-from risfbl.specfun import DomainError, NonConvergenceError
+from risfbl.specfun import DEFAULT_POLICY, DomainError, NonConvergenceError
 
 FAST = ScenarioConfig(mc=McConfig(n_samples=500))
 
@@ -121,8 +121,7 @@ class TestScenario:
         ScenarioConfig(phase=UniformSpread(0.5)),
         ScenarioConfig(direct_link=True, direct_exponent=3.8),
         ScenarioConfig(geometry=Geometry(ris=(40.0, 10.0)), n_elements=300),
-        ScenarioConfig(mc=McConfig(n_samples=1234, seed=9, stream_id=5,
-                                   chunk=128)),
+        ScenarioConfig(mc=McConfig(n_samples=1234, seed=9, stream_id=5)),
     ], ids=["perfect", "1bit", "3bit", "uniform0.5", "direct", "ris", "mc"])
     def test_from_dict_inverts_to_dict(self, scenario):
         d = scenario_to_dict(scenario)
@@ -135,9 +134,22 @@ class TestScenario:
             "ap", "ac", "ris", "ap_height", "tx_power", "noise_density",
             "bandwidth", "noise_figure", "info_bits", "blocklength",
             "target_bler", "n_elements", "phase", "direct_link",
-            "direct_exponent", "n_samples", "seed", "stream_id", "chunk",
-            "rel_tol"}
+            "direct_exponent", "n_samples", "seed", "stream_id"}
         assert type(scenario_to_dict(ScenarioConfig())["phase"]) is str
+
+    @pytest.mark.parametrize("d", [{"chunk": 128}, {"rel_tol": 1e-9}],
+                             ids=("chunk", "rel_tol"))
+    def test_implementation_knobs_are_unknown_keys(self, d):
+        # the sampler's row cap and the quadrature tolerance are class
+        # constants: neither a key nor a constructor argument
+        with pytest.raises(DomainError, match=r"unknown config key\(s\)"):
+            scenario_from_dict(d)
+        with pytest.raises(TypeError):
+            McConfig(chunk=1)
+        with pytest.raises(TypeError):
+            dataclasses.replace(ScenarioConfig(), policy=DEFAULT_POLICY)
+        assert (McConfig().chunk, ScenarioConfig().policy) == (
+            2000, DEFAULT_POLICY)
 
     def test_from_dict_phase_defaults(self):
         assert scenario_from_dict({}).phase == Perfect()
@@ -149,7 +161,7 @@ class TestScenario:
         {"phase": "uniform:abc"},
         {"phase": "quantized"}, {"ap": 3},
         {"direct_link": "False"}, {"ap_height": "12.5"}, {"n_elements": 512.9},
-        {"seed": True}, {"tx_power": True}, {"rel_tol": "1e-9"},
+        {"seed": True}, {"tx_power": True}, {"direct_exponent": "3.8"},
         {"ris": [True, 5]}, {"ap": [0.0, 0.0, 1.0]}, {"ac": "100,0"},
         {"seed": -1}, {"seed": 2 ** 64}, {"stream_id": -1},
         {"stream_id": 2 ** 64},
@@ -230,7 +242,7 @@ class TestResultTable:
         side = json.loads((tmp_path / "fig8.csv.json").read_text())
         assert side["sha256"] == hashlib.sha256(text.encode()).hexdigest()
         assert side["figure_id"] == "fig8"
-        assert side["seed"] == FAST.mc.seed
+        assert side["scenario"]["seed"] == FAST.mc.seed
         # the versions the bytes came from, outside the hashed table, with
         # the SIMD targets numpy.show_runtime reports as found on this CPU
         np.show_runtime()
@@ -271,7 +283,7 @@ class TestFigures:
         t = run_figure(figure_id, FAST)
         assert list(t.columns) == names
         assert all(len(c) == n_rows for c in t.columns.values())
-        assert t.meta["n_samples"] == 500
+        assert t.meta["scenario"]["n_samples"] == 500
 
     def test_fig8_workers_agree(self):
         a = run_figure("fig8", FAST, workers=1)
@@ -432,3 +444,12 @@ class TestRequiredElements:
     def test_bad_target(self):
         with pytest.raises(DomainError):
             required_elements(0.0, FAST)
+
+    @pytest.mark.parametrize("target", [0.7, 0.5 + 1e-12, 1.0])
+    def test_target_takes_the_packet_range(self, target):
+        # the search's target is a target_bler, in (0, 0.5] as the key's
+        with pytest.raises(DomainError,
+                           match=r"target_bler must lie in \(0, 0\.5\]"):
+            required_elements(target, FAST)
+        with pytest.raises(DomainError, match=r"\(0, 0\.5\]"):
+            fbl.PacketConfig(target_bler=target)

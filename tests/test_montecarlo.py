@@ -67,7 +67,7 @@ class TestReproducibility:
         # a b-bit quantizer's residual is uniform with spread 2^-b, and the
         # sampler draws it so: the same stream gives the same bytes
         g = link_gains(Geometry(), direct_link=direct)
-        cfg = McConfig(n_samples=1234, seed=13, chunk=500)
+        cfg = McConfig(n_samples=1234, seed=13)
         a = sample_snr(g, 33, QuantizedBits(bits), RHO, cfg)
         b = sample_snr(g, 33, UniformSpread(2.0 ** -bits), RHO, cfg)
         assert np.array_equal(a, b)
@@ -85,21 +85,23 @@ class TestReproducibility:
         np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
 
     def test_chunking_invariant(self, monkeypatch):
-        # rows come from each stream in order, so chunk and the block size
-        # only set memory; the patched block sizes make the byte cap bind
+        # rows come from each stream in order, so the row cap and the block
+        # size only set memory; the patched block sizes make the byte cap bind
         n, n_samples = 9, 1234
+        cfg = McConfig(n_samples=n_samples, seed=5)
         for direct in (True, False):
             g = link_gains(Geometry(), direct_link=direct)
             for phase in PHASES:
                 width = (1 if direct else 0) + (
                     2 if isinstance(phase, Perfect) else 3) * n
-                runs = [sample_snr(g, n, phase, RHO, McConfig(
-                            n_samples=n_samples, seed=5, chunk=chunk))
-                        for chunk in (1, 7, 500, n_samples, n_samples + 1)]
+                runs = []
+                for chunk in (1, 7, 500, n_samples, n_samples + 1):
+                    monkeypatch.setattr(McConfig, "chunk", chunk)
+                    runs.append(sample_snr(g, n, phase, RHO, cfg))
+                monkeypatch.undo()
                 for block in (1, 8 * width * 3):
                     monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block)
-                    runs.append(sample_snr(g, n, phase, RHO, McConfig(
-                        n_samples=n_samples, seed=5)))
+                    runs.append(sample_snr(g, n, phase, RHO, cfg))
                 monkeypatch.undo()
                 for other in runs[1:]:
                     assert np.array_equal(runs[0], other), (phase, direct)
@@ -112,7 +114,7 @@ class TestLiteralOracle:
         # the literal complex controller on the same draws: a reordered
         # draw layout differs at O(1)
         g = link_gains(Geometry(), direct_link=direct)
-        cfg = McConfig(n_samples=1234, seed=7, stream_id=2, chunk=500)
+        cfg = McConfig(n_samples=1234, seed=7, stream_id=2)
         for n in (0, 1, 17, 300):
             if n == 0 and not direct:
                 # no channel at all: rejected, as moments_X rejects it
@@ -204,10 +206,11 @@ class TestRotationTable:
 
 class TestMemory:
     @pytest.mark.parametrize("phase", PHASES, ids=repr)
-    def test_working_set_bounded(self, phase):
+    def test_working_set_bounded(self, phase, monkeypatch):
         chunk, n = 1000, 512
+        monkeypatch.setattr(McConfig, "chunk", chunk)
         g = link_gains(Geometry(), direct_link=True)
-        cfg = McConfig(n_samples=2 * chunk, chunk=chunk)
+        cfg = McConfig(n_samples=2 * chunk)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -302,8 +305,6 @@ class TestStatistics:
             empirical_stats(np.array([1.0]))
         with pytest.raises(DomainError):
             McConfig(n_samples=1)
-        with pytest.raises(DomainError, match="chunk must be >= 1"):
-            McConfig(chunk=0)
         with pytest.raises(DomainError, match="need at least 2 samples"):
             ks_distance(np.array([1.0]), GammaFit(shape=1.0, rate=1.0))
         g = nodirect_gains()
