@@ -83,16 +83,16 @@ def _fit(s):
 
 
 def _mc(s):
-    fit = s.fit()  # rejects a scenario without a channel before any draw
     samples = s.samples()
     stats = empirical_stats(samples / s.rho())
     return {
         "n_samples": stats.n,
         "m1_mc": stats.m1, "m1_se": stats.m1_se,
         "m2_mc": stats.m2, "m2_se": stats.m2_se,
-        "ks_distance": ks_distance(samples, fit),
-        **cell_record(s, mc=[(f"{m}_mc", m) for m in (
-            "avg_rate", "avg_bler", "avg_blocklength")], samples=samples),
+        **cell_record(
+            s, [("ks_distance", lambda fit, _: ks_distance(samples, fit))],
+            mc=[(f"{m}_mc", m) for m in (
+                "avg_rate", "avg_bler", "avg_blocklength")], samples=samples),
     }
 
 
@@ -159,8 +159,8 @@ def build_parser():
         sp.add_argument("--phase", default=SUPPRESS,
                         help="phase model, as the config key phase: perfect, "
                              "<b>bit with b in 1..52 (e.g. 2bit), or "
-                             "uniform[:spread] with the spread a fraction "
-                             "of pi (default 0.25)")
+                             "uniform:<spread> with the spread a fraction "
+                             "of pi (e.g. uniform:0.25)")
         g = sp.add_mutually_exclusive_group()
         g.add_argument("--no-direct", dest="direct_link", action="store_false",
                        default=SUPPRESS, help="disable the direct AP-AC link")

@@ -93,9 +93,8 @@ class ScenarioConfig:
     def rho(self) -> float:
         return snr_scale(self.radio)
 
-    def fit(self, n_elements=None):
-        n = self.n_elements if n_elements is None else n_elements
-        return fit_snr(self.gains(), n, self.phase, self.rho())
+    def fit(self):
+        return fit_snr(self.gains(), self.n_elements, self.phase, self.rho())
 
     def samples(self):
         """The scenario's Monte Carlo SNR draw."""
@@ -115,13 +114,11 @@ def phase_label(phase: PhaseModel) -> str:
 
 
 def phase_from_label(text: str) -> PhaseModel:
-    """Inverse of ``phase_label``; a bare "uniform" has spread 0.25."""
+    """Inverse of ``phase_label``."""
     if text == "perfect":
         return Perfect()
     if text.endswith("bit") and text[:-3].isdecimal():
         return QuantizedBits(int(text[:-3]))
-    if text == "uniform":
-        return UniformSpread(0.25)
     if text.startswith("uniform:"):
         try:
             spread = float(text[len("uniform:"):])
@@ -130,7 +127,7 @@ def phase_from_label(text: str) -> PhaseModel:
                 f"uniform spread must be a number; got {text!r}") from None
         return UniformSpread(spread)
     raise DomainError(
-        f"phase must be perfect, <b>bit, or uniform[:spread]; got {text!r}")
+        f"phase must be perfect, <b>bit, or uniform:<spread>; got {text!r}")
 
 
 # A flat key is the name of a field of ScenarioConfig or of one of its
@@ -513,9 +510,10 @@ def required_elements(target_bler: float,
     reach it.
     """
     _check_target_bler(target_bler)
+    gains, rho = scenario.gains(), scenario.rho()
 
     def bler_at(n):
-        return bler(scenario.fit(n_elements=n), scenario)
+        return bler(fit_snr(gains, n, scenario.phase, rho), scenario)
 
     cap_val = bler_at(N_SEARCH_CAP)
     if cap_val > target_bler:

@@ -182,8 +182,7 @@ def sample_snr(gains: LinkGains, n_elements: int, phase: PhaseModel,
     perfect = isinstance(phase, Perfect)
     ne = d + 2 * n  # exponential columns, then 0 or n phase ones
     width = ne + (0 if perfect else n)
-    rows = max(1, min(cfg.chunk, cfg.n_samples,
-                      _BLOCK_BYTES // (8 * max(width, 1))))
+    rows = max(1, min(cfg.chunk, cfg.n_samples, _BLOCK_BYTES // (8 * width)))
     buf = np.empty(rows * width)
     r_buf = np.empty((rows, n))
     if not perfect:

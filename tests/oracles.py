@@ -9,9 +9,9 @@ result underflows double precision by hundreds of orders).
 
 The last sections hold alternative forms (the moments of the channel
 power from the structural sums in mpmath and as expanded formulas, the
-Taylor rate, the per-sample finite-blocklength metrics, the linearized-Q
-surrogate, Kummer U, incomplete-gamma and exponential-integral
-wrappers) that only the tests use as cross-checks,
+Taylor rate, the paper's C1 and C2 series, the per-sample
+finite-blocklength metrics, the linearized-Q surrogate, Kummer U,
+incomplete-gamma and exponential-integral wrappers) that only the tests use as cross-checks,
 the exact law of the spread-1 reflector's SNR (K-distributed with no
 direct link, a Gamma mixture of exponentials with it), and two Monte
 Carlo references for ``risfbl.montecarlo.sample_snr``:
@@ -29,7 +29,7 @@ from scipy import stats
 
 from risfbl.channel import LinkGains, Moments, Perfect, PhaseModel, QuantizedBits, UniformSpread
 from risfbl.montecarlo import McConfig
-from risfbl.specfun import DomainError, log_gamma_kummer_u, sinc_norm
+from risfbl.specfun import LOG2E, DomainError, log_gamma_kummer_u, sinc_norm
 
 
 # grid pairs small shapes with small rates: the defining series and the
@@ -204,6 +204,43 @@ def avg_rate_taylor(fit):
     mean = fit.mean
     var = fit.shape / fit.rate ** 2
     return math.log2(1.0 + mean) - var / (2.0 * (1.0 + mean) ** 2 * math.log(2.0))
+
+
+def _series_term(fit, a, b):
+    """beta^alpha Gamma(a) U(a, b, beta) / Gamma(alpha), in logs."""
+    return math.exp(fit.shape * math.log(fit.rate) - math.lgamma(fit.shape)
+                    + log_gamma_kummer_u(a, b, fit.rate))
+
+
+def c1_series(fit, K):
+    """The paper's series for the average capacity, cut at K terms:
+    ln(1 + g) = sum_k (g / (1 + g))^k / k, and each power averages to
+    beta^alpha Gamma(alpha + k) U(alpha + k, alpha + 1, beta) / Gamma(alpha).
+
+    Its terms fall off like (mean / (1 + mean))^k, slowly at a high mean
+    SNR: cut at 100 terms it is 11% off at N = 2048, default scenario.
+    So it is an oracle at the low and middle N of the figures only, and
+    the library integrates E[ln(1 + g)] directly instead.
+    """
+    a = fit.shape
+    return LOG2E * sum(_series_term(fit, a + k, a + 1.0) / k
+                       for k in range(1, K + 1))
+
+
+def c2_series(fit, K):
+    """The paper's series for the average sqrt-dispersion, cut at K terms:
+    sqrt(1 - (1 + g)^-2) = sum_j C(1/2, j) (-1)^j (1 + g)^-2j, and each
+    power averages to beta^alpha U(alpha, alpha - 2j + 1, beta).
+
+    Its terms fall off like (1 + mean)^-2j, slowly at a low mean SNR: cut
+    at 100 terms it is 0.7% off at N = 16, default scenario.  So it is an
+    oracle at the middle and high N of the figures only, and the library
+    integrates E[sqrt(V(g))] directly instead.
+    """
+    a = fit.shape
+    return LOG2E * sum(sp.binom(0.5, j) * (-1) ** j
+                       * _series_term(fit, a, a - 2.0 * j + 1.0)
+                       for j in range(K))
 
 
 def per_sample_metrics(gamma, blocklength, info_bits, target_bler):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from risfbl import specfun
+from risfbl import experiments, specfun
 from risfbl.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_USAGE, main
 from risfbl.channel import (
     Geometry,
@@ -268,6 +268,18 @@ class TestThinWrappers:
         assert list(csv_record(out))[-3:] == [
             "avg_blocklength_mc", "avg_blocklength_mc_se", "seed"]
 
+    def test_mc_fits_once(self, capsys, monkeypatch):
+        # the KS distance is a metric at the record's one fit
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return fit_snr(*args)
+
+        monkeypatch.setattr(experiments, "fit_snr", counted)
+        code, _, _ = run(capsys, "mc", "--N", "64", "--set", "n_samples=200")
+        assert (code, calls) == (0, [64])
+
     def test_mc_at_low_snr(self, capsys):
         # SNR samples far below 1e-16, where log2(1 + gamma) reads 0
         code, out, err = run(capsys, "mc", "--N", "1", "--set", "n_samples=2000",
@@ -373,9 +385,10 @@ class TestConfigHandling:
         assert csv_record(out)["seed"] == "777"
 
     def test_phase_flag_forms(self, capsys):
-        for flag in ("perfect", "1bit", "3bit", "uniform", "uniform:0.5"):
+        for flag in ("perfect", "1bit", "3bit", "uniform:0.25", "uniform:0.5"):
             assert run(capsys, "validate", "--phase", flag)[0] == 0
-        for flag in ("sideways", "quantized", "0bit", "uniform0.5"):
+        # a uniform phase error names its spread
+        for flag in ("sideways", "quantized", "0bit", "uniform0.5", "uniform"):
             assert run(capsys, "validate", "--phase", flag)[0] == EXIT_CONFIG
 
     def test_phase_flag_overrides_config(self, tmp_path, capsys):

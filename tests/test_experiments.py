@@ -153,12 +153,13 @@ class TestScenario:
 
     def test_from_dict_phase_defaults(self):
         assert scenario_from_dict({}).phase == Perfect()
-        assert scenario_from_dict({"phase": "uniform"}).phase == UniformSpread(0.25)
+        assert (scenario_from_dict({"phase": "uniform:0.25"}).phase
+                == UniformSpread(0.25))
         assert scenario_from_dict({"phase": "2bit"}).phase == QuantizedBits(2)
 
     @pytest.mark.parametrize("d", [
         {"bandwdith": 1e5}, {"phase": "sideways"},
-        {"phase": "uniform:abc"},
+        {"phase": "uniform:abc"}, {"phase": "uniform"},
         {"phase": "quantized"}, {"ap": 3},
         {"direct_link": "False"}, {"ap_height": "12.5"}, {"n_elements": 512.9},
         {"seed": True}, {"tx_power": True}, {"direct_exponent": "3.8"},
@@ -429,10 +430,10 @@ class TestRequiredElements:
         from risfbl.fbl import avg_bler
         n = required_elements(1e-9, FAST)
         pkt = FAST.packet
-        assert avg_bler(FAST.fit(n_elements=n), pkt.blocklength,
-                        pkt.info_bits) <= 1e-9
-        assert avg_bler(FAST.fit(n_elements=n - 1), pkt.blocklength,
-                        pkt.info_bits) > 1e-9
+        assert avg_bler(dataclasses.replace(FAST, n_elements=n).fit(),
+                        pkt.blocklength, pkt.info_bits) <= 1e-9
+        assert avg_bler(dataclasses.replace(FAST, n_elements=n - 1).fit(),
+                        pkt.blocklength, pkt.info_bits) > 1e-9
 
     def test_unreachable_target(self):
         with pytest.raises(NonConvergenceError,

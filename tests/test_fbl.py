@@ -161,6 +161,19 @@ class TestSeriesAverages:
         got = c2_avg_sqrt_dispersion(GammaFit(shape, rate), WIDE_POLICY)
         assert got == pytest.approx(ref, rel=1e-7)
 
+    # the default scenario's fits where 100 terms of each series settle
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_c1_matches_paper_series(self, n):
+        fit = ScenarioConfig(n_elements=n).fit()
+        assert c1_avg_capacity(fit) == pytest.approx(
+            oracles.c1_series(fit, 100), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("n", [64, 256, 2048])
+    def test_c2_matches_paper_series(self, n):
+        fit = ScenarioConfig(n_elements=n).fit()
+        assert c2_avg_sqrt_dispersion(fit) == pytest.approx(
+            oracles.c2_series(fit, 100), rel=1e-9, abs=0)
+
     def test_c2_bounded_by_log2e(self):
         for shape, rate in ((0.5, 5.0), (300.0, 0.01)):
             c2 = c2_avg_sqrt_dispersion(GammaFit(shape, rate), WIDE_POLICY)
@@ -503,7 +516,7 @@ class TestAvgBler:
 
         monkeypatch.setattr(fbl, "_settled_sums", counting)
         for n in N_GRID:
-            fit = scenario.fit(n)
+            fit = dataclasses.replace(scenario, n_elements=n).fit()
             sizes.clear()
             ref = fbl._avg_bler_reference(fit, lin)
             fine = min(gl_reference(fit, lin, 200), 1.0)
