@@ -40,10 +40,10 @@ class LinkGains:
     ris_ac: float
 
     def __post_init__(self):
-        if not self.direct >= 0:
-            raise DomainError("direct gain must be >= 0")
-        if not (self.ap_ris > 0 and self.ris_ac > 0):
-            raise DomainError("reflected-path gains must be > 0")
+        if not 0 <= self.direct < math.inf:
+            raise DomainError("direct gain must be finite and >= 0")
+        if not (0 < self.ap_ris < math.inf and 0 < self.ris_ac < math.inf):
+            raise DomainError("reflected-path gains must be finite and > 0")
 
 
 @dataclass(frozen=True)

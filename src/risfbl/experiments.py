@@ -114,12 +114,12 @@ def phase_label(phase: PhaseModel) -> str:
 
 
 def phase_from_label(text: str) -> PhaseModel:
-    """Inverse of ``phase_label``."""
+    """Inverse of ``phase_label``; its digits are ASCII ones only."""
     if text == "perfect":
         return Perfect()
-    if text.endswith("bit") and text[:-3].isdecimal():
+    if text.isascii() and text.endswith("bit") and text[:-3].isdecimal():
         return QuantizedBits(int(text[:-3]))
-    if text.startswith("uniform:"):
+    if text.isascii() and text.startswith("uniform:"):
         try:
             spread = float(text[len("uniform:"):])
         except ValueError:

@@ -327,6 +327,9 @@ class TestAsymptotics:
     (LinkGains, {"direct": math.nan, "ap_ris": 1.0, "ris_ac": 1.0}),
     (LinkGains, {"direct": 1.0, "ap_ris": math.nan, "ris_ac": 1.0}),
     (LinkGains, {"direct": 1.0, "ap_ris": 1.0, "ris_ac": math.nan}),
+    (LinkGains, {"direct": math.inf, "ap_ris": 1.0, "ris_ac": 1.0}),
+    (LinkGains, {"direct": 1.0, "ap_ris": math.inf, "ris_ac": 1.0}),
+    (LinkGains, {"direct": 1.0, "ap_ris": 1.0, "ris_ac": math.inf}),
     (RadioConfig, {"tx_power": math.nan}),
     (RadioConfig, {"noise_density": math.nan}),
     (RadioConfig, {"bandwidth": math.nan}),
@@ -337,12 +340,14 @@ class TestAsymptotics:
     (Geometry, {"ap_height": math.nan}),
     (ScenarioConfig, {"direct_exponent": math.nan}),
 ], ids=["fit-shape", "fit-rate", "gains-direct", "gains-ap_ris",
-        "gains-ris_ac", "radio-tx_power", "radio-noise_density",
+        "gains-ris_ac", "gains-direct-inf", "gains-ap_ris-inf",
+        "gains-ris_ac-inf", "radio-tx_power", "radio-noise_density",
         "radio-bandwidth", "radio-noise_figure", "geometry-ap",
         "geometry-ac", "geometry-ris", "geometry-ap_height",
         "scenario-direct_exponent"])
 def test_constructors_reject_nan(make, kwargs):
-    # every range check is written so that NaN fails it
+    # every range check is written so that NaN fails it, and a gain must
+    # be finite
     with pytest.raises(DomainError):
         make(**kwargs)
 

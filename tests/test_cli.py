@@ -387,8 +387,10 @@ class TestConfigHandling:
     def test_phase_flag_forms(self, capsys):
         for flag in ("perfect", "1bit", "3bit", "uniform:0.25", "uniform:0.5"):
             assert run(capsys, "validate", "--phase", flag)[0] == 0
-        # a uniform phase error names its spread
-        for flag in ("sideways", "quantized", "0bit", "uniform0.5", "uniform"):
+        # a uniform phase error names its spread, and a label's digits are
+        # ASCII ones
+        for flag in ("sideways", "quantized", "0bit", "uniform0.5", "uniform",
+                     "\uff12bit", "\u0662bit", "uniform:\uff10.\uff12\uff15"):
             assert run(capsys, "validate", "--phase", flag)[0] == EXIT_CONFIG
 
     def test_phase_flag_overrides_config(self, tmp_path, capsys):

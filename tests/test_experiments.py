@@ -179,6 +179,9 @@ class TestScenario:
         {"phase": "53bit"},
         # not a JSON object, though dict() would take the list of pairs
         [["tx_power", 0.5]], "tx_power", None,
+        # digits other than ASCII ones
+        {"phase": "\uff12bit"}, {"phase": "\u0662bit"},
+        {"phase": "uniform:\uff10.\uff12\uff15"},
     ])
     def test_from_dict_rejects(self, d):
         with pytest.raises(DomainError):

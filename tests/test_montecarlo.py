@@ -160,9 +160,7 @@ class TestRotationTable:
     def _unit_sums(w, t):
         # one element per row with r = 1: the row sums are cos phi and sin phi
         return montecarlo._rotated_sums(
-            np.ones_like(t), t.copy(), w, montecarlo._cis_table(w),
-            np.empty_like(t), np.empty(t.shape, dtype=np.int64),
-            np.empty_like(t), np.empty_like(t))
+            np.ones_like(t), t.copy(), w, montecarlo._cis_table(w))
 
     @pytest.mark.parametrize("w", RATES)
     def test_matches_libm(self, w):
@@ -183,6 +181,19 @@ class TestRotationTable:
             assert np.array_equal(re, re_pos) and np.array_equal(im, -im_pos)
             re_ref, im_ref = self._unit_sums(-w, 1.0 - t)
             assert np.array_equal(re, re_ref) and np.array_equal(im, im_ref)
+
+    def test_kernel_leaves_r_intact(self):
+        # a 2-bit block: r is read, not written, so one draw of r may be
+        # rotated again, and a fresh copy of t gives the same sums
+        rng = np.random.default_rng(5)
+        r, t = rng.random((2, 40, 64))
+        w = 2.0 * math.pi * 2.0 ** -2
+        table = montecarlo._cis_table(w)
+        r0 = r.copy()
+        first = montecarlo._rotated_sums(r, t.copy(), w, table)
+        assert np.array_equal(r, r0)
+        second = montecarlo._rotated_sums(r, t.copy(), w, table)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     @pytest.mark.parametrize("direct", [True, False])
     @pytest.mark.parametrize("phase", PHASES, ids=repr)
@@ -312,6 +323,8 @@ class TestStatistics:
             sample_snr(g, -1, Perfect(), RHO)
         with pytest.raises(DomainError, match="unknown phase model '2bit'"):
             sample_snr(g, 16, "2bit", RHO)
+        with pytest.raises(DomainError, match="rho must be finite"):
+            sample_snr(g, 16, Perfect(), math.inf)
 
 
 class TestMetricAverages:
